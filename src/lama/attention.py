@@ -3,14 +3,16 @@
 Per head i, the word score is the bilinear form c^T W_i u_t with W_i
 factorized as the outer product p_i q_i^T, which collapses the m scores
 into a Hadamard product of two projections: F[:, t] = (P^T c) o (Q^T u_t).
-The m x T score matrix then runs through tanh, a per-word L2 normalization
+The m x L score matrix then runs through tanh, a per-word L2 normalization
 across heads, and a row-wise softmax to give each head a distribution over
 words. A dense (unfactorized) single-head scorer is kept as the exactness
 oracle for the factorized path.
 
-Masked positions are never fed to the normalizations: valid columns are
-computed on their own and zeros are placed in the padded slots, so padding
-a document further cannot perturb the attended output.
+Every function here works on the L valid positions of one document only:
+``model.forward_doc`` trims the padding before the encoder, so no mask
+reaches the normalizations and padding a document further cannot perturb
+the attended output. ``attend`` can lay its attention out over the padded
+width for export, with exact zeros in the padded columns.
 """
 
 from __future__ import annotations
@@ -24,10 +26,6 @@ from .autodiff import Node
 
 CTX_LEARNED = "learned"
 CTX_DOC_MEAN = "doc-mean"
-
-
-class AllPositionsMaskedError(Exception):
-    pass
 
 
 def init_attention_arrays(d_ann: int, m: int, rng: np.random.Generator,
@@ -45,26 +43,6 @@ def init_attention_arrays(d_ann: int, m: int, rng: np.random.Generator,
     return out
 
 
-def context_init(mode: str, doc_embeddings: Node | None = None,
-                 rng: np.random.Generator | None = None,
-                 d_ann: int | None = None, dtype=np.float32):
-    """Context vector for one of the two modes.
-
-    learned: a fresh N(0, 0.1^2) array to be registered as trainable.
-    doc-mean: the differentiable mean of the document's word embeddings,
-    recomputed per document (gradients flow into the embedding matrix).
-    """
-    if mode == CTX_LEARNED:
-        if rng is None or d_ann is None:
-            raise ValueError("learned mode needs rng and d_ann")
-        return rng.normal(0.0, 0.1, size=(d_ann, 1)).astype(dtype)
-    if mode == CTX_DOC_MEAN:
-        if doc_embeddings is None:
-            raise ValueError("doc-mean mode needs the embedded document")
-        return doc_mean_context(doc_embeddings)
-    raise ValueError(f"unknown context mode {mode!r}")
-
-
 def doc_mean_context(doc_embeddings: Node) -> Node:
     """Mean embedding of the (valid) tokens, as a column vector Node."""
     return ad.transpose(ad.tmean(doc_embeddings, axis=0))
@@ -77,13 +55,12 @@ def word_transform(H: Node, W_w: Node, b_w: Node) -> Node:
     return ad.tanh(ad.add(ad.matmul(H, ad.transpose(W_w)), ad.transpose(b_w)))
 
 
-def single_head_scores(U: Node, c: Node, W_i: Node,
-                       mask: np.ndarray | None = None) -> tuple[Node, Node]:
-    """Dense bilinear oracle: f_t = c^T W_i u_t, softmax over valid t."""
+def single_head_scores(U: Node, c: Node, W_i: Node) -> tuple[Node, Node]:
+    """Dense bilinear oracle: f_t = c^T W_i u_t, softmax over t."""
     if W_i.shape != (c.shape[0], U.shape[1]):
         raise ad.ShapeMismatchError("single_head_scores", W_i.shape, c.shape, U.shape)
     f = ad.matmul(ad.matmul(ad.transpose(c), W_i), ad.transpose(U))  # 1 x T
-    alpha = attention_matrix(f, mask, normalize=False)
+    alpha = attention_matrix(f, normalize=False)
     return f, alpha
 
 
@@ -98,47 +75,14 @@ def lama_scores(U: Node, c: Node, P: Node, Q: Node) -> Node:
     return ad.hadamard(ctx_proj, word_proj)
 
 
-def attention_matrix(F: Node, mask: np.ndarray | None = None,
-                     normalize: bool = True) -> Node:
-    """tanh -> per-word L2 across heads -> row softmax, restricted to valid
-    columns; masked columns come back exactly zero.
+def attention_matrix(F: Node, normalize: bool = True) -> Node:
+    """tanh -> per-word L2 across heads -> row softmax over the m x L scores.
 
     ``normalize=False`` skips tanh+L2 (the dense single-head oracle applies
     the softmax directly to its scores).
     """
-    m, T = F.shape
-    if mask is None:
-        valid = None
-        L = T
-    else:
-        mask = np.asarray(mask, dtype=bool)
-        if mask.shape != (T,):
-            raise ad.ShapeMismatchError("attention_matrix", F.shape, mask.shape)
-        if not mask.any():
-            raise AllPositionsMaskedError("attention_matrix: every position is masked")
-        valid = np.flatnonzero(mask)
-        L = len(valid)
-
-    if L == T:
-        core = F
-    elif np.array_equal(valid, np.arange(L)):
-        core = ad.slice_cols(F, 0, L)
-    else:
-        core = ad.transpose(ad.take_rows(ad.transpose(F), valid))
-
-    if normalize:
-        core = ad.l2_normalize(ad.tanh(core), axis=0)
-    A = ad.softmax(core, axis=1)
-    if L == T:
-        return A
-
-    # scatter back with exact zeros in the masked slots
-    if np.array_equal(valid, np.arange(L)):
-        pad = ad.constant(np.zeros((m, T - L), dtype=F.value.dtype))
-        return ad.concat([A, pad], axis=1)
-    select = np.zeros((L, T), dtype=F.value.dtype)
-    select[np.arange(L), valid] = 1.0
-    return ad.matmul(A, ad.constant(select))
+    core = ad.l2_normalize(ad.tanh(F), axis=0) if normalize else F
+    return ad.softmax(core, axis=1)
 
 
 def sentence_embedding(A: Node, H: Node) -> tuple[Node, Node]:
@@ -154,9 +98,9 @@ def sentence_embedding(A: Node, H: Node) -> tuple[Node, Node]:
 class AttentionOutput:
     """Attention and sentence embedding for one document.
 
-    ``A`` spans all T positions (padded columns exactly zero) while
-    ``A_valid``/``S``/``d_doc`` are the graph nodes the model trains
-    through, built from valid positions only.
+    ``A`` is ``A_valid``'s value laid out over ``total_length`` positions,
+    padded columns exactly zero; ``A_valid``/``S``/``d_doc`` are the graph
+    nodes the model trains through, built from the valid positions.
     """
     A: np.ndarray
     A_valid: Node
@@ -166,7 +110,11 @@ class AttentionOutput:
 
 def attend(H_valid: Node, c: Node, W_w: Node, b_w: Node, P: Node, Q: Node,
            total_length: int | None = None) -> AttentionOutput:
-    """Full pipeline over the valid annotation rows of one document."""
+    """Full pipeline over the L valid annotation rows of one document.
+
+    With the embedding-only encoder ``H_valid`` is the embedded rows
+    themselves, so the attention dimension equals the embedding dimension.
+    """
     U = word_transform(H_valid, W_w, b_w)
     F = lama_scores(U, c, P, Q)
     A_valid = attention_matrix(F)
@@ -177,10 +125,3 @@ def attend(H_valid: Node, c: Node, W_w: Node, b_w: Node, P: Node, Q: Node,
     A[:, :L] = A_valid.value
     return AttentionOutput(A=A, A_valid=A_valid, S=S, d_doc=d_doc)
 
-
-def lama_encoder_forward(embedded_valid: Node, c: Node, W_w: Node, b_w: Node,
-                         P: Node, Q: Node,
-                         total_length: int | None = None) -> AttentionOutput:
-    """The RNN-free variant: annotations are the raw word embeddings, so the
-    attention dimension equals the embedding dimension."""
-    return attend(embedded_valid, c, W_w, b_w, P, Q, total_length)

@@ -145,11 +145,6 @@ def add(a: Node, b: Node) -> Node:
     ])
 
 
-def bias_add(x: Node, b: Node) -> Node:
-    """Add a bias vector to every column (or row) of a matrix."""
-    return add(x, b)
-
-
 def hadamard(a: Node, b: Node) -> Node:
     """Element-wise product; size-1 axes broadcast."""
     av, bv = a.value, b.value
@@ -262,19 +257,6 @@ def concat(nodes, axis: int = 0) -> Node:
     return _make("concat", out, [(n, make_pull(i)) for i, n in enumerate(nodes)])
 
 
-def slice_rows(a: Node, start: int, stop: int) -> Node:
-    if not (0 <= start <= stop <= a.shape[0]):
-        raise ShapeMismatchError("slice_rows", a.shape, (start, stop))
-    shape = a.shape
-
-    def back(g):
-        out = np.zeros(shape, dtype=g.dtype)
-        out[start:stop, :] = g
-        return out
-
-    return _make("slice_rows", a.value[start:stop, :], [(a, back)])
-
-
 def slice_cols(a: Node, start: int, stop: int) -> Node:
     if not (0 <= start <= stop <= a.shape[1]):
         raise ShapeMismatchError("slice_cols", a.shape, (start, stop))
@@ -325,29 +307,6 @@ def frobenius_sq(a: Node) -> Node:
     return _make("frobenius_sq", out, [(a, lambda g: 2.0 * g * a.value)])
 
 
-def cosine_similarity(a: Node, b: Node) -> Node:
-    """cos(a, b) over all entries, with L2_EPS inside each norm."""
-    if a.shape != b.shape:
-        raise ShapeMismatchError("cosine_similarity", a.shape, b.shape)
-    av, bv = a.value, b.value
-    sa = float((av * av).sum()) + L2_EPS
-    sb = float((bv * bv).sum()) + L2_EPS
-    na, nb = np.sqrt(sa), np.sqrt(sb)
-    dot = float((av * bv).sum())
-    c = dot / (na * nb)
-    out = np.array([[c]], dtype=av.dtype)
-
-    def back_a(g):
-        gs = float(g[0, 0])
-        return gs * (bv / (na * nb) - c * av / sa)
-
-    def back_b(g):
-        gs = float(g[0, 0])
-        return gs * (av / (na * nb) - c * bv / sb)
-
-    return _make("cosine_similarity", out, [(a, back_a), (b, back_b)])
-
-
 def dropout(a: Node, rate: float, rng: np.random.Generator, train: bool) -> Node:
     """Inverted dropout: keeps scale the expectation equal to the input."""
     if not 0.0 <= rate < 1.0:
@@ -381,14 +340,8 @@ def softmax_cross_entropy(logits: Node, onehot: Node) -> Node:
 
 
 # ---------------------------------------------------------------------------
-# evaluation and backward pass
+# backward pass
 # ---------------------------------------------------------------------------
-
-def evaluate(root: Node) -> np.ndarray:
-    """Forward value of a graph. Values are computed eagerly at construction,
-    so this simply returns the cached result."""
-    return root.value
-
 
 def backward(root: Node) -> dict:
     """Accumulate d(root)/d(leaf) for every requires-grad leaf under ``root``.
@@ -466,7 +419,7 @@ def grad_check(builder, params, step: float = 1e-5, tolerance: float = 1e-5) -> 
     analytic = [lf.grad if lf.grad is not None else np.zeros_like(lf.value) for lf in leaves]
 
     def value_at(arrays):
-        return evaluate(builder([leaf(a) for a in arrays])).item()
+        return builder([leaf(a) for a in arrays]).value.item()
 
     errors = []
     for k, p in enumerate(base):

@@ -125,45 +125,39 @@ def init_te_params(d_model: int, rng: np.random.Generator,
     return TeParams(w(), w(), w(), w(), b(), b(), b(), b())
 
 
+def _split_heads(M: np.ndarray, heads: int) -> np.ndarray:
+    """T x d_model -> heads x T x head_dim."""
+    T, d_model = M.shape
+    return M.reshape(T, heads, d_model // heads).transpose(1, 0, 2)
+
+
+def sdpa_attention_weights(X: np.ndarray, params: TeParams, heads: int) -> np.ndarray:
+    """The heads x T x T matrix of softmaxed scaled dot-product scores."""
+    T, d_model = X.shape
+    if d_model % heads != 0:
+        raise BaselineError(f"d_model {d_model} not divisible by heads {heads}")
+    if params.W_q.shape != (d_model, d_model):
+        raise ad.ShapeMismatchError("sdpa", X.shape, params.W_q.shape)
+    Q = _split_heads(X @ params.W_q + params.b_q, heads)
+    K = _split_heads(X @ params.W_k + params.b_k, heads)
+    scores = Q @ K.transpose(0, 2, 1) / np.sqrt(d_model // heads)
+    scores -= scores.max(axis=2, keepdims=True)
+    weights = np.exp(scores)
+    weights /= weights.sum(axis=2, keepdims=True)
+    return weights
+
+
 def sdpa_forward(X: np.ndarray, params: TeParams, heads: int) -> np.ndarray:
     """Standard multi-head scaled dot-product self-attention, forward only.
 
     Scores are divided by sqrt(head_dim) and softmaxed row-wise; head
     outputs are concatenated and passed through the output projection.
     """
-    T, d_model = X.shape
-    if d_model % heads != 0:
-        raise BaselineError(f"d_model {d_model} not divisible by heads {heads}")
-    if params.W_q.shape != (d_model, d_model):
-        raise ad.ShapeMismatchError("sdpa_forward", X.shape, params.W_q.shape)
-    dh = d_model // heads
-
-    def split(M):  # T x d -> heads x T x dh
-        return M.reshape(T, heads, dh).transpose(1, 0, 2)
-
-    Q = split(X @ params.W_q + params.b_q)
-    K = split(X @ params.W_k + params.b_k)
-    V = split(X @ params.W_v + params.b_v)
-    scores = Q @ K.transpose(0, 2, 1) / np.sqrt(dh)
-    scores -= scores.max(axis=2, keepdims=True)
-    weights = np.exp(scores)
-    weights /= weights.sum(axis=2, keepdims=True)
+    weights = sdpa_attention_weights(X, params, heads)
+    V = _split_heads(X @ params.W_v + params.b_v, heads)
     ctx = weights @ V                                  # heads x T x dh
-    merged = ctx.transpose(1, 0, 2).reshape(T, d_model)
+    merged = ctx.transpose(1, 0, 2).reshape(X.shape)
     return merged @ params.W_o + params.b_o
-
-
-def sdpa_attention_weights(X: np.ndarray, params: TeParams, heads: int) -> np.ndarray:
-    """The heads x T x T score matrix after softmax (for tests)."""
-    T, d_model = X.shape
-    dh = d_model // heads
-    Q = (X @ params.W_q + params.b_q).reshape(T, heads, dh).transpose(1, 0, 2)
-    K = (X @ params.W_k + params.b_k).reshape(T, heads, dh).transpose(1, 0, 2)
-    scores = Q @ K.transpose(0, 2, 1) / np.sqrt(dh)
-    scores -= scores.max(axis=2, keepdims=True)
-    weights = np.exp(scores)
-    weights /= weights.sum(axis=2, keepdims=True)
-    return weights
 
 
 @dataclass
@@ -187,8 +181,8 @@ class BenchResult:
 def _le_forward_batch(embedded_docs, arrays):
     nodes = {k: ad.leaf(v) for k, v in arrays.items()}
     for X in embedded_docs:
-        attention.lama_encoder_forward(ad.leaf(X), nodes["c"], nodes["W_w"],
-                                       nodes["b_w"], nodes["P"], nodes["Q"])
+        attention.attend(ad.leaf(X), nodes["c"], nodes["W_w"], nodes["b_w"],
+                         nodes["P"], nodes["Q"])
 
 
 def _te_forward_batch(docs, params, heads):

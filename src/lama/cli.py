@@ -26,11 +26,10 @@ import numpy as np
 from . import __version__, baseline
 from .classifier import REGULARIZERS
 from .model import forward_doc
-from .text import (TextError, Vocab, build_vocab, encode, init_embeddings,
-                   load_dataset, read_tsv, tokenize)
-from .training import (Checkpoint, CheckpointError, DivergenceError,
-                       LabelMismatchError, TrainConfig, TrainingError,
-                       evaluate, heads_sweep, sweep_to_csv, train)
+from .text import (FileOpenError, TextError, build_vocab, init_embeddings,
+                   load_dataset, read_tsv, rows_to_dataset, tokenize)
+from .training import (Checkpoint, CheckpointError, DivergenceError, TrainConfig,
+                       TrainingError, evaluate, heads_sweep, sweep_to_csv, train)
 
 EXIT_USAGE = 2
 EXIT_IO = 3
@@ -172,17 +171,23 @@ def _manifest(args, inputs, outputs) -> RunManifest:
                        outputs=[str(p) for p in outputs], version=__version__)
 
 
+def _load_train_valid(args, max_len):
+    """Vocabulary and train set from one read of --data, then --valid."""
+    rows = read_tsv(args.data)
+    vocab = build_vocab((tokenize(text) for _, _, text in rows), args.min_count)
+    train_set = rows_to_dataset(rows, vocab, max_len, source=args.data)
+    valid_set = load_dataset(args.valid, vocab, max_len,
+                             label_names=train_set.label_names, split="valid")
+    return train_set, valid_set, vocab
+
+
 def cmd_train(args):
     ckpt_dir = os.path.join(args.out, "checkpoint")
     history_csv = os.path.join(args.out, "history.csv")
     _manifest(args, [args.data, args.valid], [ckpt_dir, history_csv]).write(args.out)
 
     config = _config_from_args(args)
-    rows = read_tsv(args.data)
-    vocab = build_vocab((tokenize(text) for _, _, text in rows), args.min_count)
-    train_set = load_dataset(args.data, vocab, config.max_len, split="train")
-    valid_set = load_dataset(args.valid, vocab, config.max_len,
-                             label_names=train_set.label_names, split="valid")
+    train_set, valid_set, vocab = _load_train_valid(args, config.max_len)
     embedding = None
     if args.embeddings:
         rng = np.random.Generator(np.random.PCG64(config.seed))
@@ -218,31 +223,23 @@ def cmd_attend(args):
     jsonl_path = os.path.join(args.out, "attention.jsonl")
     _manifest(args, [args.checkpoint, args.data], [jsonl_path]).write(args.out)
     checkpoint = Checkpoint.load(args.checkpoint)
-    params = checkpoint.params
-    vocab = checkpoint.vocab
-    max_len = checkpoint.config.max_len
-    label_index = {name: i for i, name in enumerate(checkpoint.label_names)}
-    nodes = params.store.nodes()
-    count = 0
+    rows = read_tsv(args.data)
+    dataset = rows_to_dataset(rows, checkpoint.vocab, checkpoint.config.max_len,
+                              label_names=checkpoint.label_names, split="attend",
+                              source=args.data)
+    nodes = checkpoint.params.store.nodes()
     with open(jsonl_path, "w", encoding="utf-8") as fh:
-        for doc_id, (_, label, text) in enumerate(read_tsv(args.data)):
-            if label not in label_index:
-                raise LabelMismatchError(f"unknown label {label!r} in {args.data}")
-            tokens = tokenize(text)[:max_len]
-            if not tokens:
-                continue
-            ids, true_length = encode(tokens, vocab, max_len)
-            fw = forward_doc(params, nodes, ids, true_length, train=False)
+        for doc_id, ((_, label, text), doc) in enumerate(zip(rows, dataset.documents)):
+            fw = forward_doc(checkpoint.params, nodes, doc.ids, doc.true_length)
             record = {
                 "doc_id": doc_id,
-                "tokens": tokens,
+                "tokens": tokenize(text)[:doc.true_length],
                 "label": label,
                 "predicted": checkpoint.label_names[fw.prediction],
                 "A": [[float(x) for x in row] for row in fw.attn.A_valid.value],
             }
             fh.write(json.dumps(record) + "\n")
-            count += 1
-    print(f"wrote {count} documents to {jsonl_path}")
+    print(f"wrote {len(dataset)} documents to {jsonl_path}")
     return 0
 
 
@@ -336,11 +333,7 @@ def cmd_heads_sweep(args):
     out_path = os.path.join(args.out, "sweep.csv")
     _manifest(args, [args.data, args.valid], [out_path]).write(args.out)
     config = _config_from_args(args)
-    rows = read_tsv(args.data)
-    vocab = build_vocab((tokenize(text) for _, _, text in rows), args.min_count)
-    train_set = load_dataset(args.data, vocab, config.max_len, split="train")
-    valid_set = load_dataset(args.valid, vocab, config.max_len,
-                             label_names=train_set.label_names, split="valid")
+    train_set, valid_set, vocab = _load_train_valid(args, config.max_len)
     table = heads_sweep(config, args.grid, train_set, valid_set, vocab, log=print)
     sweep_to_csv(table, out_path)
     for m, acc in table:
@@ -370,16 +363,12 @@ def main(argv=None) -> int:
     except DivergenceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DIVERGED
-    except CheckpointError as exc:
+    except (CheckpointError, FileOpenError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
-    except (LabelMismatchError, TrainingError) as exc:
+    except (TrainingError, TextError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
-    except TextError as exc:
-        code = EXIT_IO if "cannot open" in str(exc) else EXIT_DATA
-        print(f"error: {exc}", file=sys.stderr)
-        return code
     except baseline.BaselineError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

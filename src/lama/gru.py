@@ -2,6 +2,9 @@
 
 All graph-level functions take parameters as Nodes (see ``GruCell``) so
 gradients flow to the underlying arrays. Vectors are column vectors.
+
+The encoder never sees padding: ``model.forward_doc`` passes only the rows
+of the document's real tokens, and gets back one annotation per token.
 """
 
 from __future__ import annotations
@@ -80,8 +83,9 @@ def gru_step(x_t: Node, h_prev: Node, cell: GruCell) -> Node:
                  ad.matmul(cell.W_h, x_t), h_prev, cell)
 
 
-def _run_direction(x_cols: Node, cell: GruCell, order) -> list:
-    """States for positions visited in ``order``, returned indexed by position."""
+def _run_direction(x_cols: Node, cell: GruCell, order) -> Node:
+    """h x L states for positions visited in ``order``; column t is the state
+    at position t."""
     h = ad.constant(np.zeros((cell.hidden_dim, 1), dtype=x_cols.value.dtype))
     # one matmul per gate for the whole document, sliced per step
     wx_z = ad.matmul(cell.W_z, x_cols)
@@ -92,44 +96,21 @@ def _run_direction(x_cols: Node, cell: GruCell, order) -> list:
         h = _step(ad.slice_cols(wx_z, t, t + 1), ad.slice_cols(wx_r, t, t + 1),
                   ad.slice_cols(wx_h, t, t + 1), h, cell)
         states[t] = h
-    return states
+    return ad.concat(states, axis=1)
 
 
-@dataclass
-class AnnotationMatrix:
-    """Word annotations for one document.
+def bigru_encode(embedded: Node, forward_cell: GruCell, backward_cell: GruCell) -> Node:
+    """Encode the L x d embedded rows of a document into L x 2h annotations,
+    row t holding [forward state; backward state] at position t.
 
-    ``H`` is the full T x 2h matrix with padded rows exactly zero; ``valid``
-    is the L x 2h slice actually produced by the recurrences, and is the
-    tensor downstream layers should consume (it is bit-identical no matter
-    how much padding the document carries).
+    Every row is a real token: the caller trims padding first, so the
+    backward direction starts at the last token.
     """
-    H: Node
-    valid: Node
-    mask: np.ndarray
-    true_length: int
-
-
-def bigru_encode(embedded: Node, forward_cell: GruCell, backward_cell: GruCell,
-                 true_length: int) -> AnnotationMatrix:
-    """Encode a T x d document; rows beyond ``true_length`` are ignored by
-    both directions and come back as zero rows."""
-    T = embedded.shape[0]
-    if not 0 < true_length <= T:
-        raise ad.ShapeMismatchError("bigru_encode", embedded.shape, (true_length,))
     if forward_cell.hidden_dim != backward_cell.hidden_dim:
         raise ad.ShapeMismatchError(
             "bigru_encode", (forward_cell.hidden_dim,), (backward_cell.hidden_dim,))
-    L = true_length
-    x_cols = ad.transpose(embedded if L == T else ad.slice_rows(embedded, 0, L))
+    L = embedded.shape[0]
+    x_cols = ad.transpose(embedded)
     fwd = _run_direction(x_cols, forward_cell, range(L))
     bwd = _run_direction(x_cols, backward_cell, range(L - 1, -1, -1))
-    columns = [ad.concat([fwd[t], bwd[t]], axis=0) for t in range(L)]
-    valid = ad.transpose(ad.concat(columns, axis=1))
-    if L == T:
-        H = valid
-    else:
-        pad = ad.constant(np.zeros((T - L, valid.shape[1]), dtype=valid.value.dtype))
-        H = ad.concat([valid, pad], axis=0)
-    mask = np.arange(T) < L
-    return AnnotationMatrix(H=H, valid=valid, mask=mask, true_length=L)
+    return ad.transpose(ad.concat([fwd, bwd], axis=0))

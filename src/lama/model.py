@@ -8,11 +8,15 @@ the trainer folds back into the store.
 RNG draws during initialization happen in a fixed, documented order
 (embeddings, forward GRU, backward GRU, attention, classifier) so a seed
 pins every weight.
+
+Padding is decided here and nowhere else: ``forward_doc`` keeps the first
+``true_length`` ids and drops the rest before the embedding lookup, so the
+encoder, attention and classifier only ever see the document's real tokens.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,7 +33,6 @@ ENCODER_LE = "le"
 class Parameter:
     name: str
     value: np.ndarray
-    trainable: bool = True
     frozen_rows: tuple = ()
 
 
@@ -39,10 +42,10 @@ class ParamStore:
     def __init__(self):
         self._params: dict[str, Parameter] = {}
 
-    def add(self, name, value, trainable=True, frozen_rows=()):
+    def add(self, name, value, frozen_rows=()):
         if name in self._params:
             raise ValueError(f"duplicate parameter {name}")
-        self._params[name] = Parameter(name, value, trainable, frozen_rows)
+        self._params[name] = Parameter(name, value, frozen_rows)
 
     def __getitem__(self, name) -> Parameter:
         return self._params[name]
@@ -58,10 +61,10 @@ class ParamStore:
 
     def nodes(self) -> dict[str, Node]:
         """Fresh leaf Nodes over the stored arrays (no copies)."""
-        return {p.name: ad.leaf(p.value, requires_grad=p.trainable) for p in self}
+        return {p.name: ad.leaf(p.value, requires_grad=True) for p in self}
 
     def trainable_size(self) -> int:
-        return sum(p.value.size for p in self if p.trainable)
+        return sum(p.value.size for p in self)
 
     def copy_values(self) -> dict[str, np.ndarray]:
         return {p.name: p.value.copy() for p in self}
@@ -82,7 +85,6 @@ class ModelParams:
     mlp_hidden: int
     num_classes: int
     dropout: float
-    embedding: EmbeddingMatrix
 
     @property
     def d_ann(self) -> int:
@@ -107,17 +109,13 @@ def init_model(vocab_size: int, num_classes: int, rng: np.random.Generator, *,
     store = ParamStore()
     if embedding is None:
         weights = rng.uniform(-0.1, 0.1, size=(vocab_size, d)).astype(dtype)
-        weights[PAD_ID] = 0.0
-        embedding = EmbeddingMatrix(weights)
     else:
         if embedding.weights.shape != (vocab_size, d):
             raise ValueError(
                 f"embedding shape {embedding.weights.shape} != ({vocab_size}, {d})")
-        embedding = EmbeddingMatrix(embedding.weights.astype(dtype, copy=True),
-                                    embedding.trainable, embedding.coverage)
-        embedding.weights[PAD_ID] = 0.0
-    store.add("W_e", embedding.weights, trainable=embedding.trainable,
-              frozen_rows=(PAD_ID,))
+        weights = embedding.weights.astype(dtype, copy=True)
+    weights[PAD_ID] = 0.0
+    store.add("W_e", weights, frozen_rows=(PAD_ID,))
 
     if encoder == ENCODER_BIGRU:
         for prefix in ("gru_f.", "gru_b."):
@@ -134,7 +132,7 @@ def init_model(vocab_size: int, num_classes: int, rng: np.random.Generator, *,
 
     return ModelParams(store=store, d=d, h=h, m=m, ctx=ctx, encoder=encoder,
                        mlp_hidden=mlp_hidden, num_classes=num_classes,
-                       dropout=dropout, embedding=embedding)
+                       dropout=dropout)
 
 
 @dataclass
@@ -142,7 +140,6 @@ class ForwardPass:
     logits: Node
     probs: Node
     attn: AttentionOutput
-    annotations: Node
 
     @property
     def prediction(self) -> int:
@@ -150,12 +147,12 @@ class ForwardPass:
 
 
 def forward_doc(params: ModelParams, nodes: dict, ids, true_length: int | None = None,
-                train: bool = False, rng: np.random.Generator | None = None,
-                total_length: int | None = None) -> ForwardPass:
+                train: bool = False, rng: np.random.Generator | None = None) -> ForwardPass:
     """Run one document through the model.
 
-    ``ids`` may include padding; only the first ``true_length`` entries are
-    used, so padded and unpadded calls produce bit-identical results.
+    ``ids`` may include padding. This is the one place that trims it: only
+    the first ``true_length`` ids (all of them when it is None) reach the
+    embedding lookup, so padded and unpadded calls are bit-identical.
     """
     ids = np.asarray(ids, dtype=np.int64)
     L = int(true_length) if true_length is not None else len(ids)
@@ -166,7 +163,7 @@ def forward_doc(params: ModelParams, nodes: dict, ids, true_length: int | None =
     if params.encoder == ENCODER_BIGRU:
         fwd = gru.GruCell.from_nodes(nodes, "gru_f.")
         bwd = gru.GruCell.from_nodes(nodes, "gru_b.")
-        H_valid = gru.bigru_encode(X, fwd, bwd, L).valid
+        H_valid = gru.bigru_encode(X, fwd, bwd)
     else:
         H_valid = X
 
@@ -176,13 +173,12 @@ def forward_doc(params: ModelParams, nodes: dict, ids, true_length: int | None =
         c = attention.doc_mean_context(X)
 
     attn_out = attention.attend(H_valid, c, nodes["attn.W_w"], nodes["attn.b_w"],
-                                nodes["attn.P"], nodes["attn.Q"],
-                                total_length=total_length)
+                                nodes["attn.P"], nodes["attn.Q"])
     probs, logits = classifier.classify(attn_out.d_doc, nodes["cls.W1"],
                                         nodes["cls.b1"], nodes["cls.W_c"],
                                         nodes["cls.b_c"], params.dropout,
                                         train=train, rng=rng)
-    return ForwardPass(logits=logits, probs=probs, attn=attn_out, annotations=H_valid)
+    return ForwardPass(logits=logits, probs=probs, attn=attn_out)
 
 
 def doc_objective(fw: ForwardPass, label: int, num_classes: int,

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .text import Dataset, Vocab, build_vocab, encode, tokenize
+from .text import Dataset, Vocab, build_vocab, rows_to_dataset, tokenize
 
 FILLERS = [f"filler{i:02d}" for i in range(20)]
 
@@ -78,21 +78,9 @@ def write_tsv(pairs, path):
 
 def pairs_to_dataset(pairs, vocab: Vocab, max_len: int = 32,
                      label_names=None, split="train") -> Dataset:
-    from .text import Document
-
-    closed = label_names is not None
-    names = list(label_names) if closed else []
-    index = {n: i for i, n in enumerate(names)}
-    docs = []
-    for label, text_ in pairs:
-        if label not in index:
-            if closed:
-                raise ValueError(f"unknown label {label!r}")
-            index[label] = len(names)
-            names.append(label)
-        ids, true_length = encode(tokenize(text_), vocab, max_len)
-        docs.append(Document(ids, true_length, index[label]))
-    return Dataset(docs, names, split)
+    """Encode (label, text) pairs; pair k counts as line k + 1 in errors."""
+    rows = [(k, label, text) for k, (label, text) in enumerate(pairs, start=1)]
+    return rows_to_dataset(rows, vocab, max_len, label_names, split, source="<pairs>")
 
 
 def make_task(kind: str, n_train: int, n_valid: int, seed: int,

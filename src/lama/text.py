@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import unicodedata
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,6 +21,10 @@ UNK_TOKEN = "<unk>"
 
 class TextError(Exception):
     pass
+
+
+class FileOpenError(TextError):
+    """An input file could not be opened (an I/O failure, not bad data)."""
 
 
 class EncodingError(TextError):
@@ -64,7 +68,6 @@ def tokenize(text: str) -> list[str]:
 class Vocab:
     token_to_id: dict
     id_to_token: list
-    min_count: int
 
     def __len__(self):
         return len(self.id_to_token)
@@ -83,7 +86,10 @@ class Vocab:
             tokens = [line.rstrip("\n") for line in fh]
         if len(tokens) < 2 or tokens[0] != PAD_TOKEN or tokens[1] != UNK_TOKEN:
             raise TextError(f"{path}: not a vocab file (missing reserved tokens)")
-        return cls({t: i for i, t in enumerate(tokens)}, tokens, min_count=0)
+        token_to_id = {t: i for i, t in enumerate(tokens)}
+        if len(token_to_id) != len(tokens):
+            raise TextError(f"{path}: not a vocab file (repeated tokens)")
+        return cls(token_to_id, tokens)
 
 
 def build_vocab(corpus, min_count: int = 5) -> Vocab:
@@ -107,7 +113,7 @@ def build_vocab(corpus, min_count: int = 5) -> Vocab:
         key=lambda t: (-counts[t], t),
     )
     id_to_token = [PAD_TOKEN, UNK_TOKEN] + kept
-    return Vocab({t: i for i, t in enumerate(id_to_token)}, id_to_token, min_count)
+    return Vocab({t: i for i, t in enumerate(id_to_token)}, id_to_token)
 
 
 @dataclass
@@ -152,7 +158,7 @@ def read_tsv(path) -> list[tuple[int, str, str]]:
     try:
         fh = open(path, encoding="utf-8")
     except OSError as exc:
-        raise TextError(f"cannot open dataset {path}: {exc}") from exc
+        raise FileOpenError(f"cannot open dataset {path}: {exc}") from exc
     with fh:
         try:
             for line_no, line in enumerate(fh, start=1):
@@ -172,14 +178,15 @@ def read_tsv(path) -> list[tuple[int, str, str]]:
     return rows
 
 
-def load_dataset(path, vocab: Vocab, max_len: int = 256,
-                 label_names=None, split: str = "train") -> Dataset:
-    """Load a TSV corpus into encoded documents.
+def rows_to_dataset(rows, vocab: Vocab, max_len: int, label_names=None,
+                    split: str = "train", source="<rows>") -> Dataset:
+    """Encode (line_no, label, text) rows into documents.
 
     With ``label_names=None`` label ids are assigned by first appearance;
     otherwise the given map is authoritative and unseen labels are an error.
+    A document with no tokens is an error too. Errors name ``source`` and
+    the row's line number.
     """
-    rows = read_tsv(path)
     closed = label_names is not None
     names = list(label_names) if closed else []
     index = {n: i for i, n in enumerate(names)}
@@ -187,25 +194,26 @@ def load_dataset(path, vocab: Vocab, max_len: int = 256,
     for line_no, label, text in rows:
         if label not in index:
             if closed:
-                raise MalformedLineError(path, line_no, f"unknown label {label!r}")
+                raise MalformedLineError(source, line_no, f"unknown label {label!r}")
             index[label] = len(names)
             names.append(label)
         ids, true_length = encode(tokenize(text), vocab, max_len)
         if true_length == 0:
-            raise MalformedLineError(path, line_no, "document has no tokens")
+            raise MalformedLineError(source, line_no, "document has no tokens")
         documents.append(Document(ids, true_length, index[label]))
     return Dataset(documents, names, split)
+
+
+def load_dataset(path, vocab: Vocab, max_len: int = 256,
+                 label_names=None, split: str = "train") -> Dataset:
+    """Load a TSV corpus into encoded documents (see ``rows_to_dataset``)."""
+    return rows_to_dataset(read_tsv(path), vocab, max_len, label_names, split, source=path)
 
 
 @dataclass
 class EmbeddingMatrix:
     weights: np.ndarray      # |V| x d, PAD row all zeros
-    trainable: bool = True
-    coverage: float | None = field(default=None)  # pretrained hit ratio
-
-    @property
-    def dim(self) -> int:
-        return self.weights.shape[1]
+    coverage: float | None = None  # pretrained hit ratio
 
 
 def init_embeddings(vocab: Vocab, d: int, rng: np.random.Generator,
@@ -221,7 +229,7 @@ def init_embeddings(vocab: Vocab, d: int, rng: np.random.Generator,
         try:
             fh = open(pretrained_path, encoding="utf-8")
         except OSError as exc:
-            raise TextError(f"cannot open embeddings {pretrained_path}: {exc}") from exc
+            raise FileOpenError(f"cannot open embeddings {pretrained_path}: {exc}") from exc
         with fh:
             for line_no, line in enumerate(fh, start=1):
                 parts = line.rstrip("\n").split()
@@ -238,4 +246,4 @@ def init_embeddings(vocab: Vocab, d: int, rng: np.random.Generator,
                     hits += 1
         coverage = hits / max(len(vocab) - 2, 1)
     weights[PAD_ID] = 0.0
-    return EmbeddingMatrix(weights, trainable=True, coverage=coverage)
+    return EmbeddingMatrix(weights, coverage=coverage)

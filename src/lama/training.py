@@ -11,6 +11,7 @@ import json
 import os
 import shutil
 import time
+from itertools import zip_longest
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -19,7 +20,7 @@ from . import __version__
 from . import autodiff as ad
 from .classifier import ObjectiveConfig, REGULARIZERS
 from .model import ENCODER_BIGRU, ENCODER_LE, ModelParams, forward_doc, doc_objective, init_model
-from .text import Dataset, EmbeddingMatrix, Vocab
+from .text import Dataset, EmbeddingMatrix, TextError, Vocab
 
 WEIGHTS_DTYPE = "<f4"  # little-endian IEEE-754 32-bit
 
@@ -123,12 +124,15 @@ class Checkpoint:
     params: ModelParams
 
     def save(self, out_dir):
-        """Write config.json, vocab.txt and weights.bin atomically
-        (stage into a temp dir, then rename into place)."""
+        """Write config.json, vocab.txt and weights.bin atomically: stage
+        into a temp dir, move any old checkpoint aside, rename the new one
+        into place, then delete the old one."""
         out_dir = str(out_dir)
         tmp = out_dir + f".tmp-{os.getpid()}"
-        if os.path.exists(tmp):
-            shutil.rmtree(tmp)
+        old = tmp + "-old"
+        for stale in (tmp, old):
+            if os.path.exists(stale):
+                shutil.rmtree(stale)
         os.makedirs(tmp)
         manifest = []
         offset = 0
@@ -152,12 +156,19 @@ class Checkpoint:
         with open(os.path.join(tmp, "weights.bin"), "wb") as fh:
             for raw in blobs:
                 fh.write(raw)
-        if os.path.exists(out_dir):
-            shutil.rmtree(out_dir)
+        replacing = os.path.exists(out_dir)
+        if replacing:
+            os.replace(out_dir, old)
         os.replace(tmp, out_dir)
+        if replacing:
+            shutil.rmtree(old)
 
     @classmethod
     def load(cls, ckpt_dir) -> "Checkpoint":
+        """Read a saved checkpoint. The manifest must list exactly the
+        model's tensors, in order and with their shapes, laid out back to
+        back over the whole of weights.bin; anything else is a
+        CheckpointError."""
         ckpt_dir = str(ckpt_dir)
         try:
             with open(os.path.join(ckpt_dir, "config.json"), encoding="utf-8") as fh:
@@ -165,21 +176,33 @@ class Checkpoint:
             vocab = Vocab.load(os.path.join(ckpt_dir, "vocab.txt"))
             with open(os.path.join(ckpt_dir, "weights.bin"), "rb") as fh:
                 blob = fh.read()
+            config = TrainConfig(**meta["config"])
+            labels = list(meta["labels"])
+            entries = [(str(e["name"]), tuple(int(n) for n in e["shape"]), int(e["offset"]))
+                       for e in meta["tensors"]]
+            params = _fresh_model(config, len(vocab), len(labels), np.random.default_rng(0))
         except OSError as exc:
             raise CheckpointError(f"cannot read checkpoint {ckpt_dir}: {exc}") from exc
-        config = TrainConfig(**meta["config"])
-        params = _fresh_model(config, len(vocab), len(meta["labels"]),
-                              np.random.default_rng(0))
-        for entry in meta["tensors"]:
-            name, shape, offset = entry["name"], tuple(entry["shape"]), entry["offset"]
-            count = int(np.prod(shape))
-            arr = np.frombuffer(blob, dtype=WEIGHTS_DTYPE, count=count,
-                                offset=offset).reshape(shape)
-            if name not in params.store:
-                raise TrainingError(f"checkpoint tensor {name} not in model")
+        except (ValueError, TypeError, KeyError, TextError) as exc:
+            raise CheckpointError(
+                f"corrupt checkpoint {ckpt_dir}: {type(exc).__name__}: {exc}") from exc
+
+        expected, offset = [], 0
+        for p in params.store:
+            expected.append((p.name, p.value.shape, offset))
+            offset += p.value.size * np.dtype(WEIGHTS_DTYPE).itemsize
+        for got, want in zip_longest(entries, expected):
+            if got != want:
+                raise CheckpointError(f"corrupt checkpoint {ckpt_dir}: manifest entry "
+                                      f"{got} where the model needs {want}")
+        if len(blob) != offset:
+            raise CheckpointError(f"corrupt checkpoint {ckpt_dir}: weights.bin holds "
+                                  f"{len(blob)} bytes, the manifest {offset}")
+        for name, shape, start in entries:
+            arr = np.frombuffer(blob, dtype=WEIGHTS_DTYPE, count=int(np.prod(shape)),
+                                offset=start).reshape(shape)
             params.store[name].value = np.array(arr, dtype=np.float32)
-        params.embedding.weights = params.store["W_e"].value
-        return cls(config, vocab, list(meta["labels"]), params)
+        return cls(config, vocab, labels, params)
 
 
 def _fresh_model(config: TrainConfig, vocab_size: int, num_classes: int,
@@ -215,7 +238,7 @@ def train(config: TrainConfig, train_set: Dataset, valid_set: Dataset,
     params = _fresh_model(config, len(vocab), num_classes, rng, embedding)
     objective = ObjectiveConfig(config.regularizer, config.lam)
 
-    velocities = {p.name: np.zeros_like(p.value) for p in params.store if p.trainable}
+    velocities = {p.name: np.zeros_like(p.value) for p in params.store}
     history = TrainHistory()
     best_acc = -1.0
     best_values = None
@@ -249,14 +272,11 @@ def train(config: TrainConfig, train_set: Dataset, valid_set: Dataset,
                 raise DivergenceError(epoch, batch_no, f"loss={batch_loss}")
             loss_sum += batch_loss * len(batch)
             for p in params.store:
-                if not p.trainable:
-                    continue
                 node = nodes[p.name]
                 grad = node.grad if node.grad is not None else np.zeros_like(p.value)
                 p.value, velocities[p.name] = sgd_step(
                     p.value, grad, velocities[p.name], config.lr,
                     config.momentum, config.weight_decay, p.frozen_rows)
-            params.embedding.weights = params.store["W_e"].value
 
         valid_acc = evaluate(params, valid_set).accuracy
         record = EpochRecord(epoch, loss_sum / len(docs), valid_acc,
@@ -277,7 +297,6 @@ def train(config: TrainConfig, train_set: Dataset, valid_set: Dataset,
 
     if snapshot == "best":
         params.store.load_values(best_values)
-        params.embedding.weights = params.store["W_e"].value
     checkpoint = Checkpoint(config, vocab, list(train_set.label_names), params)
     return checkpoint, history
 

@@ -3,10 +3,9 @@ import pytest
 
 from lama import attention as att
 from lama import autodiff as ad
-from lama.attention import (AllPositionsMaskedError, attend, attention_matrix,
-                            context_init, doc_mean_context, lama_encoder_forward,
-                            lama_scores, sentence_embedding, single_head_scores,
-                            word_transform)
+from lama import model as mdl
+from lama.attention import (attend, attention_matrix, doc_mean_context, lama_scores,
+                            sentence_embedding, single_head_scores, word_transform)
 
 
 def nodes_for(rng, T, d_ann, m):
@@ -52,13 +51,14 @@ class TestContextInit:
         np.testing.assert_array_equal(c.value, np.zeros((2, 1)))
 
     def test_learned_mode_reproducible_from_seed(self):
-        a = context_init("learned", rng=np.random.default_rng(42), d_ann=8)
-        b = context_init("learned", rng=np.random.default_rng(42), d_ann=8)
-        np.testing.assert_array_equal(a, b)
+        a = att.init_attention_arrays(8, 2, np.random.default_rng(42), ctx="learned")
+        b = att.init_attention_arrays(8, 2, np.random.default_rng(42), ctx="learned")
+        assert a["c"].shape == (8, 1)
+        np.testing.assert_array_equal(a["c"], b["c"])
 
     def test_unknown_mode_rejected(self):
-        with pytest.raises(ValueError):
-            context_init("weird")
+        with pytest.raises(ValueError, match="context mode"):
+            mdl.init_model(12, 2, np.random.default_rng(0), d=6, h=3, ctx="weird")
 
 
 class TestSingleHeadScores:
@@ -133,34 +133,21 @@ class TestAttentionMatrix:
         assert np.abs(bounded.value).max() <= 1.0 + 1e-12
 
     def test_masked_columns_exactly_zero(self):
+        # attend lays the L valid columns out over the padded width for export
         rng = np.random.default_rng(10)
-        F = ad.leaf(rng.standard_normal((3, 6)))
-        mask = np.array([True, True, True, True, False, False])
-        A = attention_matrix(F, mask)
-        np.testing.assert_array_equal(A.value[:, 4:], 0.0)
-        np.testing.assert_allclose(A.value.sum(axis=1), 1.0, atol=1e-5)
-
-    def test_non_contiguous_mask_supported(self):
-        rng = np.random.default_rng(11)
-        F = ad.leaf(rng.standard_normal((2, 5)))
-        mask = np.array([True, False, True, False, True])
-        A = attention_matrix(F, mask)
-        np.testing.assert_array_equal(A.value[:, [1, 3]], 0.0)
-        np.testing.assert_allclose(A.value.sum(axis=1), 1.0, atol=1e-5)
-
-    def test_all_masked_is_an_error(self):
-        with pytest.raises(AllPositionsMaskedError):
-            attention_matrix(ad.leaf(np.ones((2, 3))), np.zeros(3, dtype=bool))
+        H, c, P, Q = nodes_for(rng, 4, 6, 3)
+        out = attend(H, c, ad.leaf(np.eye(6)), ad.leaf(np.zeros((6, 1))), P, Q,
+                     total_length=6)
+        np.testing.assert_array_equal(out.A[:, 4:], 0.0)
+        np.testing.assert_array_equal(out.A[:, :4], out.A_valid.value)
+        np.testing.assert_allclose(out.A.sum(axis=1), 1.0, atol=1e-5)
 
     def test_row_stochastic_over_random_configs(self):
         rng = np.random.default_rng(12)
         for _ in range(50):
             m = int(rng.integers(1, 9))
-            T = int(rng.integers(1, 40))
-            F = ad.leaf(rng.standard_normal((m, T)) * 3)
-            L = int(rng.integers(1, T + 1))
-            mask = np.arange(T) < L
-            A = attention_matrix(F, mask)
+            L = int(rng.integers(1, 40))
+            A = attention_matrix(ad.leaf(rng.standard_normal((m, L)) * 3))
             np.testing.assert_allclose(A.value.sum(axis=1), 1.0, atol=1e-5)
             assert (A.value >= 0).all()
 
@@ -242,6 +229,8 @@ class TestFullPipeline:
 
 
 class TestLamaEncoder:
+    """The embedding-only (LE) encoder: ``attend`` over the raw embeddings."""
+
     def test_single_token_embedding_comes_back(self):
         rng = np.random.default_rng(19)
         x = rng.standard_normal((1, 6))
@@ -250,7 +239,7 @@ class TestLamaEncoder:
         b_w = ad.leaf(rng.standard_normal((6, 1)))
         P = ad.leaf(rng.standard_normal((6, 3)))
         Q = ad.leaf(rng.standard_normal((6, 3)))
-        out = lama_encoder_forward(ad.leaf(x), c, W_w, b_w, P, Q)
+        out = attend(ad.leaf(x), c, W_w, b_w, P, Q)
         np.testing.assert_allclose(out.S.value, np.tile(x, (3, 1)), rtol=1e-10)
 
     def test_permutation_equivariance(self):
@@ -261,17 +250,21 @@ class TestLamaEncoder:
         b_w = ad.leaf(rng.standard_normal((6, 1)) * 0.1)
         P = ad.leaf(rng.standard_normal((6, 3)))
         Q = ad.leaf(rng.standard_normal((6, 3)))
-        out = lama_encoder_forward(ad.leaf(x), c, W_w, b_w, P, Q)
+        out = attend(ad.leaf(x), c, W_w, b_w, P, Q)
         perm = rng.permutation(7)
-        out_p = lama_encoder_forward(ad.leaf(x[perm]), c, W_w, b_w, P, Q)
+        out_p = attend(ad.leaf(x[perm]), c, W_w, b_w, P, Q)
         np.testing.assert_allclose(out_p.A, out.A[:, perm], atol=1e-12)
         np.testing.assert_allclose(out_p.S.value, out.S.value, atol=1e-12)
 
     def test_matches_bigru_pipeline_when_annotations_are_embeddings(self):
         # LE is by definition the same pipeline applied to raw embeddings
-        rng = np.random.default_rng(21)
-        x = ad.leaf(rng.standard_normal((5, 4)))
-        args = [ad.leaf(rng.standard_normal(s)) for s in
-                [(4, 1), (4, 4), (4, 1), (4, 2), (4, 2)]]
-        np.testing.assert_array_equal(lama_encoder_forward(x, *args).A,
-                                      attend(x, *args).A)
+        params = mdl.init_model(12, 2, np.random.default_rng(21), d=4, m=2,
+                                encoder="le", mlp_hidden=8)
+        nodes = params.store.nodes()
+        ids = [3, 7, 2, 9, 5]
+        fw = mdl.forward_doc(params, nodes, ids)
+        out = attend(ad.leaf(params.store["W_e"].value[ids]), nodes["attn.c"],
+                     nodes["attn.W_w"], nodes["attn.b_w"], nodes["attn.P"],
+                     nodes["attn.Q"])
+        np.testing.assert_array_equal(fw.attn.A, out.A)
+        np.testing.assert_array_equal(fw.attn.S.value, out.S.value)

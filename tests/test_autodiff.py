@@ -49,11 +49,6 @@ class TestForward:
         out = ad.sigmoid(ad.leaf(np.array([[-1e9, 0.0, 1e9]]))).value
         np.testing.assert_array_equal(out, [[0.0, 0.5, 1.0]])
 
-    def test_evaluate_returns_cached_value(self):
-        x = ad.leaf(np.ones((2, 2)))
-        out = ad.add(x, x)
-        assert ad.evaluate(out) is out.value
-
 
 class TestErrors:
     def test_matmul_shape_error_names_op_and_shapes(self):
@@ -135,19 +130,19 @@ class TestBackward:
 PRIMITIVE_BUILDERS = {
     "matmul": lambda p: ad.tsum(ad.matmul(p[0], p[1])),
     "add": lambda p: ad.tsum(ad.tanh(ad.add(p[0], p[1]))),
-    "bias_add": lambda p: ad.tsum(ad.tanh(ad.bias_add(p[0], ad.slice_cols(p[1], 0, 1)))),
+    # add broadcasting a bias column over every column of a matrix
+    "bias_add": lambda p: ad.tsum(ad.tanh(ad.add(p[0], ad.slice_cols(p[1], 0, 1)))),
     "hadamard": lambda p: ad.tsum(ad.hadamard(p[0], p[1])),
     "tanh": lambda p: ad.tsum(ad.tanh(p[0])),
     "sigmoid": lambda p: ad.tsum(ad.sigmoid(p[0])),
     "softmax": lambda p: ad.tsum(ad.hadamard(ad.softmax(p[0], axis=1), p[1])),
     "l2_normalize": lambda p: ad.tsum(ad.hadamard(ad.l2_normalize(p[0], axis=0), p[1])),
     "concat": lambda p: ad.tsum(ad.tanh(ad.concat([p[0], p[1]], axis=0))),
-    "slice": lambda p: ad.tsum(ad.slice_rows(ad.slice_cols(p[0], 1, 4), 0, 2)),
+    "slice": lambda p: ad.tsum(ad.tanh(ad.slice_cols(p[0], 1, 4))),
     "sum_axis": lambda p: ad.tsum(ad.tanh(ad.tsum(ad.scale(p[0], 0.3), axis=1))),
     "mean": lambda p: ad.scale(ad.tmean(ad.hadamard(p[0], p[0])), 3.0),
     "scale": lambda p: ad.tsum(ad.scale(p[0], -2.5)),
     "frobenius": lambda p: ad.frobenius_sq(p[0]),
-    "cosine": lambda p: ad.cosine_similarity(p[0], p[1]),
     "transpose": lambda p: ad.tsum(ad.hadamard(ad.transpose(p[0]), ad.transpose(p[1]))),
     "reshape": lambda p: ad.tsum(ad.tanh(ad.reshape(p[0], (1, p[0].value.size)))),
     "take_rows": lambda p: ad.frobenius_sq(ad.take_rows(p[0], [0, 2, 2, 1])),

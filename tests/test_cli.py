@@ -1,6 +1,7 @@
 import csv
 import json
 import os
+import shutil
 
 import numpy as np
 import pytest
@@ -33,6 +34,51 @@ TRAIN_FLAGS = ["--encoder", "le", "--embed-dim", "16", "--hidden", "8",
                "--mlp-hidden", "24", "--max-len", "32", "--batch", "16",
                "--min-count", "2", "--epochs", "15", "--patience", "15",
                "-m", "2"]
+
+
+def _edit_config(edit):
+    def corrupt(ckpt):
+        meta = json.loads((ckpt / "config.json").read_text())
+        edit(meta)
+        (ckpt / "config.json").write_text(json.dumps(meta))
+    return corrupt
+
+
+def _edit_file(name, edit):
+    def corrupt(ckpt):
+        path = ckpt / name
+        path.write_bytes(edit(path.read_bytes()))
+    return corrupt
+
+
+def _set_tensor(name, key, value):
+    def edit(meta):
+        entry = next(e for e in meta["tensors"] if e["name"] == name)
+        entry[key] = value
+    return edit
+
+
+def _repeat_first_token(blob):
+    lines = blob.split(b"\n")
+    lines[3] = lines[2]
+    return b"\n".join(lines)
+
+
+# each turns a copy of a good checkpoint into one that must not load
+CORRUPTIONS = {
+    "tensor-missing": _edit_config(lambda meta: meta.update(
+        tensors=[e for e in meta["tensors"] if e["name"] != "cls.b_c"])),
+    "tensor-wrong-shape": _edit_config(_set_tensor("cls.b_c", "shape", [1, 1])),
+    "tensor-wrong-offset": _edit_config(_set_tensor("cls.b_c", "offset", 0)),
+    "weights-truncated": _edit_file("weights.bin", lambda b: b[:len(b) // 2]),
+    "weights-too-long": _edit_file("weights.bin", lambda b: b + b"\0" * 4),
+    "config-not-json": _edit_file("config.json", lambda b: b"{not json"),
+    "config-unknown-key": _edit_config(lambda meta: meta["config"].update(frobnicate=1)),
+    "config-no-labels": _edit_config(lambda meta: meta.pop("labels")),
+    "vocab-no-reserved-tokens": _edit_file("vocab.txt", lambda b: b"hello\nworld\n"),
+    "vocab-repeated-token": _edit_file("vocab.txt", _repeat_first_token),
+    "vocab-not-utf8": _edit_file("vocab.txt", lambda b: b + b"\xff\n"),
+}
 
 
 @pytest.fixture(scope="module")
@@ -69,7 +115,7 @@ class TestTrain:
                    (workspace["ckpt"] / name).read_bytes()
         # history matches except the timing column
         def meat(path):
-            rows = list(csv.DictReader(open(path)))
+            rows = list(csv.DictReader(path.read_text().splitlines()))
             return [(r["epoch"], r["train_loss"], r["valid_acc"]) for r in rows]
         assert meat(out2 / "history.csv") == meat(workspace["out"] / "history.csv")
 
@@ -129,6 +175,18 @@ class TestEval:
         code = run_cli("eval", "--checkpoint", tmp_path / "nope",
                        "--data", workspace["valid"], "--out", tmp_path / "out")
         assert code == cli.EXIT_IO
+
+    @pytest.mark.parametrize("corruption", sorted(CORRUPTIONS))
+    def test_corrupt_checkpoint_is_io_error(self, workspace, tmp_path, capsys, corruption):
+        ckpt = tmp_path / "ckpt"
+        shutil.copytree(workspace["ckpt"], ckpt)
+        CORRUPTIONS[corruption](ckpt)
+        capsys.readouterr()
+        code = run_cli("eval", "--checkpoint", ckpt, "--data", workspace["valid"],
+                       "--out", tmp_path / "out")
+        err = capsys.readouterr().err.strip().splitlines()
+        assert code == cli.EXIT_IO
+        assert len(err) == 1 and err[0].startswith("error: "), err
 
 
 @pytest.fixture(scope="module")
@@ -200,7 +258,7 @@ class TestParams:
         code = run_cli("params", "--heads", "2,4,8,16,32,64", "--d-ann", "512",
                        "--out", out)
         assert code == 0
-        rows = list(csv.DictReader(open(out / "params.csv")))
+        rows = list(csv.DictReader((out / "params.csv").read_text().splitlines()))
         assert [int(r["heads"]) for r in rows] == [2, 4, 8, 16, 32, 64]
         published = [0.002, 0.004, 0.009, 0.016, 0.034]
         deltas = [float(r["lama_delta_millions"]) for r in rows[1:]]
@@ -238,7 +296,7 @@ class TestHeadsSweep:
                        workspace["valid"], "--grid", "2,1", "--out", out,
                        *TRAIN_FLAGS[:-2], "--epochs", "2")
         assert code == 0
-        rows = list(csv.DictReader(open(out / "sweep.csv")))
+        rows = list(csv.DictReader((out / "sweep.csv").read_text().splitlines()))
         assert [int(r["m"]) for r in rows] == [1, 2]
 
 

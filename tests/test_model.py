@@ -56,26 +56,35 @@ class TestForward:
         assert fw.attn.A_valid.shape == (2, 4)
 
     def test_padding_is_ignored_bit_exactly(self):
-        params = tiny_model()
-        nodes = params.store.nodes()
-        ids = np.array([2, 5, 7, 3, PAD_ID, PAD_ID])
-        fw_padded = mdl.forward_doc(params, nodes, ids, true_length=4)
-        fw_plain = mdl.forward_doc(params, nodes, ids[:4])
-        np.testing.assert_array_equal(fw_padded.probs.value, fw_plain.probs.value)
-        np.testing.assert_array_equal(fw_padded.attn.A_valid.value,
-                                      fw_plain.attn.A_valid.value)
+        # forward_doc is the only place that trims padding; the annotations
+        # reach the output through S = A H, so S pins them bit for bit
+        for encoder in ("bigru", "le"):
+            params = tiny_model(encoder=encoder)
+            nodes = params.store.nodes()
+            ids = np.array([2, 5, 7, 3, PAD_ID, PAD_ID])
+            fw_padded = mdl.forward_doc(params, nodes, ids, true_length=4)
+            fw_plain = mdl.forward_doc(params, nodes, ids[:4])
+            for attr in ("probs", "logits"):
+                np.testing.assert_array_equal(getattr(fw_padded, attr).value,
+                                              getattr(fw_plain, attr).value)
+            for attr in ("A_valid", "S", "d_doc"):
+                np.testing.assert_array_equal(getattr(fw_padded.attn, attr).value,
+                                              getattr(fw_plain.attn, attr).value)
 
     def test_le_forward_uses_embeddings_as_annotations(self):
         params = tiny_model(encoder="le")
         nodes = params.store.nodes()
         fw = mdl.forward_doc(params, nodes, [4, 9])
-        np.testing.assert_array_equal(fw.annotations.value,
-                                      params.store["W_e"].value[[4, 9]])
+        E = params.store["W_e"].value[[4, 9]]
+        np.testing.assert_allclose(fw.attn.S.value, fw.attn.A_valid.value @ E,
+                                   rtol=1e-6, atol=1e-7)
 
     def test_bad_true_length_rejected(self):
         params = tiny_model()
-        with pytest.raises(ValueError):
-            mdl.forward_doc(params, params.store.nodes(), [2, 3], true_length=5)
+        for true_length in (5, 0, -1):
+            with pytest.raises(ValueError, match="true_length"):
+                mdl.forward_doc(params, params.store.nodes(), [2, 3],
+                                true_length=true_length)
 
     def test_doc_mean_context_flows_gradient_to_embeddings(self):
         params = tiny_model(ctx="doc-mean")

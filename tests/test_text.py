@@ -7,6 +7,7 @@ from lama import text
 from lama.text import (PAD_ID, PAD_TOKEN, UNK_ID, UNK_TOKEN, EmptyCorpusError,
                        MalformedLineError, build_vocab, encode, init_embeddings,
                        load_dataset, tokenize)
+from lama.synthetic import pairs_to_dataset, write_tsv
 
 
 class TestTokenize:
@@ -139,8 +140,23 @@ class TestLoadDataset:
         assert [d.label for d in ds.documents] == [0, 1, 0]
 
     def test_missing_file_is_io_error(self, tiny_vocab):
-        with pytest.raises(text.TextError, match="cannot open"):
+        with pytest.raises(text.FileOpenError, match="cannot open"):
             load_dataset("/nonexistent/nope.tsv", tiny_vocab)
+
+    def test_pairs_encode_like_the_same_tsv(self, tmp_path, tiny_vocab):
+        pairs = [("b", "bad!"), ("a", "good fine"), ("b", "awful")]
+        p = tmp_path / "data.tsv"
+        write_tsv(pairs, p)
+        from_tsv = load_dataset(p, tiny_vocab, max_len=4)
+        from_pairs = pairs_to_dataset(pairs, tiny_vocab, max_len=4)
+        assert from_pairs.label_names == from_tsv.label_names
+        for a, b in zip(from_pairs.documents, from_tsv.documents):
+            np.testing.assert_array_equal(a.ids, b.ids)
+            assert (a.true_length, a.label) == (b.true_length, b.label)
+
+    def test_pairs_with_no_tokens_rejected(self, tiny_vocab):
+        with pytest.raises(MalformedLineError, match=":2: document has no tokens"):
+            pairs_to_dataset([("pos", "good"), ("neg", "")], tiny_vocab, max_len=8)
 
 
 class TestInitEmbeddings:

@@ -228,6 +228,24 @@ class TestCheckpointIO:
             offset += int(np.prod(entry["shape"])) * 4
         assert offset == blob_len
 
+    def test_save_over_existing_checkpoint_never_deletes_it_first(
+            self, tmp_path, keyword_task, monkeypatch):
+        train_set, valid_set, vocab = keyword_task
+        cfg = small_config()
+        ckpt = Checkpoint(cfg, vocab, list(train_set.label_names),
+                          tr._fresh_model(cfg, len(vocab), 2, np.random.default_rng(0)))
+        out = tmp_path / "ckpt"
+        ckpt.save(out)
+        removed = []
+        rmtree = tr.shutil.rmtree
+        monkeypatch.setattr(tr.shutil, "rmtree",
+                            lambda path, *a, **kw: (removed.append(str(path)),
+                                                    rmtree(path, *a, **kw)))
+        ckpt.save(out)
+        assert str(out) not in removed
+        assert [p.name for p in tmp_path.iterdir()] == ["ckpt"]
+        assert evaluate(Checkpoint.load(out), valid_set) == evaluate(ckpt, valid_set)
+
     def test_missing_checkpoint_raises_checkpoint_error(self, tmp_path):
         with pytest.raises(tr.CheckpointError):
             Checkpoint.load(tmp_path / "nope")
