@@ -13,6 +13,15 @@ Every function here works on the L valid positions of one document only:
 reaches the normalizations and padding a document further cannot perturb
 the attended output. ``attend`` can lay its attention out over the padded
 width for export, with exact zeros in the padded columns.
+
+With a single head (m = 1) the L2 step normalizes each word's column of
+one score by its own magnitude, so every word scores exactly +1 or -1
+(up to the 1e-12 epsilon, which float32 absorbs unless |tanh F| < ~0.01).
+The softmax then gives at most two weights, e^2 apart: a document whose
+word scores all share a sign gets exactly uniform attention. This is the
+current behaviour, pinned by the tests; whether the paper normalizes
+across heads or across words cannot be checked against the abstract alone,
+so it is left unchanged.
 """
 
 from __future__ import annotations

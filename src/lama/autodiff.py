@@ -9,12 +9,26 @@ into every node that requires them.
 
 Every primitive validates shapes up front and checks its output for
 NaN/Inf, so a non-finite value never propagates silently.
+
+Most nodes are one elementwise or matrix op. The GRU is the exception:
+``gru.gru_scan`` builds one fused node for a whole direction of a
+document, runs the recurrence on raw arrays and keeps the per-step
+intermediates itself. Its parents are the input rows and the nine gate
+tensors; their pullbacks share one hand-written backpropagation through
+time, run on the first of them that ``backward`` calls. Its finiteness
+check runs once, on the whole pre-activation buffer and on the output,
+through ``check_finite``.
+
+The pullback of ``take_rows`` returns a ``RowGrad`` rather than a dense
+array, and ``backward`` adds its rows into the parent's gradient in place,
+so an embedding lookup never materialises a |V| x d gradient per call.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -96,7 +110,7 @@ def constant(value) -> Node:
     return leaf(value, requires_grad=False, op="const")
 
 
-def _finite_or_raise(out: np.ndarray, op: str) -> np.ndarray:
+def check_finite(out: np.ndarray, op: str) -> np.ndarray:
     # single-pass screen: any NaN/Inf makes the sum non-finite; the exact
     # check then rules out (vanishingly unlikely) accumulation overflow
     if not np.isfinite(out.sum()) and not np.isfinite(out).all():
@@ -105,7 +119,7 @@ def _finite_or_raise(out: np.ndarray, op: str) -> np.ndarray:
 
 
 def _make(op: str, out: np.ndarray, parents) -> Node:
-    return Node(_finite_or_raise(out, op), op, tuple(parents))
+    return Node(check_finite(out, op), op, tuple(parents))
 
 
 def _unbroadcast(grad: np.ndarray, shape) -> np.ndarray:
@@ -197,11 +211,15 @@ def tanh(a: Node) -> Node:
     return _make("tanh", out, [(a, lambda g: g * (1.0 - out * out))])
 
 
-def sigmoid(a: Node) -> Node:
-    x = a.value
+def stable_sigmoid(x: np.ndarray) -> np.ndarray:
+    """1 / (1 + exp(-x)) on an array, exact 0 and 1 at the extremes."""
     # exp(-|x|) never overflows; the where() picks the stable branch
     e = np.exp(-np.abs(x))
-    out = np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+
+
+def sigmoid(a: Node) -> Node:
+    out = stable_sigmoid(a.value)
     return _make("sigmoid", out, [(a, lambda g: g * out * (1.0 - out))])
 
 
@@ -270,6 +288,13 @@ def slice_cols(a: Node, start: int, stop: int) -> Node:
     return _make("slice_cols", a.value[:, start:stop], [(a, back)])
 
 
+class RowGrad(NamedTuple):
+    """A gradient that is zero outside a few rows: ``values[k]`` adds into
+    row ``rows[k]``, repeated rows accumulating."""
+    rows: np.ndarray
+    values: np.ndarray
+
+
 def take_rows(a: Node, indices) -> Node:
     """Gather rows by index (embedding lookup); repeated rows accumulate."""
     idx = np.asarray(indices, dtype=np.int64)
@@ -277,14 +302,7 @@ def take_rows(a: Node, indices) -> Node:
         raise ShapeMismatchError("take_rows", idx.shape)
     if idx.size and (idx.min() < 0 or idx.max() >= a.shape[0]):
         raise ShapeMismatchError("take_rows", a.shape, (int(idx.min()), int(idx.max())))
-    shape = a.shape
-
-    def back(g):
-        out = np.zeros(shape, dtype=g.dtype)
-        np.add.at(out, idx, g)
-        return out
-
-    return _make("take_rows", a.value[idx, :], [(a, back)])
+    return _make("take_rows", a.value[idx, :], [(a, lambda g: RowGrad(idx, g))])
 
 
 def tsum(a: Node, axis=None) -> Node:
@@ -381,7 +399,10 @@ def backward(root: Node) -> dict:
             contrib = pull(node.grad)
             if parent.grad is None:
                 parent.grad = np.zeros_like(parent.value)
-            parent.grad += contrib
+            if isinstance(contrib, RowGrad):
+                np.add.at(parent.grad, contrib.rows, contrib.values)
+            else:
+                parent.grad += contrib
     return leaves
 
 

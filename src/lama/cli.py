@@ -27,7 +27,7 @@ from . import __version__, baseline
 from .classifier import REGULARIZERS
 from .model import forward_doc
 from .text import (FileOpenError, TextError, build_vocab, init_embeddings,
-                   load_dataset, read_tsv, rows_to_dataset, tokenize)
+                   load_dataset, read_tsv, rows_to_dataset, tokenize_rows)
 from .training import (Checkpoint, CheckpointError, DivergenceError, TrainConfig,
                        TrainingError, evaluate, heads_sweep, sweep_to_csv, train)
 
@@ -173,8 +173,8 @@ def _manifest(args, inputs, outputs) -> RunManifest:
 
 def _load_train_valid(args, max_len):
     """Vocabulary and train set from one read of --data, then --valid."""
-    rows = read_tsv(args.data)
-    vocab = build_vocab((tokenize(text) for _, _, text in rows), args.min_count)
+    rows = tokenize_rows(read_tsv(args.data))
+    vocab = build_vocab((tokens for _, _, tokens in rows), args.min_count)
     train_set = rows_to_dataset(rows, vocab, max_len, source=args.data)
     valid_set = load_dataset(args.valid, vocab, max_len,
                              label_names=train_set.label_names, split="valid")
@@ -223,17 +223,17 @@ def cmd_attend(args):
     jsonl_path = os.path.join(args.out, "attention.jsonl")
     _manifest(args, [args.checkpoint, args.data], [jsonl_path]).write(args.out)
     checkpoint = Checkpoint.load(args.checkpoint)
-    rows = read_tsv(args.data)
+    rows = tokenize_rows(read_tsv(args.data))
     dataset = rows_to_dataset(rows, checkpoint.vocab, checkpoint.config.max_len,
                               label_names=checkpoint.label_names, split="attend",
                               source=args.data)
     nodes = checkpoint.params.store.nodes()
     with open(jsonl_path, "w", encoding="utf-8") as fh:
-        for doc_id, ((_, label, text), doc) in enumerate(zip(rows, dataset.documents)):
+        for doc_id, ((_, label, tokens), doc) in enumerate(zip(rows, dataset.documents)):
             fw = forward_doc(checkpoint.params, nodes, doc.ids, doc.true_length)
             record = {
                 "doc_id": doc_id,
-                "tokens": tokenize(text)[:doc.true_length],
+                "tokens": tokens[:doc.true_length],
                 "label": label,
                 "predicted": checkpoint.label_names[fw.prediction],
                 "A": [[float(x) for x in row] for row in fw.attn.A_valid.value],

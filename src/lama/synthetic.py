@@ -79,7 +79,7 @@ def write_tsv(pairs, path):
 def pairs_to_dataset(pairs, vocab: Vocab, max_len: int = 32,
                      label_names=None, split="train") -> Dataset:
     """Encode (label, text) pairs; pair k counts as line k + 1 in errors."""
-    rows = [(k, label, text) for k, (label, text) in enumerate(pairs, start=1)]
+    rows = [(k, label, tokenize(text)) for k, (label, text) in enumerate(pairs, start=1)]
     return rows_to_dataset(rows, vocab, max_len, label_names, split, source="<pairs>")
 
 

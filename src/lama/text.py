@@ -178,9 +178,14 @@ def read_tsv(path) -> list[tuple[int, str, str]]:
     return rows
 
 
+def tokenize_rows(rows) -> list[tuple[int, str, list[str]]]:
+    """(line_no, label, text) rows to (line_no, label, tokens) rows."""
+    return [(line_no, label, tokenize(text)) for line_no, label, text in rows]
+
+
 def rows_to_dataset(rows, vocab: Vocab, max_len: int, label_names=None,
                     split: str = "train", source="<rows>") -> Dataset:
-    """Encode (line_no, label, text) rows into documents.
+    """Encode (line_no, label, tokens) rows into documents.
 
     With ``label_names=None`` label ids are assigned by first appearance;
     otherwise the given map is authoritative and unseen labels are an error.
@@ -191,13 +196,13 @@ def rows_to_dataset(rows, vocab: Vocab, max_len: int, label_names=None,
     names = list(label_names) if closed else []
     index = {n: i for i, n in enumerate(names)}
     documents = []
-    for line_no, label, text in rows:
+    for line_no, label, tokens in rows:
         if label not in index:
             if closed:
                 raise MalformedLineError(source, line_no, f"unknown label {label!r}")
             index[label] = len(names)
             names.append(label)
-        ids, true_length = encode(tokenize(text), vocab, max_len)
+        ids, true_length = encode(tokens, vocab, max_len)
         if true_length == 0:
             raise MalformedLineError(source, line_no, "document has no tokens")
         documents.append(Document(ids, true_length, index[label]))
@@ -207,7 +212,8 @@ def rows_to_dataset(rows, vocab: Vocab, max_len: int, label_names=None,
 def load_dataset(path, vocab: Vocab, max_len: int = 256,
                  label_names=None, split: str = "train") -> Dataset:
     """Load a TSV corpus into encoded documents (see ``rows_to_dataset``)."""
-    return rows_to_dataset(read_tsv(path), vocab, max_len, label_names, split, source=path)
+    return rows_to_dataset(tokenize_rows(read_tsv(path)), vocab, max_len, label_names,
+                           split, source=path)
 
 
 @dataclass

@@ -108,9 +108,8 @@ def sgd_step(param: np.ndarray, grad: np.ndarray, velocity: np.ndarray,
     """
     if param.shape != grad.shape or param.shape != velocity.shape:
         raise ad.ShapeMismatchError("sgd_step", param.shape, grad.shape, velocity.shape)
-    g = grad + weight_decay * param
+    g = grad + weight_decay * param  # a fresh array, safe to zero rows of
     if frozen_rows:
-        g = g.copy()
         g[list(frozen_rows)] = 0.0
     new_velocity = momentum * velocity + g
     return param - lr * new_velocity, new_velocity

@@ -152,6 +152,34 @@ class TestAttentionMatrix:
             assert (A.value >= 0).all()
 
 
+class TestSingleHeadNormalization:
+    """With m = 1 the per-word L2 step across heads divides each word's
+    score by its own magnitude (see the attention module docstring)."""
+
+    def test_every_word_scores_plus_or_minus_one(self):
+        rng = np.random.default_rng(14)
+        for _ in range(20):
+            L = int(rng.integers(2, 30))
+            F = rng.choice([-1.0, 1.0], size=(1, L)) * rng.uniform(0.05, 5.0, size=(1, L))
+            A = attention_matrix(ad.leaf(F.astype(np.float32))).value
+            assert len(np.unique(A)) <= 2
+            pos, neg = A[F > 0], A[F < 0]
+            if pos.size and neg.size:
+                np.testing.assert_allclose(pos.max() / neg.max(), np.e ** 2, rtol=1e-5)
+
+    def test_agreeing_signs_give_exactly_uniform_attention(self):
+        rng = np.random.default_rng(15)
+        f32 = lambda *shape: ad.leaf(rng.uniform(0.2, 1.0, shape).astype(np.float32))
+        H, c, P, Q = f32(12, 6), f32(6, 1), f32(6, 1), f32(6, 1)
+        W_w = ad.leaf(np.eye(6, dtype=np.float32))
+        b_w = ad.leaf(np.zeros((6, 1), np.float32))
+        out = attend(H, c, W_w, b_w, P, Q)
+        scores = lama_scores(word_transform(H, W_w, b_w), c, P, Q)
+        assert np.ptp(scores.value) > 0.1  # the words do score differently
+        np.testing.assert_array_equal(out.A_valid.value, out.A_valid.value[0, 0])
+        np.testing.assert_allclose(out.A_valid.value, 1 / 12, rtol=1e-6)
+
+
 class TestSentenceEmbedding:
     def test_one_hot_rows_select_annotations(self):
         rng = np.random.default_rng(13)

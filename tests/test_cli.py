@@ -6,7 +6,7 @@ import shutil
 import numpy as np
 import pytest
 
-from lama import cli
+from lama import cli, text
 from lama.synthetic import keyword_pairs, write_tsv
 
 
@@ -126,6 +126,22 @@ class TestTrain:
         assert manifest["config"]["encoder"] == "le"
         assert manifest["config"]["lr"] == 0.05
         assert str(workspace["train"]) in manifest["inputs"]
+
+    def test_each_document_is_tokenized_once(self, tmp_path, monkeypatch):
+        write_tsv(marker_pairs(50, seed=2), tmp_path / "train.tsv")
+        write_tsv(marker_pairs(10, seed=3), tmp_path / "valid.tsv")
+        calls = []
+        tokenize = text.tokenize
+        # count calls made through any module that imported the function
+        for module in (text, cli):
+            if getattr(module, "tokenize", None) is tokenize:
+                monkeypatch.setattr(module, "tokenize",
+                                    lambda s: calls.append(s) or tokenize(s))
+        code = run_cli("train", "--data", tmp_path / "train.tsv", "--valid",
+                       tmp_path / "valid.tsv", "--out", tmp_path / "out",
+                       *TRAIN_FLAGS, "--epochs", "1")
+        assert code == 0
+        assert len(calls) == 60
 
     def test_divergence_exit_code(self, workspace, tmp_path):
         code = run_cli("train", "--data", workspace["train"], "--valid",

@@ -1,15 +1,19 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lama import autodiff as ad
+from lama import gru
 from lama import model as mdl
-from lama.gru import GruCell, bigru_encode, gru_step, init_gru_arrays
+from lama.classifier import ObjectiveConfig
+from lama.gru import GruCell, bigru_encode, init_gru_arrays
+from lama.synthetic import make_task
 from lama.text import PAD_ID
+from lama.training import DivergenceError, TrainConfig, train
 
 
-def make_cell(d, h, rng, dtype=np.float64):
-    arrays = init_gru_arrays(d, h, rng, dtype=dtype)
-    return arrays, GruCell(**{k: ad.leaf(v) for k, v in arrays.items()})
+def sigmoid(x):
+    return 1 / (1 + np.exp(-x))
 
 
 def reference_gru(x_seq, arrays):
@@ -26,65 +30,105 @@ def reference_gru(x_seq, arrays):
     return out
 
 
-class TestGruStep:
-    def test_update_gate_saturated_high_returns_candidate(self):
-        rng = np.random.default_rng(0)
-        arrays, _ = make_cell(4, 3, rng)
-        arrays["b_z"] = np.full((3, 1), 1e9)  # sigmoid -> exactly 1.0
-        cell = GruCell(**{k: ad.leaf(v) for k, v in arrays.items()})
-        x = ad.leaf(rng.standard_normal((4, 1)))
-        h_prev = ad.leaf(rng.standard_normal((3, 1)))
-        h = gru_step(x, h_prev, cell)
-        cand = np.tanh(arrays["W_h"] @ x.value
-                       + (1 / (1 + np.exp(-(arrays["W_r"] @ x.value
-                                            + arrays["U_r"] @ h_prev.value))))
-                       * (arrays["U_h"] @ h_prev.value))
-        np.testing.assert_allclose(h.value, cand, rtol=1e-12)
+def reference_bigru(x, fwd_arrays, bwd_arrays):
+    """L x 2h annotations from the reference recurrence in both directions."""
+    fwd = np.hstack(reference_gru(list(x), fwd_arrays)).T
+    bwd = np.hstack(reference_gru(list(x[::-1]), bwd_arrays)).T[::-1]
+    return np.hstack([fwd, bwd])
 
-    def test_update_gate_saturated_low_keeps_state(self):
-        rng = np.random.default_rng(1)
-        arrays, _ = make_cell(4, 3, rng)
-        arrays["b_z"] = np.full((3, 1), -1e9)  # sigmoid -> exactly 0.0
-        cell = GruCell(**{k: ad.leaf(v) for k, v in arrays.items()})
-        h_prev = ad.leaf(rng.standard_normal((3, 1)))
-        h = gru_step(ad.leaf(rng.standard_normal((4, 1))), h_prev, cell)
-        np.testing.assert_array_equal(h.value, h_prev.value)
 
-    def test_all_zero_inputs_stay_zero(self):
-        rng = np.random.default_rng(2)
-        _, cell = make_cell(4, 3, rng)
-        h = gru_step(ad.leaf(np.zeros((4, 1))), ad.leaf(np.zeros((3, 1))), cell)
-        np.testing.assert_array_equal(h.value, np.zeros((3, 1)))
+def encode(x, fwd_arrays, bwd_arrays):
+    fwd = GruCell(**{k: ad.leaf(v) for k, v in fwd_arrays.items()})
+    bwd = GruCell(**{k: ad.leaf(v) for k, v in bwd_arrays.items()})
+    return bigru_encode(ad.leaf(x), fwd, bwd).value
 
-    def test_shape_mismatch(self):
-        rng = np.random.default_rng(3)
-        _, cell = make_cell(4, 3, rng)
-        with pytest.raises(ad.ShapeMismatchError):
-            gru_step(ad.leaf(np.zeros((5, 1))), ad.leaf(np.zeros((3, 1))), cell)
 
-    def test_matches_reference_recurrence(self):
-        rng = np.random.default_rng(4)
-        arrays, cell = make_cell(5, 4, rng)
-        xs = [rng.standard_normal(5) for _ in range(7)]
-        expected = reference_gru(xs, arrays)
-        h = ad.leaf(np.zeros((4, 1)))
-        for x, want in zip(xs, expected):
-            h = gru_step(ad.leaf(x.reshape(-1, 1)), h, cell)
-            np.testing.assert_allclose(h.value, want, rtol=1e-10)
+def count_nodes(root):
+    seen = {id(root)}
+    stack = [root]
+    while stack:
+        for parent, _ in stack.pop().parents:
+            if id(parent) not in seen:
+                seen.add(id(parent))
+                stack.append(parent)
+    return len(seen)
 
 
 class TestBigruEncode:
-    def encode(self, x, fwd_arrays, bwd_arrays):
-        fwd = GruCell(**{k: ad.leaf(v) for k, v in fwd_arrays.items()})
-        bwd = GruCell(**{k: ad.leaf(v) for k, v in bwd_arrays.items()})
-        return bigru_encode(ad.leaf(x), fwd, bwd).value
+    def test_update_gate_saturated_high_returns_candidate(self):
+        # x[0] = +1 drives every update gate to exactly 1, so each state is
+        # exactly the candidate computed from the state before it
+        rng = np.random.default_rng(0)
+        fa = init_gru_arrays(4, 3, rng, dtype=np.float64)
+        ba = init_gru_arrays(4, 3, rng, dtype=np.float64)
+        fa["W_z"][:, 0] = 1e9
+        x = rng.standard_normal((5, 4)) * 0.5
+        x[:, 0] = 1.0
+        states = encode(x, fa, ba)[:, :3]
+        prev = np.zeros(3)
+        for t in range(5):
+            r = sigmoid(fa["W_r"] @ x[t] + fa["U_r"] @ prev)
+            cand = np.tanh(fa["W_h"] @ x[t] + r * (fa["U_h"] @ prev))
+            np.testing.assert_allclose(states[t], cand, rtol=1e-12)
+            prev = states[t]
+
+    def test_update_gate_saturated_low_keeps_state(self):
+        # x[0] = -1 drives every update gate to exactly 0, and the state
+        # carries over bit for bit; x[0] = +1 lets it move
+        rng = np.random.default_rng(1)
+        fa = init_gru_arrays(4, 3, rng, dtype=np.float64)
+        ba = init_gru_arrays(4, 3, rng, dtype=np.float64)
+        fa["W_z"][:, 0] = 1e9
+        x = rng.standard_normal((6, 4)) * 0.5
+        x[:, 0] = [1, 1, -1, 1, -1, -1]
+        states = encode(x, fa, ba)[:, :3]
+        assert np.abs(states[1]).min() > 0
+        np.testing.assert_array_equal(states[2], states[1])
+        np.testing.assert_array_equal(states[4], states[3])
+        np.testing.assert_array_equal(states[5], states[3])
+        assert not np.array_equal(states[3], states[2])
+
+    def test_all_zero_inputs_stay_zero(self):
+        rng = np.random.default_rng(2)
+        fa = init_gru_arrays(4, 3, rng, dtype=np.float64)
+        ba = init_gru_arrays(4, 3, rng, dtype=np.float64)
+        np.testing.assert_array_equal(encode(np.zeros((5, 4)), fa, ba),
+                                      np.zeros((5, 6)))
+
+    def test_shape_mismatch(self):
+        rng = np.random.default_rng(3)
+        fa = init_gru_arrays(4, 3, rng, dtype=np.float64)
+        ba = init_gru_arrays(4, 3, rng, dtype=np.float64)
+        with pytest.raises(ad.ShapeMismatchError, match="gru_scan"):
+            encode(np.zeros((2, 5)), fa, ba)
+        with pytest.raises(ad.ShapeMismatchError, match="bigru_encode"):
+            encode(np.zeros((2, 4)), fa, init_gru_arrays(4, 2, rng))
+
+    @settings(max_examples=40, deadline=None)
+    @given(L=st.integers(1, 40), d=st.integers(1, 6), h=st.integers(1, 5),
+           dtype=st.sampled_from([np.float32, np.float64]),
+           seed=st.integers(0, 2**32 - 1))
+    def test_matches_reference_gru_for_any_length(self, L, d, h, dtype, seed):
+        rng = np.random.default_rng(seed)
+        arrays = []
+        for _ in range(2):
+            a = init_gru_arrays(d, h, rng, dtype=dtype)
+            for name in ("b_z", "b_r", "b_h"):
+                a[name] = rng.uniform(-1, 1, size=(h, 1)).astype(dtype)
+            arrays.append(a)
+        x = rng.standard_normal((L, d)).astype(dtype)
+        annot = encode(x, *arrays)
+        assert annot.shape == (L, 2 * h) and annot.dtype == dtype
+        tol = dict(rtol=1e-10, atol=1e-12) if dtype == np.float64 else \
+            dict(rtol=1e-4, atol=1e-5)
+        np.testing.assert_allclose(annot, reference_bigru(x, *arrays), **tol)
 
     def test_single_token_equals_one_step_each_direction(self):
         rng = np.random.default_rng(5)
         fa = init_gru_arrays(4, 3, rng, dtype=np.float64)
         ba = init_gru_arrays(4, 3, rng, dtype=np.float64)
         x = rng.standard_normal((1, 4))
-        annot = self.encode(x, fa, ba)
+        annot = encode(x, fa, ba)
         assert annot.shape == (1, 6)
         np.testing.assert_allclose(
             annot[0, :3].reshape(-1, 1), reference_gru([x[0]], fa)[0], rtol=1e-10)
@@ -96,8 +140,8 @@ class TestBigruEncode:
         fa = init_gru_arrays(4, 3, rng, dtype=np.float64)
         ba = init_gru_arrays(4, 3, rng, dtype=np.float64)
         x = rng.standard_normal((6, 4))
-        annot = self.encode(x, fa, ba)
-        swapped = self.encode(x[::-1].copy(), ba, fa)
+        annot = encode(x, fa, ba)
+        swapped = encode(x[::-1].copy(), ba, fa)
         # forward half of the swapped run equals the reversed backward half
         np.testing.assert_allclose(swapped[:, :3], annot[::-1, 3:], rtol=1e-10)
         np.testing.assert_allclose(swapped[:, 3:], annot[::-1, :3], rtol=1e-10)
@@ -107,11 +151,9 @@ class TestBigruEncode:
         fa = init_gru_arrays(4, 3, rng, dtype=np.float64)
         ba = init_gru_arrays(4, 3, rng, dtype=np.float64)
         x = rng.standard_normal((5, 4))
-        annot = self.encode(x, fa, ba)
+        annot = encode(x, fa, ba)
         assert annot.shape == (5, 6)
-        fwd = np.hstack(reference_gru(list(x), fa)).T
-        bwd = np.hstack(reference_gru(list(x[::-1]), ba)).T[::-1]
-        np.testing.assert_allclose(annot, np.hstack([fwd, bwd]), rtol=1e-10)
+        np.testing.assert_allclose(annot, reference_bigru(x, fa, ba), rtol=1e-10)
 
     def test_padding_extension_leaves_valid_rows_bit_identical(self):
         # the encoder never sees padding: forward_doc trims it first, so the
@@ -128,9 +170,10 @@ class TestBigruEncode:
         np.testing.assert_array_equal(short.attn.A_valid.value,
                                       padded.attn.A_valid.value)
 
-    def test_gradients_pass_finite_difference_check(self):
-        rng = np.random.default_rng(10)
-        x = rng.standard_normal((5, 3)) * 0.5
+    @staticmethod
+    def gradient_report(L, seed):
+        rng = np.random.default_rng(seed)
+        x = rng.standard_normal((L, 3)) * 0.5
         fa = init_gru_arrays(3, 2, rng, dtype=np.float64)
         ba = init_gru_arrays(3, 2, rng, dtype=np.float64)
         names_f = list(fa)
@@ -144,16 +187,54 @@ class TestBigruEncode:
             return ad.frobenius_sq(ad.tanh(bigru_encode(xs, fwd, bwd)))
 
         params = [x] + [fa[n] for n in names_f] + [ba[n] for n in names_b]
-        report = ad.grad_check(builder, params, step=1e-5, tolerance=1e-6)
+        return ad.grad_check(builder, params, step=1e-5, tolerance=1e-6)
+
+    def test_gradients_pass_finite_difference_check(self):
+        report = self.gradient_report(5, seed=10)
+        assert report.passed, report.max_rel_errors
+
+    @pytest.mark.parametrize("L", [1, 24])
+    def test_gradient_check_at_length(self, L):
+        # L=24 carries the state gradient back through a long chain of steps
+        report = self.gradient_report(L, seed=20 + L)
         assert report.passed, report.max_rel_errors
 
     def test_long_sequence_stays_finite(self):
         rng = np.random.default_rng(11)
-        arrays, cell = make_cell(4, 3, rng)
-        h = ad.leaf(np.zeros((3, 1)))
-        for _ in range(1000):
-            h = gru_step(ad.leaf(rng.standard_normal((4, 1))), h, cell)
-        assert np.isfinite(h.value).all()
+        fa = init_gru_arrays(4, 3, rng, dtype=np.float64)
+        ba = init_gru_arrays(4, 3, rng, dtype=np.float64)
+        x = rng.standard_normal((1000, 4))
+        annot = encode(x, fa, ba)
+        assert np.isfinite(annot).all()
+        np.testing.assert_allclose(annot, reference_bigru(x, fa, ba), rtol=1e-8, atol=1e-12)
+
+    def test_graph_size_does_not_grow_with_length(self):
+        # one node per direction: the tape of a document is the same size
+        # whatever its length
+        rng = np.random.default_rng(13)
+        params = mdl.init_model(40, 2, rng, d=6, h=4, m=2, mlp_hidden=8)
+        nodes = params.store.nodes()
+        objective = ObjectiveConfig("positions", 0.2)
+        counts = []
+        for L in (5, 30):
+            fw = mdl.forward_doc(params, nodes, rng.integers(2, 40, size=L))
+            counts.append(count_nodes(mdl.doc_objective(fw, 1, 2, objective)))
+        assert counts[0] == counts[1]
+
+    def test_overflow_in_training_names_gru_scan(self, monkeypatch):
+        init = gru.init_gru_arrays
+
+        def huge_recurrent_weights(*args, **kwargs):
+            arrays = init(*args, **kwargs)
+            arrays["U_h"][:] = 3e38
+            return arrays
+
+        monkeypatch.setattr(gru, "init_gru_arrays", huge_recurrent_weights)
+        train_set, valid_set, vocab = make_task("keyword", 32, 8, seed=11)
+        cfg = TrainConfig(d=16, h=8, m=2, max_len=32, batch=16, mlp_hidden=24,
+                          max_epochs=1, seed=0)
+        with pytest.raises(DivergenceError, match="gru_scan"):
+            train(cfg, train_set, valid_set, vocab)
 
 
 def test_init_bounds_scale_with_hidden_dim():
