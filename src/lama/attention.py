@@ -107,14 +107,23 @@ def sentence_embedding(A: Node, H: Node) -> tuple[Node, Node]:
 class AttentionOutput:
     """Attention and sentence embedding for one document.
 
-    ``A`` is ``A_valid``'s value laid out over ``total_length`` positions,
-    padded columns exactly zero; ``A_valid``/``S``/``d_doc`` are the graph
-    nodes the model trains through, built from the valid positions.
+    ``A_valid``/``S``/``d_doc`` are the graph nodes the model trains
+    through, built from the valid positions; ``total_length`` is the padded
+    width that ``A`` lays them out over.
     """
-    A: np.ndarray
     A_valid: Node
     S: Node
     d_doc: Node
+    total_length: int
+
+    @property
+    def A(self) -> np.ndarray:
+        """``A_valid``'s value over ``total_length`` positions, padded
+        columns exactly zero. Built on each read; the model never reads it."""
+        m, L = self.A_valid.shape
+        A = np.zeros((m, self.total_length), dtype=self.A_valid.value.dtype)
+        A[:, :L] = self.A_valid.value
+        return A
 
 
 def attend(H_valid: Node, c: Node, W_w: Node, b_w: Node, P: Node, Q: Node,
@@ -128,9 +137,6 @@ def attend(H_valid: Node, c: Node, W_w: Node, b_w: Node, P: Node, Q: Node,
     F = lama_scores(U, c, P, Q)
     A_valid = attention_matrix(F)
     S, d_doc = sentence_embedding(A_valid, H_valid)
-    m, L = A_valid.shape
-    T = total_length if total_length is not None else L
-    A = np.zeros((m, T), dtype=A_valid.value.dtype)
-    A[:, :L] = A_valid.value
-    return AttentionOutput(A=A, A_valid=A_valid, S=S, d_doc=d_doc)
+    T = total_length if total_length is not None else A_valid.shape[1]
+    return AttentionOutput(A_valid=A_valid, S=S, d_doc=d_doc, total_length=T)
 

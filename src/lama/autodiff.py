@@ -7,6 +7,10 @@ backward rule is recorded as a closure. Calling ``backward`` on a scalar
 root walks the tape in reverse creation order and accumulates gradients
 into every node that requires them.
 
+Gradients are never reset: each ``backward`` call adds into the ``.grad``
+of the leaves it reaches, so losses that share nothing but leaves can be
+backpropagated one at a time, each graph once (see ``backward``).
+
 Every primitive validates shapes up front and checks its output for
 NaN/Inf, so a non-finite value never propagates silently.
 
@@ -201,11 +205,6 @@ def scale(a: Node, s: float) -> Node:
     return _make("scale", a.value * s, [(a, lambda g: g * s)])
 
 
-def add_scalar(a: Node, s: float) -> Node:
-    s = float(s)
-    return _make("add_scalar", a.value + s, [(a, lambda g: g)])
-
-
 def tanh(a: Node) -> Node:
     out = np.tanh(a.value)
     return _make("tanh", out, [(a, lambda g: g * (1.0 - out * out))])
@@ -216,11 +215,6 @@ def stable_sigmoid(x: np.ndarray) -> np.ndarray:
     # exp(-|x|) never overflows; the where() picks the stable branch
     e = np.exp(-np.abs(x))
     return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
-
-
-def sigmoid(a: Node) -> Node:
-    out = stable_sigmoid(a.value)
-    return _make("sigmoid", out, [(a, lambda g: g * out * (1.0 - out))])
 
 
 def softmax(a: Node, axis: int = 1) -> Node:
@@ -273,19 +267,6 @@ def concat(nodes, axis: int = 0) -> Node:
         return lambda g: g[:, lo:hi]
 
     return _make("concat", out, [(n, make_pull(i)) for i, n in enumerate(nodes)])
-
-
-def slice_cols(a: Node, start: int, stop: int) -> Node:
-    if not (0 <= start <= stop <= a.shape[1]):
-        raise ShapeMismatchError("slice_cols", a.shape, (start, stop))
-    shape = a.shape
-
-    def back(g):
-        out = np.zeros(shape, dtype=g.dtype)
-        out[:, start:stop] = g
-        return out
-
-    return _make("slice_cols", a.value[:, start:stop], [(a, back)])
 
 
 class RowGrad(NamedTuple):
@@ -361,11 +342,14 @@ def softmax_cross_entropy(logits: Node, onehot: Node) -> Node:
 # backward pass
 # ---------------------------------------------------------------------------
 
-def backward(root: Node) -> dict:
-    """Accumulate d(root)/d(leaf) for every requires-grad leaf under ``root``.
+def backward(root: Node) -> None:
+    """Add d(root)/d(leaf) into ``.grad`` of every requires-grad leaf under
+    ``root``; nothing is reset, so calls on roots that share leaves sum there.
 
-    Returns a map from leaf node id to its gradient array; the same arrays
-    are left on ``node.grad`` for direct inspection.
+    Call it once per graph, on roots that share no non-leaf node: a node
+    reached twice would carry the first call's gradient into the second.
+    ``model.forward_doc`` builds every non-leaf node afresh from the
+    parameter leaves, so one call per document meets both conditions.
     """
     if root.shape != (1, 1):
         raise NonScalarRootError(root.shape)
@@ -383,16 +367,8 @@ def backward(root: Node) -> dict:
             if parent.requires_grad and parent._id not in seen:
                 stack.append(parent)
 
-    for node in seen.values():
-        node.grad = None
     root.grad = np.ones((1, 1), dtype=root.value.dtype)
-
-    leaves = {}
     for node in sorted(seen.values(), key=lambda n: n._id, reverse=True):
-        if node.grad is None:
-            continue
-        if not node.parents and node.requires_grad:
-            leaves[node._id] = node.grad
         for parent, pull in node.parents:
             if not parent.requires_grad:
                 continue
@@ -403,7 +379,6 @@ def backward(root: Node) -> dict:
                 np.add.at(parent.grad, contrib.rows, contrib.values)
             else:
                 parent.grad += contrib
-    return leaves
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,7 @@ heads-sweep.
 
 Every command resolves its flags into a RunManifest (written before any
 long computation) and drops its artifacts under --out. Exit codes: 2 usage,
-3 io, 4 data, 5 divergence.
+3 io, 4 data, 5 divergence or a non-finite value in a forward pass.
 """
 
 from __future__ import annotations
@@ -24,6 +24,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import __version__, baseline
+from .autodiff import NonFiniteError
 from .classifier import REGULARIZERS
 from .model import forward_doc
 from .text import (FileOpenError, TextError, build_vocab, init_embeddings,
@@ -356,11 +357,13 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return HANDLERS[args.command](args)
+        # the primitives raise on non-finite values; numpy's warnings repeat it
+        with np.errstate(over="ignore", invalid="ignore"):
+            return HANDLERS[args.command](args)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code
-    except DivergenceError as exc:
+    except (DivergenceError, NonFiniteError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DIVERGED
     except (CheckpointError, FileOpenError) as exc:

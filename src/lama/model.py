@@ -2,8 +2,9 @@
 
 Parameters live in a ``ParamStore`` (ordered name -> array registry). Each
 document forward pass builds a fresh graph over leaf Nodes wrapping those
-arrays; one backward call per batch leaves gradients on the leaves, which
-the trainer folds back into the store.
+arrays and shares no other node with another document, so the trainer
+backpropagates each document on its own into the batch's leaves, then
+folds their gradients back into the store.
 
 RNG draws during initialization happen in a fixed, documented order
 (embeddings, forward GRU, backward GRU, attention, classifier) so a seed

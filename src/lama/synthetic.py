@@ -76,21 +76,26 @@ def write_tsv(pairs, path):
             fh.write(f"{label}\t{text}\n")
 
 
+def _pair_rows(pairs) -> list[tuple[int, str, list[str]]]:
+    """Tokenized (line_no, label, tokens) rows; pair k counts as line k + 1."""
+    return [(k, label, tokenize(text)) for k, (label, text) in enumerate(pairs, start=1)]
+
+
 def pairs_to_dataset(pairs, vocab: Vocab, max_len: int = 32,
                      label_names=None, split="train") -> Dataset:
     """Encode (label, text) pairs; pair k counts as line k + 1 in errors."""
-    rows = [(k, label, tokenize(text)) for k, (label, text) in enumerate(pairs, start=1)]
-    return rows_to_dataset(rows, vocab, max_len, label_names, split, source="<pairs>")
+    return rows_to_dataset(_pair_rows(pairs), vocab, max_len, label_names, split,
+                           source="<pairs>")
 
 
 def make_task(kind: str, n_train: int, n_valid: int, seed: int,
               max_len: int = 32) -> tuple[Dataset, Dataset, Vocab]:
     """Train/valid datasets plus the vocabulary built from the train split."""
     gen = {"keyword": keyword_pairs, "multi-aspect": multi_aspect_pairs}[kind]
-    train_pairs = gen(n_train, seed)
-    valid_pairs = gen(n_valid, seed + 10_000)
-    vocab = build_vocab((tokenize(t) for _, t in train_pairs), min_count=2)
-    train_set = pairs_to_dataset(train_pairs, vocab, max_len, split="train")
-    valid_set = pairs_to_dataset(valid_pairs, vocab, max_len,
+    train_rows = _pair_rows(gen(n_train, seed))
+    vocab = build_vocab((tokens for _, _, tokens in train_rows), min_count=2)
+    train_set = rows_to_dataset(train_rows, vocab, max_len, split="train",
+                                source="<pairs>")
+    valid_set = pairs_to_dataset(gen(n_valid, seed + 10_000), vocab, max_len,
                                  label_names=train_set.label_names, split="valid")
     return train_set, valid_set, vocab

@@ -3,6 +3,11 @@
 A run is fully determined by its seed: one PCG64 generator drives weight
 init, epoch shuffling and dropout masks in a fixed order, so identical
 seeds give byte-identical checkpoints.
+
+The batch gradient is built one document at a time: each document's
+objective, scaled by 1/batch, is backpropagated as soon as it exists and
+adds into the batch's parameter leaves, so no document's graph outlives
+the next document's forward pass.
 """
 
 from __future__ import annotations
@@ -166,8 +171,8 @@ class Checkpoint:
     def load(cls, ckpt_dir) -> "Checkpoint":
         """Read a saved checkpoint. The manifest must list exactly the
         model's tensors, in order and with their shapes, laid out back to
-        back over the whole of weights.bin; anything else is a
-        CheckpointError."""
+        back over the whole of weights.bin, and every weight must be
+        finite; anything else is a CheckpointError."""
         ckpt_dir = str(ckpt_dir)
         try:
             with open(os.path.join(ckpt_dir, "config.json"), encoding="utf-8") as fh:
@@ -200,6 +205,9 @@ class Checkpoint:
         for name, shape, start in entries:
             arr = np.frombuffer(blob, dtype=WEIGHTS_DTYPE, count=int(np.prod(shape)),
                                 offset=start).reshape(shape)
+            if not np.isfinite(arr).all():
+                raise CheckpointError(f"corrupt checkpoint {ckpt_dir}: tensor {name} "
+                                      f"holds a non-finite value")
             params.store[name].value = np.array(arr, dtype=np.float32)
         return cls(config, vocab, labels, params)
 
@@ -251,7 +259,7 @@ def train(config: TrainConfig, train_set: Dataset, valid_set: Dataset,
         for batch_no, start in enumerate(range(0, len(order), config.batch)):
             batch = order[start:start + config.batch]
             nodes = params.store.nodes()
-            total = None
+            batch_loss = 0.0
             try:
                 # overflow is detected (and raised) by the primitives, so
                 # numpy's warnings would only duplicate the signal
@@ -261,15 +269,13 @@ def train(config: TrainConfig, train_set: Dataset, valid_set: Dataset,
                         fw = forward_doc(params, nodes, doc.ids, doc.true_length,
                                          train=True, rng=rng)
                         j = doc_objective(fw, doc.label, num_classes, objective)
-                        total = j if total is None else ad.add(total, j)
-                    root = ad.scale(total, 1.0 / len(batch))
-                    ad.backward(root)
+                        ad.backward(ad.scale(j, 1.0 / len(batch)))
+                        batch_loss += j.value.item()
             except ad.NonFiniteError as exc:
                 raise DivergenceError(epoch, batch_no, str(exc)) from exc
-            batch_loss = root.value.item()
             if not np.isfinite(batch_loss):
                 raise DivergenceError(epoch, batch_no, f"loss={batch_loss}")
-            loss_sum += batch_loss * len(batch)
+            loss_sum += batch_loss
             for p in params.store:
                 node = nodes[p.name]
                 grad = node.grad if node.grad is not None else np.zeros_like(p.value)

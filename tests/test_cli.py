@@ -2,11 +2,12 @@ import csv
 import json
 import os
 import shutil
+import warnings
 
 import numpy as np
 import pytest
 
-from lama import cli, text
+from lama import cli, text, training as tr
 from lama.synthetic import keyword_pairs, write_tsv
 
 
@@ -58,6 +59,17 @@ def _set_tensor(name, key, value):
     return edit
 
 
+def _write_weights(name, value):
+    def corrupt(ckpt):
+        meta = json.loads((ckpt / "config.json").read_text())
+        entry = next(e for e in meta["tensors"] if e["name"] == name)
+        blob = np.frombuffer((ckpt / "weights.bin").read_bytes(), dtype="<f4").copy()
+        start = entry["offset"] // 4
+        blob[start:start + int(np.prod(entry["shape"]))] = value
+        (ckpt / "weights.bin").write_bytes(blob.tobytes())
+    return corrupt
+
+
 def _repeat_first_token(blob):
     lines = blob.split(b"\n")
     lines[3] = lines[2]
@@ -72,6 +84,7 @@ CORRUPTIONS = {
     "tensor-wrong-offset": _edit_config(_set_tensor("cls.b_c", "offset", 0)),
     "weights-truncated": _edit_file("weights.bin", lambda b: b[:len(b) // 2]),
     "weights-too-long": _edit_file("weights.bin", lambda b: b + b"\0" * 4),
+    "weights-nan": _write_weights("attn.W_w", np.nan),
     "config-not-json": _edit_file("config.json", lambda b: b"{not json"),
     "config-unknown-key": _edit_config(lambda meta: meta["config"].update(frobnicate=1)),
     "config-no-labels": _edit_config(lambda meta: meta.pop("labels")),
@@ -191,6 +204,24 @@ class TestEval:
         code = run_cli("eval", "--checkpoint", tmp_path / "nope",
                        "--data", workspace["valid"], "--out", tmp_path / "out")
         assert code == cli.EXIT_IO
+
+    def test_overflow_in_forward_pass_is_divergence(self, workspace, tmp_path, capsys):
+        # 3e38 is a finite float32, so the checkpoint loads; the recurrence
+        # then overflows in the BiGRU forward pass
+        trained = tr.Checkpoint.load(workspace["ckpt"])
+        cfg = tr.TrainConfig(d=16, h=8, m=2, max_len=32, mlp_hidden=24)
+        ckpt = tr.Checkpoint(cfg, trained.vocab, trained.label_names, tr._fresh_model(
+            cfg, len(trained.vocab), len(trained.label_names), np.random.default_rng(0)))
+        ckpt.save(tmp_path / "ckpt")
+        _write_weights("gru_f.U_h", 3e38)(tmp_path / "ckpt")
+        capsys.readouterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # numpy's overflow warning is noise too
+            code = run_cli("eval", "--checkpoint", tmp_path / "ckpt", "--data",
+                           workspace["valid"], "--out", tmp_path / "out")
+        err = capsys.readouterr().err.strip().splitlines()
+        assert code == cli.EXIT_DIVERGED
+        assert len(err) == 1 and err[0].startswith("error: gru_scan"), err
 
     @pytest.mark.parametrize("corruption", sorted(CORRUPTIONS))
     def test_corrupt_checkpoint_is_io_error(self, workspace, tmp_path, capsys, corruption):

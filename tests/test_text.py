@@ -3,7 +3,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from lama import text
+from lama import synthetic, text
 from lama.text import (PAD_ID, PAD_TOKEN, UNK_ID, UNK_TOKEN, EmptyCorpusError,
                        MalformedLineError, build_vocab, encode, init_embeddings,
                        load_dataset, tokenize)
@@ -157,6 +157,17 @@ class TestLoadDataset:
     def test_pairs_with_no_tokens_rejected(self, tiny_vocab):
         with pytest.raises(MalformedLineError, match=":2: document has no tokens"):
             pairs_to_dataset([("pos", "good"), ("neg", "")], tiny_vocab, max_len=8)
+
+    def test_make_task_tokenizes_each_document_once(self, monkeypatch):
+        calls = []
+        tokenize = text.tokenize
+        # count calls made through any module that imported the function
+        for module in (text, synthetic):
+            monkeypatch.setattr(module, "tokenize",
+                                lambda s: calls.append(s) or tokenize(s))
+        train_set, valid_set, _ = synthetic.make_task("keyword", 50, 10, 1)
+        assert (len(train_set), len(valid_set)) == (50, 10)
+        assert len(calls) == 60
 
 
 class TestInitEmbeddings:

@@ -1,10 +1,13 @@
 import json
+from functools import reduce
 
 import numpy as np
 import pytest
 
+from lama import autodiff as ad
 from lama import training as tr
-from lama.model import forward_doc
+from lama.classifier import REGULARIZERS, ObjectiveConfig
+from lama.model import doc_objective, forward_doc, init_model
 from lama.synthetic import make_task
 from lama.text import PAD_ID
 from lama.training import (Checkpoint, DivergenceError, EvalMetrics,
@@ -133,9 +136,6 @@ class TestTrainLoop:
                     ckpt, _ = train(cfg, train_set, valid_set, vocab,
                                     snapshot="final")
                     params = ckpt.params
-                import lama.autodiff as ad
-                from lama.classifier import ObjectiveConfig
-                from lama.model import doc_objective
                 nodes = params.store.nodes()
                 total = 0.0
                 for doc in train_set.documents[:64]:
@@ -150,6 +150,57 @@ class TestTrainLoop:
         train_set, valid_set, vocab = keyword_task
         with pytest.raises(ValueError):
             train(small_config(), train_set, valid_set, vocab, snapshot="median")
+
+
+def count_nodes(root):
+    seen = {id(root)}
+    stack = [root]
+    while stack:
+        for parent, _ in stack.pop().parents:
+            if id(parent) not in seen:
+                seen.add(id(parent))
+                stack.append(parent)
+    return len(seen)
+
+
+class TestPerDocumentBackward:
+    @pytest.mark.parametrize("regularizer", REGULARIZERS)
+    def test_summed_gradients_equal_the_one_graph_batch_mean(self, regularizer):
+        rng = np.random.default_rng(5)
+        params = init_model(vocab_size=12, num_classes=3, rng=rng, d=6, h=3,
+                            m=3, mlp_hidden=8, dropout=0.0)
+        for p in params.store:
+            p.value = rng.uniform(-0.6, 0.6, size=p.value.shape)
+        docs = [(rng.integers(1, 12, size=L), label)
+                for L, label in ((3, 0), (7, 2), (1, 1), (5, 1), (9, 0))]
+        objective = ObjectiveConfig(regularizer, 0.2)
+
+        def doc_objectives(nodes):
+            for ids, label in docs:
+                yield doc_objective(forward_doc(params, nodes, ids), label, 3, objective)
+
+        per_doc = params.store.nodes()
+        for j in doc_objectives(per_doc):
+            ad.backward(ad.scale(j, 1.0 / len(docs)))
+        joined = params.store.nodes()
+        ad.backward(ad.scale(reduce(ad.add, doc_objectives(joined)), 1.0 / len(docs)))
+        for name in params.store.names():
+            np.testing.assert_allclose(per_doc[name].grad, joined[name].grad,
+                                       rtol=1e-12, err_msg=name)
+
+    def test_largest_graph_does_not_grow_with_batch(self, keyword_task, monkeypatch):
+        train_set, valid_set, vocab = keyword_task
+        sizes = []
+        backward = ad.backward
+        monkeypatch.setattr(ad, "backward",
+                            lambda root: sizes.append(count_nodes(root)) or backward(root))
+        largest = {}
+        for batch in (4, 16):
+            sizes.clear()
+            train(small_config(batch=batch, max_epochs=1), train_set, valid_set, vocab)
+            assert len(sizes) == len(train_set)  # one call per document
+            largest[batch] = max(sizes)
+        assert largest[4] == largest[16]
 
 
 class TestEvaluate:
