@@ -7,25 +7,31 @@ backward rule is recorded as a closure. Calling ``backward`` on a scalar
 root walks the tape in reverse creation order and accumulates gradients
 into every node that requires them.
 
-Gradients are never reset: each ``backward`` call adds into the ``.grad``
-of the leaves it reaches, so losses that share nothing but leaves can be
-backpropagated one at a time, each graph once (see ``backward``).
+Leaf gradients are never reset: each ``backward`` call adds into the
+``.grad`` of the leaves it reaches, so calls on several roots sum there.
+A non-leaf node's ``.grad`` is dropped as soon as its pullbacks have run,
+so a walk over a large graph holds only the gradients still in flight.
 
 Every primitive validates shapes up front and checks its output for
 NaN/Inf, so a non-finite value never propagates silently.
 
 Most nodes are one elementwise or matrix op. The GRU is the exception:
 ``gru.gru_scan`` builds one fused node for a whole direction of a
-document, runs the recurrence on raw arrays and keeps the per-step
+minibatch, runs the recurrence on raw arrays and keeps the per-step
 intermediates itself. Its parents are the input rows and the nine gate
 tensors; their pullbacks share one hand-written backpropagation through
 time, run on the first of them that ``backward`` calls. Its finiteness
 check runs once, on the whole pre-activation buffer and on the output,
 through ``check_finite``.
 
-The pullback of ``take_rows`` returns a ``RowGrad`` rather than a dense
-array, and ``backward`` adds its rows into the parent's gradient in place,
-so an embedding lookup never materialises a |V| x d gradient per call.
+The pullbacks of ``take_rows`` and ``slice_rows`` return a ``RowGrad``
+rather than a dense array, and ``backward`` adds its rows into the
+parent's gradient in place, so an embedding lookup never materialises a
+|V| x d gradient per call, and the row blocks that split a minibatch's
+annotations into documents share one gradient array.
+
+``dropout`` draws its mask one column after another, so a batch of
+column vectors draws the masks those columns would draw one at a time.
 """
 
 from __future__ import annotations
@@ -214,7 +220,8 @@ def stable_sigmoid(x: np.ndarray) -> np.ndarray:
     """1 / (1 + exp(-x)) on an array, exact 0 and 1 at the extremes."""
     # exp(-|x|) never overflows; the where() picks the stable branch
     e = np.exp(-np.abs(x))
-    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+    d = 1.0 + e
+    return np.where(x >= 0, 1.0 / d, e / d)
 
 
 def softmax(a: Node, axis: int = 1) -> Node:
@@ -248,9 +255,12 @@ def l2_normalize(a: Node, axis: int = 0) -> Node:
 
 
 def concat(nodes, axis: int = 0) -> Node:
+    """Join nodes along ``axis``; a single node is returned as it is."""
     nodes = list(nodes)
     if not nodes:
         raise ShapeMismatchError("concat", ())
+    if len(nodes) == 1:
+        return nodes[0]
     other = 1 - axis
     base = nodes[0].shape[other]
     for n in nodes[1:]:
@@ -271,9 +281,21 @@ def concat(nodes, axis: int = 0) -> Node:
 
 class RowGrad(NamedTuple):
     """A gradient that is zero outside a few rows: ``values[k]`` adds into
-    row ``rows[k]``, repeated rows accumulating."""
-    rows: np.ndarray
+    row ``rows[k]``, repeated rows accumulating. ``rows`` is an index array
+    or a slice."""
+    rows: np.ndarray | slice
     values: np.ndarray
+
+
+def slice_rows(a: Node, lo: int, hi: int) -> Node:
+    """Rows ``lo:hi`` of ``a``; all of its rows give ``a`` itself."""
+    if not 0 <= lo < hi <= a.shape[0]:
+        raise ShapeMismatchError("slice_rows", a.shape, (lo, hi))
+    if (lo, hi) == (0, a.shape[0]):
+        return a
+    rows = slice(lo, hi)
+    # a block of an already checked value needs no finiteness check
+    return Node(a.value[rows], "slice_rows", ((a, lambda g: RowGrad(rows, g)),))
 
 
 def take_rows(a: Node, indices) -> Node:
@@ -307,25 +329,30 @@ def frobenius_sq(a: Node) -> Node:
 
 
 def dropout(a: Node, rate: float, rng: np.random.Generator, train: bool) -> Node:
-    """Inverted dropout: keeps scale the expectation equal to the input."""
+    """Inverted dropout: keeps scale the expectation equal to the input.
+
+    The mask is drawn column by column, so an n x B input consumes the
+    generator exactly as B n x 1 inputs in column order would.
+    """
     if not 0.0 <= rate < 1.0:
         raise AutodiffError(f"dropout: rate must be in [0, 1), got {rate}")
     if not train or rate == 0.0:
         return _make("dropout", a.value.copy(), [(a, lambda g: g)])
     keep = 1.0 - rate
-    mask = (rng.random(a.shape) >= rate).astype(a.value.dtype) / keep
+    mask = (rng.random(a.shape[::-1]).T >= rate).astype(a.value.dtype) / keep
     return _make("dropout", a.value * mask, [(a, lambda g: g * mask)])
 
 
 def softmax_cross_entropy(logits: Node, onehot: Node) -> Node:
-    """Fused stable -sum(y * log softmax(z)) over a single logit vector."""
+    """Fused stable -sum(y * log softmax(z)), the softmax taken over each
+    column of logits and the losses of the columns summed."""
     if logits.shape != onehot.shape:
         raise ShapeMismatchError("softmax_cross_entropy", logits.shape, onehot.shape)
     z = logits.value
     y = onehot.value
-    zmax = z.max()
-    lse = zmax + np.log(np.exp(z - zmax).sum())
-    loss = lse - float((y * z).sum())
+    zmax = z.max(axis=0, keepdims=True)
+    lse = zmax + np.log(np.exp(z - zmax).sum(axis=0, keepdims=True))
+    loss = lse.sum() - float((y * z).sum())
     probs = np.exp(z - lse)
     out = np.array([[loss]], dtype=z.dtype)
 
@@ -346,10 +373,10 @@ def backward(root: Node) -> None:
     """Add d(root)/d(leaf) into ``.grad`` of every requires-grad leaf under
     ``root``; nothing is reset, so calls on roots that share leaves sum there.
 
-    Call it once per graph, on roots that share no non-leaf node: a node
-    reached twice would carry the first call's gradient into the second.
-    ``model.forward_doc`` builds every non-leaf node afresh from the
-    parameter leaves, so one call per document meets both conditions.
+    Each non-leaf node's ``.grad`` is dropped once its pullbacks have run,
+    so only leaves keep a gradient after the call, and the graph's inner
+    gradients are freed while the walk goes on. The trainer calls this once
+    per minibatch, on the root of the graph ``model.forward_batch`` built.
     """
     if root.shape != (1, 1):
         raise NonScalarRootError(root.shape)
@@ -373,12 +400,21 @@ def backward(root: Node) -> None:
             if not parent.requires_grad:
                 continue
             contrib = pull(node.grad)
+            if not isinstance(contrib, RowGrad):
+                if parent.grad is None:
+                    # a copy: a pullback may hand the same array to two parents
+                    parent.grad = np.array(contrib, dtype=parent.value.dtype)
+                else:
+                    parent.grad += contrib
+                continue
             if parent.grad is None:
                 parent.grad = np.zeros_like(parent.value)
-            if isinstance(contrib, RowGrad):
-                np.add.at(parent.grad, contrib.rows, contrib.values)
+            if isinstance(contrib.rows, slice):
+                parent.grad[contrib.rows] += contrib.values
             else:
-                parent.grad += contrib
+                np.add.at(parent.grad, contrib.rows, contrib.values)
+        if node.parents:
+            node.grad = None
 
 
 # ---------------------------------------------------------------------------

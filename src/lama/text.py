@@ -225,7 +225,10 @@ class EmbeddingMatrix:
 def init_embeddings(vocab: Vocab, d: int, rng: np.random.Generator,
                     pretrained_path=None, dtype=np.float32) -> EmbeddingMatrix:
     """Random uniform(-0.1, 0.1) init, or rows copied from a whitespace
-    separated ``token v1 .. vd`` text file with random fill for misses."""
+    separated ``token v1 .. vd`` text file with random fill for misses.
+
+    A copied row that is not d finite numbers is a TextError naming
+    ``path:line``."""
     if d < 1:
         raise TextError(f"embedding dimension must be >= 1, got {d}")
     weights = rng.uniform(-0.1, 0.1, size=(len(vocab), d)).astype(dtype)
@@ -248,7 +251,13 @@ def init_embeddings(vocab: Vocab, d: int, rng: np.random.Generator,
                     )
                 idx = vocab.token_to_id.get(token)
                 if idx is not None and idx >= 2:
-                    weights[idx] = np.asarray([float(v) for v in values], dtype=dtype)
+                    try:
+                        row = np.asarray([float(v) for v in values], dtype=dtype)
+                    except ValueError as exc:
+                        raise TextError(f"{pretrained_path}:{line_no}: {exc}") from exc
+                    if not np.isfinite(row).all():
+                        raise TextError(f"{pretrained_path}:{line_no}: non-finite value")
+                    weights[idx] = row
                     hits += 1
         coverage = hits / max(len(vocab) - 2, 1)
     weights[PAD_ID] = 0.0

@@ -4,15 +4,20 @@ A run is fully determined by its seed: one PCG64 generator drives weight
 init, epoch shuffling and dropout masks in a fixed order, so identical
 seeds give byte-identical checkpoints.
 
-The batch gradient is built one document at a time: each document's
-objective, scaled by 1/batch, is backpropagated as soon as it exists and
-adds into the batch's parameter leaves, so no document's graph outlives
-the next document's forward pass.
+Each minibatch is one autodiff graph (``model.forward_batch``): its
+summed objective, scaled by 1/batch, is backpropagated once into the
+batch's parameter leaves, and ``backward`` frees the inner gradients as
+it goes. The graph is built and walked inside one helper that returns
+only the loss, so it is garbage before the SGD step and the next batch's
+forward pass. The batch's dropout masks are drawn document by document in
+batch order, the stream per-document passes would draw. Evaluation runs
+one document at a time, through ``model.forward_doc``.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import os
 import shutil
 import time
@@ -24,8 +29,9 @@ import numpy as np
 from . import __version__
 from . import autodiff as ad
 from .classifier import ObjectiveConfig, REGULARIZERS
-from .model import ENCODER_BIGRU, ENCODER_LE, ModelParams, forward_doc, doc_objective, init_model
-from .text import Dataset, EmbeddingMatrix, TextError, Vocab
+from .model import (ENCODER_BIGRU, ModelParams, ParamStore, batch_objective, forward_batch,
+                    forward_doc, init_model, param_shapes)
+from .text import PAD_ID, Dataset, EmbeddingMatrix, TextError, Vocab
 
 WEIGHTS_DTYPE = "<f4"  # little-endian IEEE-754 32-bit
 
@@ -184,17 +190,21 @@ class Checkpoint:
             labels = list(meta["labels"])
             entries = [(str(e["name"]), tuple(int(n) for n in e["shape"]), int(e["offset"]))
                        for e in meta["tensors"]]
-            params = _fresh_model(config, len(vocab), len(labels), np.random.default_rng(0))
+            shapes = param_shapes(len(vocab), len(labels), d=config.d, h=config.h,
+                                  m=config.m, ctx=config.ctx, encoder=config.encoder,
+                                  mlp_hidden=config.mlp_hidden)
         except OSError as exc:
             raise CheckpointError(f"cannot read checkpoint {ckpt_dir}: {exc}") from exc
         except (ValueError, TypeError, KeyError, TextError) as exc:
             raise CheckpointError(
                 f"corrupt checkpoint {ckpt_dir}: {type(exc).__name__}: {exc}") from exc
 
+        # everything is checked against the config's shapes before any
+        # tensor is allocated, so a config with huge dims costs nothing
         expected, offset = [], 0
-        for p in params.store:
-            expected.append((p.name, p.value.shape, offset))
-            offset += p.value.size * np.dtype(WEIGHTS_DTYPE).itemsize
+        for name, shape in shapes.items():
+            expected.append((name, shape, offset))
+            offset += math.prod(shape) * np.dtype(WEIGHTS_DTYPE).itemsize
         for got, want in zip_longest(entries, expected):
             if got != want:
                 raise CheckpointError(f"corrupt checkpoint {ckpt_dir}: manifest entry "
@@ -202,13 +212,19 @@ class Checkpoint:
         if len(blob) != offset:
             raise CheckpointError(f"corrupt checkpoint {ckpt_dir}: weights.bin holds "
                                   f"{len(blob)} bytes, the manifest {offset}")
+        store = ParamStore()
         for name, shape, start in entries:
-            arr = np.frombuffer(blob, dtype=WEIGHTS_DTYPE, count=int(np.prod(shape)),
+            arr = np.frombuffer(blob, dtype=WEIGHTS_DTYPE, count=math.prod(shape),
                                 offset=start).reshape(shape)
             if not np.isfinite(arr).all():
                 raise CheckpointError(f"corrupt checkpoint {ckpt_dir}: tensor {name} "
                                       f"holds a non-finite value")
-            params.store[name].value = np.array(arr, dtype=np.float32)
+            store.add(name, np.array(arr, dtype=np.float32),
+                      frozen_rows=(PAD_ID,) if name == "W_e" else ())
+        params = ModelParams(store=store, d=config.d, h=config.h, m=config.m,
+                             ctx=config.ctx, encoder=config.encoder,
+                             mlp_hidden=config.mlp_hidden, num_classes=len(labels),
+                             dropout=config.dropout)
         return cls(config, vocab, labels, params)
 
 
@@ -218,6 +234,17 @@ def _fresh_model(config: TrainConfig, vocab_size: int, num_classes: int,
                       m=config.m, ctx=config.ctx, encoder=config.encoder,
                       mlp_hidden=config.mlp_hidden, dropout=config.dropout,
                       embedding=embedding)
+
+
+def _backward_batch(params: ModelParams, nodes: dict, batch: list,
+                    objective: ObjectiveConfig, rng: np.random.Generator) -> float:
+    """Add the gradient of the batch's mean objective into the leaves in
+    ``nodes`` and return the summed objective. Nothing of the graph
+    outlives the call."""
+    out = forward_batch(params, nodes, batch, train=True, rng=rng)
+    j = batch_objective(out, [doc.label for doc in batch], params.num_classes, objective)
+    ad.backward(ad.scale(j, 1.0 / len(batch)))
+    return j.value.item()
 
 
 def _check_labels(dataset: Dataset, label_names) -> None:
@@ -240,9 +267,8 @@ def train(config: TrainConfig, train_set: Dataset, valid_set: Dataset,
     if len(valid_set) == 0:
         raise TrainingError("validation set is empty")
     _check_labels(valid_set, train_set.label_names)
-    num_classes = train_set.num_classes
     rng = np.random.Generator(np.random.PCG64(config.seed))
-    params = _fresh_model(config, len(vocab), num_classes, rng, embedding)
+    params = _fresh_model(config, len(vocab), train_set.num_classes, rng, embedding)
     objective = ObjectiveConfig(config.regularizer, config.lam)
 
     velocities = {p.name: np.zeros_like(p.value) for p in params.store}
@@ -257,20 +283,13 @@ def train(config: TrainConfig, train_set: Dataset, valid_set: Dataset,
         order = rng.permutation(len(docs))
         loss_sum = 0.0
         for batch_no, start in enumerate(range(0, len(order), config.batch)):
-            batch = order[start:start + config.batch]
+            batch = [docs[i] for i in order[start:start + config.batch]]
             nodes = params.store.nodes()
-            batch_loss = 0.0
             try:
                 # overflow is detected (and raised) by the primitives, so
                 # numpy's warnings would only duplicate the signal
                 with np.errstate(over="ignore", invalid="ignore"):
-                    for i in batch:
-                        doc = docs[i]
-                        fw = forward_doc(params, nodes, doc.ids, doc.true_length,
-                                         train=True, rng=rng)
-                        j = doc_objective(fw, doc.label, num_classes, objective)
-                        ad.backward(ad.scale(j, 1.0 / len(batch)))
-                        batch_loss += j.value.item()
+                    batch_loss = _backward_batch(params, nodes, batch, objective, rng)
             except ad.NonFiniteError as exc:
                 raise DivergenceError(epoch, batch_no, str(exc)) from exc
             if not np.isfinite(batch_loss):
@@ -326,6 +345,8 @@ def evaluate(params_or_checkpoint, dataset: Dataset) -> EvalMetrics:
         params = params_or_checkpoint.params
     else:
         params = params_or_checkpoint
+    if len(dataset) == 0:
+        raise TrainingError(f"{dataset.split} set is empty")
     C = params.num_classes
     if any(doc.label >= C for doc in dataset.documents):
         raise LabelMismatchError(f"dataset has label ids >= {C}")

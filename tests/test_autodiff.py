@@ -75,6 +75,23 @@ class TestErrors:
 
 
 class TestBackward:
+    def test_only_leaves_keep_a_gradient(self):
+        rng = np.random.default_rng(2)
+        x = ad.leaf(rand(rng, 3, 4), requires_grad=True)
+        hidden = ad.tanh(x)
+        root = ad.tsum(ad.hadamard(hidden, hidden))
+        ad.backward(root)
+        assert hidden.grad is None and root.grad is None
+        np.testing.assert_allclose(x.grad, 2 * hidden.value * (1 - hidden.value ** 2),
+                                   rtol=1e-12)
+
+    def test_slice_rows_of_all_rows_is_the_node_itself(self):
+        x = ad.leaf(np.ones((3, 2)))
+        assert ad.slice_rows(x, 0, 3) is x
+        for lo, hi in ((1, 1), (2, 4), (-1, 2)):
+            with pytest.raises(ad.ShapeMismatchError, match="slice_rows"):
+                ad.slice_rows(x, lo, hi)
+
     def test_sum_gradient_is_ones(self):
         rng = np.random.default_rng(3)
         x = ad.leaf(rand(rng, 3, 4), requires_grad=True)
@@ -138,9 +155,15 @@ PRIMITIVE_BUILDERS = {
     "transpose": lambda p: ad.tsum(ad.hadamard(ad.transpose(p[0]), ad.transpose(p[1]))),
     "reshape": lambda p: ad.tsum(ad.tanh(ad.reshape(p[0], (1, p[0].value.size)))),
     "take_rows": lambda p: ad.frobenius_sq(ad.take_rows(p[0], [0, 2, 2, 1])),
+    # two overlapping row blocks of one node add into its one gradient
+    "slice_rows": lambda p: ad.tsum(ad.add(ad.tanh(ad.slice_rows(p[0], 0, 2)),
+                                           ad.slice_rows(p[0], 1, 3))),
     "softmax_xent": lambda p: ad.softmax_cross_entropy(
         ad.reshape(p[0], (p[0].value.size, 1)),
         ad.constant(np.eye(p[0].value.size)[2].reshape(-1, 1))),
+    # one softmax per column, the column losses summed
+    "softmax_xent_columns": lambda p: ad.softmax_cross_entropy(
+        p[0], ad.constant(np.eye(3)[[2, 0, 1, 1, 0]].T)),
 }
 
 

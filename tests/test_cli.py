@@ -182,6 +182,21 @@ class TestTrain:
                        "--embeddings", vecs, "--epochs", "1", *TRAIN_FLAGS)
         assert code == cli.EXIT_DATA
 
+    @pytest.mark.parametrize("bad_value", ["abc", "nan", "inf"])
+    def test_bad_pretrained_value_is_data_error(self, workspace, tmp_path, capsys, bad_value):
+        vecs = tmp_path / "bad.txt"
+        values = ["0.05"] * 16
+        values[3] = bad_value
+        vecs.write_text("blah " + " ".join(["0.1"] * 16) + "\n"
+                        "zing " + " ".join(values) + "\n", encoding="utf-8")
+        capsys.readouterr()
+        code = run_cli("train", "--data", workspace["train"], "--valid",
+                       workspace["valid"], "--out", tmp_path / "pre3",
+                       "--embeddings", vecs, "--epochs", "1", *TRAIN_FLAGS)
+        err = capsys.readouterr().err.strip().splitlines()
+        assert code == cli.EXIT_DATA
+        assert len(err) == 1 and err[0].startswith(f"error: {vecs}:2: "), err
+
 
 class TestEval:
     def test_two_paths_suffice(self, workspace, tmp_path, monkeypatch):
@@ -204,6 +219,16 @@ class TestEval:
         code = run_cli("eval", "--checkpoint", tmp_path / "nope",
                        "--data", workspace["valid"], "--out", tmp_path / "out")
         assert code == cli.EXIT_IO
+
+    def test_empty_dataset_is_data_error(self, workspace, tmp_path, capsys):
+        empty = tmp_path / "empty.tsv"
+        empty.write_text("\n", encoding="utf-8")
+        capsys.readouterr()
+        code = run_cli("eval", "--checkpoint", workspace["ckpt"], "--data", empty,
+                       "--out", tmp_path / "out")
+        err = capsys.readouterr().err.strip().splitlines()
+        assert code == cli.EXIT_DATA
+        assert len(err) == 1 and err[0].startswith("error: "), err
 
     def test_overflow_in_forward_pass_is_divergence(self, workspace, tmp_path, capsys):
         # 3e38 is a finite float32, so the checkpoint loads; the recurrence

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from conftest import count_nodes
 from hypothesis import given, settings, strategies as st
 
 from lama import autodiff as ad
@@ -37,21 +38,10 @@ def reference_bigru(x, fwd_arrays, bwd_arrays):
     return np.hstack([fwd, bwd])
 
 
-def encode(x, fwd_arrays, bwd_arrays):
+def encode(x, fwd_arrays, bwd_arrays, lengths=None):
     fwd = GruCell(**{k: ad.leaf(v) for k, v in fwd_arrays.items()})
     bwd = GruCell(**{k: ad.leaf(v) for k, v in bwd_arrays.items()})
-    return bigru_encode(ad.leaf(x), fwd, bwd).value
-
-
-def count_nodes(root):
-    seen = {id(root)}
-    stack = [root]
-    while stack:
-        for parent, _ in stack.pop().parents:
-            if id(parent) not in seen:
-                seen.add(id(parent))
-                stack.append(parent)
-    return len(seen)
+    return bigru_encode(ad.leaf(x), fwd, bwd, lengths).value
 
 
 class TestBigruEncode:
@@ -171,7 +161,7 @@ class TestBigruEncode:
                                       padded.attn.A_valid.value)
 
     @staticmethod
-    def gradient_report(L, seed):
+    def gradient_report(L, seed, lengths=None):
         rng = np.random.default_rng(seed)
         x = rng.standard_normal((L, 3)) * 0.5
         fa = init_gru_arrays(3, 2, rng, dtype=np.float64)
@@ -184,7 +174,7 @@ class TestBigruEncode:
             k = 1
             fwd = GruCell(**{n: leaves[k + i] for i, n in enumerate(names_f)})
             bwd = GruCell(**{n: leaves[k + 9 + i] for i, n in enumerate(names_b)})
-            return ad.frobenius_sq(ad.tanh(bigru_encode(xs, fwd, bwd)))
+            return ad.frobenius_sq(ad.tanh(bigru_encode(xs, fwd, bwd, lengths)))
 
         params = [x] + [fa[n] for n in names_f] + [ba[n] for n in names_b]
         return ad.grad_check(builder, params, step=1e-5, tolerance=1e-6)
@@ -198,6 +188,43 @@ class TestBigruEncode:
         # L=24 carries the state gradient back through a long chain of steps
         report = self.gradient_report(L, seed=20 + L)
         assert report.passed, report.max_rel_errors
+
+    def test_gradient_check_over_ragged_segments(self):
+        # three documents in one packed scan: 4 rows, 1 row, 3 rows
+        report = self.gradient_report(8, seed=30, lengths=[4, 1, 3])
+        assert report.passed, report.max_rel_errors
+
+    def test_bad_lengths_rejected(self):
+        rng = np.random.default_rng(4)
+        fa = init_gru_arrays(4, 3, rng, dtype=np.float64)
+        x = np.zeros((5, 4))
+        for lengths in ([2, 2], [5, 0], [], [6, -1]):
+            with pytest.raises(ad.ShapeMismatchError, match="gru_scan"):
+                encode(x, fa, fa, lengths)
+
+    @settings(max_examples=40, deadline=None)
+    @given(lengths=st.lists(st.integers(1, 12), min_size=1, max_size=6),
+           d=st.integers(1, 5), h=st.integers(1, 4),
+           dtype=st.sampled_from([np.float32, np.float64]),
+           seed=st.integers(0, 2**32 - 1))
+    def test_packed_segments_match_reference_per_segment(self, lengths, d, h, dtype, seed):
+        # documents scanned together in one node give each document the
+        # states it gets on its own, from a zero state, in both directions
+        rng = np.random.default_rng(seed)
+        arrays = []
+        for _ in range(2):
+            a = init_gru_arrays(d, h, rng, dtype=dtype)
+            for name in ("b_z", "b_r", "b_h"):
+                a[name] = rng.uniform(-1, 1, size=(h, 1)).astype(dtype)
+            arrays.append(a)
+        x = rng.standard_normal((sum(lengths), d)).astype(dtype)
+        annot = encode(x, *arrays, lengths=lengths)
+        assert annot.shape == (sum(lengths), 2 * h) and annot.dtype == dtype
+        expected = np.vstack([reference_bigru(seg, *arrays)
+                              for seg in np.split(x, np.cumsum(lengths)[:-1])])
+        tol = dict(rtol=1e-10, atol=1e-12) if dtype == np.float64 else \
+            dict(rtol=1e-4, atol=1e-5)
+        np.testing.assert_allclose(annot, expected, **tol)
 
     def test_long_sequence_stays_finite(self):
         rng = np.random.default_rng(11)

@@ -41,6 +41,15 @@ class TestInit:
         np.testing.assert_array_equal(params.store["W_e"].value[PAD_ID], 0.0)
         assert params.store["W_e"].frozen_rows == (PAD_ID,)
 
+    @pytest.mark.parametrize("encoder,ctx", [("bigru", "learned"), ("bigru", "doc-mean"),
+                                             ("le", "learned"), ("le", "doc-mean")])
+    def test_param_shapes_match_the_initialized_store(self, encoder, ctx):
+        dims = dict(d=6, h=3, m=2, mlp_hidden=8, ctx=ctx, encoder=encoder)
+        params = tiny_model(**dims)
+        assert mdl.param_shapes(12, 3, **dims) == \
+            {p.name: p.value.shape for p in params.store}
+        assert list(mdl.param_shapes(12, 3, **dims)) == params.store.names()
+
     def test_same_seed_same_weights(self):
         a = tiny_model(np.random.default_rng(5))
         b = tiny_model(np.random.default_rng(5))

@@ -1,15 +1,15 @@
 import json
-from functools import reduce
 
 import numpy as np
 import pytest
+from conftest import graph_nodes
 
 from lama import autodiff as ad
 from lama import training as tr
 from lama.classifier import REGULARIZERS, ObjectiveConfig
-from lama.model import doc_objective, forward_doc, init_model
+from lama.model import doc_objective, forward_batch, forward_doc, init_model
 from lama.synthetic import make_task
-from lama.text import PAD_ID
+from lama.text import PAD_ID, Document
 from lama.training import (Checkpoint, DivergenceError, EvalMetrics,
                            LabelMismatchError, TrainConfig, evaluate,
                            heads_sweep, sgd_step, train)
@@ -152,58 +152,80 @@ class TestTrainLoop:
             train(small_config(), train_set, valid_set, vocab, snapshot="median")
 
 
-def count_nodes(root):
-    seen = {id(root)}
-    stack = [root]
-    while stack:
-        for parent, _ in stack.pop().parents:
-            if id(parent) not in seen:
-                seen.add(id(parent))
-                stack.append(parent)
-    return len(seen)
+def ragged_docs(rng, lengths, vocab_size, num_classes, pad=3):
+    """Padded documents of the given true lengths with random ids and labels."""
+    return [Document(np.append(rng.integers(2, vocab_size, size=L), [PAD_ID] * pad), L,
+                     int(rng.integers(num_classes)))
+            for L in lengths]
 
 
-class TestPerDocumentBackward:
+class TestBatchGraph:
+    @pytest.mark.parametrize("encoder", ["bigru", "le"])
     @pytest.mark.parametrize("regularizer", REGULARIZERS)
-    def test_summed_gradients_equal_the_one_graph_batch_mean(self, regularizer):
+    def test_batch_grads_equal_summed_doc_grads(
+            self, encoder, regularizer):
+        # float64, dropout off; the batch graph's leaf gradients must equal
+        # those of one forward_doc graph per document, each scaled by 1/B
         rng = np.random.default_rng(5)
-        params = init_model(vocab_size=12, num_classes=3, rng=rng, d=6, h=3,
-                            m=3, mlp_hidden=8, dropout=0.0)
+        params = init_model(vocab_size=12, num_classes=3, rng=rng, d=6, h=3, m=3,
+                            mlp_hidden=8, dropout=0.0, encoder=encoder)
         for p in params.store:
             p.value = rng.uniform(-0.6, 0.6, size=p.value.shape)
-        docs = [(rng.integers(1, 12, size=L), label)
-                for L, label in ((3, 0), (7, 2), (1, 1), (5, 1), (9, 0))]
+        docs = ragged_docs(rng, [3, 7, 1, 5, 9, 5], 12, 3)
         objective = ObjectiveConfig(regularizer, 0.2)
 
-        def doc_objectives(nodes):
-            for ids, label in docs:
-                yield doc_objective(forward_doc(params, nodes, ids), label, 3, objective)
-
-        per_doc = params.store.nodes()
-        for j in doc_objectives(per_doc):
+        single = params.store.nodes()
+        expected_loss = 0.0
+        for doc in docs:
+            fw = forward_doc(params, single, doc.ids, doc.true_length)
+            j = doc_objective(fw, doc.label, 3, objective)
             ad.backward(ad.scale(j, 1.0 / len(docs)))
-        joined = params.store.nodes()
-        ad.backward(ad.scale(reduce(ad.add, doc_objectives(joined)), 1.0 / len(docs)))
+            expected_loss += j.value.item()
+        batch = params.store.nodes()
+        loss = tr._backward_batch(params, batch, docs, objective, rng)
+        assert loss == pytest.approx(expected_loss, rel=1e-12)
         for name in params.store.names():
-            np.testing.assert_allclose(per_doc[name].grad, joined[name].grad,
+            np.testing.assert_allclose(batch[name].grad, single[name].grad,
                                        rtol=1e-12, err_msg=name)
 
-    def test_largest_graph_does_not_grow_with_batch(self, keyword_task, monkeypatch):
+    def test_dropout_masks_are_drawn_in_document_order(self):
+        rng = np.random.default_rng(6)
+        params = init_model(vocab_size=12, num_classes=3, rng=rng, d=6, h=3, m=2,
+                            mlp_hidden=16, dropout=0.4, dtype=np.float64)
+        docs = ragged_docs(rng, [4, 2, 6, 1], 12, 3)
+        nodes = params.store.nodes()
+        out = forward_batch(params, nodes, docs, train=True,
+                            rng=np.random.Generator(np.random.PCG64(9)))
+        one_by_one = np.random.Generator(np.random.PCG64(9))
+        for i, doc in enumerate(docs):
+            fw = forward_doc(params, nodes, doc.ids, doc.true_length, train=True,
+                             rng=one_by_one)
+            np.testing.assert_allclose(out.logits.value[:, i:i + 1], fw.logits.value,
+                                       rtol=1e-12, err_msg=f"document {i}")
+        # the masks differ between documents, so the check is not vacuous
+        rerun = forward_batch(params, nodes, [docs[0]] * 2, train=True, rng=rng)
+        assert not np.allclose(rerun.logits.value[:, 0], rerun.logits.value[:, 1])
+
+    def test_one_backward_and_two_gru_scans_per_batch(self, keyword_task, monkeypatch):
         train_set, valid_set, vocab = keyword_task
-        sizes = []
+        scans = []
         backward = ad.backward
-        monkeypatch.setattr(ad, "backward",
-                            lambda root: sizes.append(count_nodes(root)) or backward(root))
-        largest = {}
+        monkeypatch.setattr(ad, "backward", lambda root: scans.append(
+            sum(n.op == "gru_scan" for n in graph_nodes(root))) or backward(root))
         for batch in (4, 16):
-            sizes.clear()
+            scans.clear()
             train(small_config(batch=batch, max_epochs=1), train_set, valid_set, vocab)
-            assert len(sizes) == len(train_set)  # one call per document
-            largest[batch] = max(sizes)
-        assert largest[4] == largest[16]
+            assert len(scans) == -(-len(train_set) // batch)  # one call per batch
+            assert set(scans) == {2}
 
 
 class TestEvaluate:
+    def test_empty_dataset_rejected(self, keyword_task):
+        train_set, _, vocab = keyword_task
+        params = tr._fresh_model(small_config(), len(vocab), 2, np.random.default_rng(0))
+        with pytest.raises(tr.TrainingError, match="empty"):
+            evaluate(params, tr.Dataset([], train_set.label_names, "eval"))
+
     def test_perfect_predictions_accuracy_one(self, keyword_task):
         train_set, valid_set, vocab = keyword_task
         cfg = small_config(d=24, h=12, max_epochs=20, patience=20, seed=1)
@@ -296,6 +318,28 @@ class TestCheckpointIO:
         assert str(out) not in removed
         assert [p.name for p in tmp_path.iterdir()] == ["ckpt"]
         assert evaluate(Checkpoint.load(out), valid_set) == evaluate(ckpt, valid_set)
+
+    def test_load_draws_no_random_init(self, tmp_path, keyword_task, monkeypatch):
+        # every tensor comes from weights.bin, so nothing is drawn to be
+        # overwritten; the loaded model scores like the saved one
+        train_set, valid_set, vocab = keyword_task
+        cfg = small_config()
+        ckpt = Checkpoint(cfg, vocab, list(train_set.label_names),
+                          tr._fresh_model(cfg, len(vocab), 2, np.random.default_rng(3)))
+        ckpt.save(tmp_path / "ckpt")
+
+        def no_generator(*args, **kwargs):
+            raise AssertionError("Checkpoint.load made a random generator")
+
+        # load is given no generator, so it would have to make one to draw
+        for name in ("default_rng", "Generator", "PCG64"):
+            monkeypatch.setattr(np.random, name, no_generator)
+        loaded = Checkpoint.load(tmp_path / "ckpt")
+        monkeypatch.undo()
+        for saved, read in zip(ckpt.params.store, loaded.params.store):
+            assert (saved.name, saved.frozen_rows) == (read.name, read.frozen_rows)
+            np.testing.assert_array_equal(saved.value, read.value)
+        assert evaluate(loaded, valid_set) == evaluate(ckpt, valid_set)
 
     def test_missing_checkpoint_raises_checkpoint_error(self, tmp_path):
         with pytest.raises(tr.CheckpointError):
