@@ -310,9 +310,6 @@ def take_rows(a: Node, indices) -> Node:
 
 def tsum(a: Node, axis=None) -> Node:
     """Sum of all entries (scalar) or along an axis (keepdims)."""
-    if axis is None:
-        out = np.array([[a.value.sum()]], dtype=a.value.dtype)
-        return _make("sum", out, [(a, lambda g: np.broadcast_to(g, a.shape).copy())])
     out = a.value.sum(axis=axis, keepdims=True)
     return _make("sum", out, [(a, lambda g: np.broadcast_to(g, a.shape).copy())])
 

@@ -87,7 +87,9 @@ def _add_train_flags(p):
     p.add_argument("--ctx", choices=["learned", "doc-mean"], default="learned")
     p.add_argument("--encoder", choices=["bigru", "le"], default="bigru")
     p.add_argument("--min-count", type=int, default=5, help="vocab frequency threshold")
-    p.add_argument("--embeddings", help="pretrained vectors (token v1 .. vd per line)")
+    p.add_argument("--embeddings",
+                   help="pretrained vectors (token v1 .. vd per line); the values of "
+                        "tokens outside the vocabulary are not parsed, only counted")
 
 
 def build_parser():

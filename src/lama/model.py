@@ -43,7 +43,6 @@ ENCODER_LE = "le"
 class Parameter:
     name: str
     value: np.ndarray
-    frozen_rows: tuple = ()
 
 
 class ParamStore:
@@ -52,16 +51,13 @@ class ParamStore:
     def __init__(self):
         self._params: dict[str, Parameter] = {}
 
-    def add(self, name, value, frozen_rows=()):
+    def add(self, name, value):
         if name in self._params:
             raise ValueError(f"duplicate parameter {name}")
-        self._params[name] = Parameter(name, value, frozen_rows)
+        self._params[name] = Parameter(name, value)
 
     def __getitem__(self, name) -> Parameter:
         return self._params[name]
-
-    def __contains__(self, name) -> bool:
-        return name in self._params
 
     def __iter__(self):
         return iter(self._params.values())
@@ -72,9 +68,6 @@ class ParamStore:
     def nodes(self) -> dict[str, Node]:
         """Fresh leaf Nodes over the stored arrays (no copies)."""
         return {p.name: ad.leaf(p.value, requires_grad=True) for p in self}
-
-    def trainable_size(self) -> int:
-        return sum(p.value.size for p in self)
 
     def copy_values(self) -> dict[str, np.ndarray]:
         return {p.name: p.value.copy() for p in self}
@@ -146,7 +139,7 @@ def init_model(vocab_size: int, num_classes: int, rng: np.random.Generator, *,
                 f"embedding shape {embedding.weights.shape} != ({vocab_size}, {d})")
         weights = embedding.weights.astype(dtype, copy=True)
     weights[PAD_ID] = 0.0
-    store.add("W_e", weights, frozen_rows=(PAD_ID,))
+    store.add("W_e", weights)
 
     if encoder == ENCODER_BIGRU:
         for prefix in ("gru_f.", "gru_b."):

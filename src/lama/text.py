@@ -73,7 +73,9 @@ class Vocab:
         return len(self.id_to_token)
 
     def lookup(self, token: str) -> int:
-        return self.token_to_id.get(token, UNK_ID)
+        """The token's id; an unknown token, ``<pad>`` or ``<unk>`` is UNK_ID,
+        so no text encodes to PAD_ID."""
+        return UNK_ID if token == PAD_TOKEN else self.token_to_id.get(token, UNK_ID)
 
     def save(self, path):
         with open(path, "w", encoding="utf-8") as fh:
@@ -95,9 +97,10 @@ class Vocab:
 def build_vocab(corpus, min_count: int = 5) -> Vocab:
     """Build a vocabulary from an iterable of token sequences.
 
-    Tokens seen fewer than ``min_count`` times are dropped; survivors are
-    ordered by descending frequency, ties broken by token, so two runs over
-    the same corpus assign identical ids.
+    Tokens seen fewer than ``min_count`` times are dropped, and so are the
+    reserved ``<pad>`` and ``<unk>`` as text; survivors are ordered by
+    descending frequency, ties broken by token, so two runs over the same
+    corpus assign identical ids.
     """
     if min_count < 1:
         raise TextError(f"min_count must be >= 1, got {min_count}")
@@ -108,11 +111,12 @@ def build_vocab(corpus, min_count: int = 5) -> Vocab:
         counts.update(tokens)
     if ndocs == 0 or not counts:
         raise EmptyCorpusError("cannot build a vocabulary from an empty corpus")
+    reserved = [PAD_TOKEN, UNK_TOKEN]
     kept = sorted(
-        (t for t, c in counts.items() if c >= min_count),
+        (t for t, c in counts.items() if c >= min_count and t not in reserved),
         key=lambda t: (-counts[t], t),
     )
-    id_to_token = [PAD_TOKEN, UNK_TOKEN] + kept
+    id_to_token = reserved + kept
     return Vocab({t: i for i, t in enumerate(id_to_token)}, id_to_token)
 
 
@@ -227,8 +231,9 @@ def init_embeddings(vocab: Vocab, d: int, rng: np.random.Generator,
     """Random uniform(-0.1, 0.1) init, or rows copied from a whitespace
     separated ``token v1 .. vd`` text file with random fill for misses.
 
-    A copied row that is not d finite numbers is a TextError naming
-    ``path:line``."""
+    A row without d values, or a copied row that is not d finite numbers,
+    is a TextError naming ``path:line``. Rows of tokens outside the
+    vocabulary are not parsed: only their field count is checked."""
     if d < 1:
         raise TextError(f"embedding dimension must be >= 1, got {d}")
     weights = rng.uniform(-0.1, 0.1, size=(len(vocab), d)).astype(dtype)

@@ -12,6 +12,12 @@ only the loss, so it is garbage before the SGD step and the next batch's
 forward pass. The batch's dropout masks are drawn document by document in
 batch order, the stream per-document passes would draw. Evaluation runs
 one document at a time, through ``model.forward_doc``.
+
+Every batch graph reaches every parameter, and ``sgd_step`` updates each
+parameter and its velocity in place, with its gradient as scratch. No
+embedding row is special. The PAD row starts at zero with zero velocity.
+Padding is trimmed before the lookup and no text encodes to ``PAD_ID``,
+so the row's gradient is exactly zero and every step keeps it at zero.
 """
 
 from __future__ import annotations
@@ -31,7 +37,7 @@ from . import autodiff as ad
 from .classifier import ObjectiveConfig, REGULARIZERS
 from .model import (ENCODER_BIGRU, ModelParams, ParamStore, batch_objective, forward_batch,
                     forward_doc, init_model, param_shapes)
-from .text import PAD_ID, Dataset, EmbeddingMatrix, TextError, Vocab
+from .text import Dataset, EmbeddingMatrix, TextError, Vocab
 
 WEIGHTS_DTYPE = "<f4"  # little-endian IEEE-754 32-bit
 
@@ -110,20 +116,19 @@ class TrainHistory:
 
 
 def sgd_step(param: np.ndarray, grad: np.ndarray, velocity: np.ndarray,
-             lr: float, momentum: float, weight_decay: float,
-             frozen_rows=()) -> tuple[np.ndarray, np.ndarray]:
-    """One momentum step: v <- mu v + (g + wd p); p <- p - lr v.
+             lr: float, momentum: float, weight_decay: float) -> None:
+    """One momentum step, in place: v <- mu v + (g + wd p); p <- p - lr v.
 
-    ``frozen_rows`` are exempt from both the gradient and the decay, so a
-    zero-velocity frozen row never moves (the PAD embedding row).
+    ``param`` and ``velocity`` are updated and ``grad`` is used as scratch.
+    The ops and their order are those of the out-of-place formula, so the
+    result has the same bits.
     """
     if param.shape != grad.shape or param.shape != velocity.shape:
         raise ad.ShapeMismatchError("sgd_step", param.shape, grad.shape, velocity.shape)
-    g = grad + weight_decay * param  # a fresh array, safe to zero rows of
-    if frozen_rows:
-        g[list(frozen_rows)] = 0.0
-    new_velocity = momentum * velocity + g
-    return param - lr * new_velocity, new_velocity
+    grad += weight_decay * param
+    velocity *= momentum
+    velocity += grad
+    param -= lr * velocity
 
 
 @dataclass
@@ -219,8 +224,7 @@ class Checkpoint:
             if not np.isfinite(arr).all():
                 raise CheckpointError(f"corrupt checkpoint {ckpt_dir}: tensor {name} "
                                       f"holds a non-finite value")
-            store.add(name, np.array(arr, dtype=np.float32),
-                      frozen_rows=(PAD_ID,) if name == "W_e" else ())
+            store.add(name, np.array(arr, dtype=np.float32))
         params = ModelParams(store=store, d=config.d, h=config.h, m=config.m,
                              ctx=config.ctx, encoder=config.encoder,
                              mlp_hidden=config.mlp_hidden, num_classes=len(labels),
@@ -296,11 +300,8 @@ def train(config: TrainConfig, train_set: Dataset, valid_set: Dataset,
                 raise DivergenceError(epoch, batch_no, f"loss={batch_loss}")
             loss_sum += batch_loss
             for p in params.store:
-                node = nodes[p.name]
-                grad = node.grad if node.grad is not None else np.zeros_like(p.value)
-                p.value, velocities[p.name] = sgd_step(
-                    p.value, grad, velocities[p.name], config.lr,
-                    config.momentum, config.weight_decay, p.frozen_rows)
+                sgd_step(p.value, nodes[p.name].grad, velocities[p.name], config.lr,
+                         config.momentum, config.weight_decay)
 
         valid_acc = evaluate(params, valid_set).accuracy
         record = EpochRecord(epoch, loss_sum / len(docs), valid_acc,

@@ -40,7 +40,7 @@ class TestLamaCount:
                 rep = lama_param_count(20, 10, m, 77, 32, 4, ctx=ctx)
                 params = init_model(77, 4, np.random.default_rng(0), d=20, h=10,
                                     m=m, ctx=ctx, mlp_hidden=32)
-                assert rep.total == params.store.trainable_size()
+                assert rep.total == sum(p.value.size for p in params.store)
 
     def test_full_marginal_includes_classifier_growth(self):
         a = lama_param_count(20, 10, 3, 77, 32, 4)

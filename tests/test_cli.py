@@ -208,6 +208,21 @@ class TestEval:
         assert payload["accuracy"] >= 0.95
         assert len(payload["confusion"]) == 3
 
+    def test_reserved_tokens_in_text_round_trip(self, tmp_path):
+        # a reserved token kept from the text would be listed twice in
+        # vocab.txt, and eval could not load the checkpoint train wrote
+        pairs = marker_pairs(60, seed=4)
+        pairs = [(label, f"{t} <unk>" if k < 40 else f"<pad> {t}")
+                 for k, (label, t) in enumerate(pairs)]
+        write_tsv(pairs, tmp_path / "train.tsv")
+        code = run_cli("train", "--data", tmp_path / "train.tsv", "--valid",
+                       tmp_path / "train.tsv", "--out", tmp_path / "out",
+                       *TRAIN_FLAGS, "--epochs", "1")
+        assert code == 0
+        code = run_cli("eval", "--checkpoint", tmp_path / "out" / "checkpoint",
+                       "--data", tmp_path / "train.tsv", "--out", tmp_path / "eval")
+        assert code == 0
+
     def test_unknown_label_is_data_error(self, workspace, tmp_path):
         bad = tmp_path / "bad.tsv"
         bad.write_text("weird\tzing zing mundane0\n", encoding="utf-8")

@@ -36,10 +36,9 @@ class TestInit:
         with pytest.raises(ValueError, match="doc-mean"):
             tiny_model(ctx="doc-mean", d=5)  # d != 2h
 
-    def test_pad_row_zeroed_and_frozen(self):
+    def test_pad_row_zeroed(self):
         params = tiny_model()
         np.testing.assert_array_equal(params.store["W_e"].value[PAD_ID], 0.0)
-        assert params.store["W_e"].frozen_rows == (PAD_ID,)
 
     @pytest.mark.parametrize("encoder,ctx", [("bigru", "learned"), ("bigru", "doc-mean"),
                                              ("le", "learned"), ("le", "doc-mean")])

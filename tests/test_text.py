@@ -67,6 +67,15 @@ class TestBuildVocab:
             expected = {t for t, c in counts.items() if c >= 3}
             assert set(vocab.id_to_token[2:]) == expected
 
+    def test_reserved_tokens_in_text_are_not_kept(self, tmp_path):
+        # tokenize leaves "<pad>" and "<unk>" whole; kept, they would list a
+        # reserved token twice in vocab.txt, which then does not load
+        corpus = [tokenize("a <pad> <UNK> <unk>")] * 5
+        vocab = build_vocab(corpus, min_count=1)
+        assert vocab.id_to_token == [PAD_TOKEN, UNK_TOKEN, "a"]
+        vocab.save(tmp_path / "vocab.txt")
+        assert text.Vocab.load(tmp_path / "vocab.txt").id_to_token == vocab.id_to_token
+
     def test_roundtrip_through_file(self, tmp_path):
         vocab = build_vocab([["a", "b", "a"]], min_count=1)
         path = tmp_path / "vocab.txt"
@@ -86,6 +95,12 @@ class TestEncode:
         vocab = build_vocab([["a"] * 5], min_count=1)
         ids, _ = encode(["zzz"], vocab, max_len=2)
         assert ids[0] == UNK_ID
+
+    def test_reserved_tokens_in_text_map_to_unk(self):
+        vocab = build_vocab([["a"] * 5], min_count=1)
+        ids, true_length = encode([PAD_TOKEN, UNK_TOKEN], vocab, max_len=2)
+        np.testing.assert_array_equal(ids, [UNK_ID, UNK_ID])
+        assert true_length == 2
 
     def test_truncates_to_max_len(self):
         vocab = build_vocab([["a"] * 5], min_count=1)
@@ -201,3 +216,14 @@ class TestInitEmbeddings:
         np.testing.assert_array_equal(emb.weights[PAD_ID], 0.0)
         miss = emb.weights[tiny_vocab.lookup("bad")]
         assert np.abs(miss).max() <= 0.1
+
+    def test_out_of_vocab_rows_are_only_counted(self, tmp_path, tiny_vocab):
+        # rows of tokens outside the vocabulary are not parsed, so a bad
+        # value there passes; the same value in a copied row is an error
+        p = tmp_path / "vecs.txt"
+        p.write_text("zzz abc 1 2 3\ngood 1 2 3 4\n", encoding="utf-8")
+        emb = init_embeddings(tiny_vocab, 4, np.random.default_rng(0), pretrained_path=p)
+        np.testing.assert_array_equal(emb.weights[tiny_vocab.lookup("good")], [1, 2, 3, 4])
+        p.write_text("zzz 1 2 3 4\ngood abc 1 2 3\n", encoding="utf-8")
+        with pytest.raises(text.TextError, match=":2: "):
+            init_embeddings(tiny_vocab, 4, np.random.default_rng(0), pretrained_path=p)

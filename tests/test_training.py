@@ -8,51 +8,65 @@ from lama import autodiff as ad
 from lama import training as tr
 from lama.classifier import REGULARIZERS, ObjectiveConfig
 from lama.model import doc_objective, forward_batch, forward_doc, init_model
-from lama.synthetic import make_task
-from lama.text import PAD_ID, Document
+from lama.synthetic import keyword_pairs, make_task, pairs_to_dataset
+from lama.text import PAD_ID, UNK_ID, Document, build_vocab, tokenize
 from lama.training import (Checkpoint, DivergenceError, EvalMetrics,
                            LabelMismatchError, TrainConfig, evaluate,
                            heads_sweep, sgd_step, train)
+
+
+def step(p, g, v, **kw):
+    """sgd_step on copies; returns the new parameter and velocity."""
+    p, v = p.copy(), v.copy()
+    sgd_step(p, g.copy(), v, **kw)
+    return p, v
 
 
 class TestSgdStep:
     def test_vanilla_step_without_momentum_or_decay(self):
         p = np.array([[1.0, 2.0]])
         g = np.array([[0.5, -0.5]])
-        v = np.zeros_like(p)
-        new_p, new_v = sgd_step(p, g, v, lr=0.1, momentum=0.0, weight_decay=0.0)
+        new_p, new_v = step(p, g, np.zeros_like(p), lr=0.1, momentum=0.0,
+                            weight_decay=0.0)
         np.testing.assert_allclose(new_p, [[0.95, 2.05]])
         np.testing.assert_allclose(new_v, g)
 
     def test_zero_grad_zero_velocity_leaves_param(self):
         p = np.array([[3.0]])
-        new_p, _ = sgd_step(p, np.zeros_like(p), np.zeros_like(p),
-                            lr=0.5, momentum=0.9, weight_decay=0.0)
+        new_p, _ = step(p, np.zeros_like(p), np.zeros_like(p),
+                        lr=0.5, momentum=0.9, weight_decay=0.0)
         np.testing.assert_array_equal(new_p, p)
 
     def test_two_momentum_steps_accumulate(self):
         p = np.zeros((1, 1))
-        g = np.full((1, 1), 2.0)
         v = np.zeros_like(p)
-        p, v = sgd_step(p, g, v, lr=1.0, momentum=0.9, weight_decay=0.0)
-        p, v = sgd_step(p, g, v, lr=1.0, momentum=0.9, weight_decay=0.0)
+        for _ in range(2):
+            sgd_step(p, np.full((1, 1), 2.0), v, lr=1.0, momentum=0.9, weight_decay=0.0)
         # displacement g then 1.9 g
         np.testing.assert_allclose(p, [[-2.0 - 3.8]])
+        np.testing.assert_allclose(v, [[3.8]])
 
     def test_weight_decay_added_to_gradient(self):
         p = np.array([[10.0]])
-        new_p, _ = sgd_step(p, np.zeros_like(p), np.zeros_like(p),
-                            lr=0.1, momentum=0.0, weight_decay=0.01)
+        new_p, _ = step(p, np.zeros_like(p), np.zeros_like(p),
+                        lr=0.1, momentum=0.0, weight_decay=0.01)
         np.testing.assert_allclose(new_p, [[10.0 - 0.1 * 0.1]])
 
-    def test_frozen_rows_never_move(self):
-        p = np.ones((3, 2))
-        g = np.ones_like(p)
-        new_p, new_v = sgd_step(p, g, np.zeros_like(p), lr=0.1, momentum=0.9,
-                                weight_decay=0.05, frozen_rows=(0,))
-        np.testing.assert_array_equal(new_p[0], 1.0)
-        np.testing.assert_array_equal(new_v[0], 0.0)
-        assert (new_p[1:] < 1.0).all()
+    def test_bit_identical_to_out_of_place_formula(self):
+        # the in-place ops run in the order of v <- mu v + (g + wd p);
+        # p <- p - lr v written with fresh arrays, so every bit matches
+        rng = np.random.default_rng(7)
+        lr, mu, wd = 0.05, 0.9, 1e-4
+        p = rng.standard_normal((50, 20)).astype(np.float32)
+        v = np.zeros_like(p)
+        ref_p, ref_v = p.copy(), v.copy()
+        for _ in range(6):
+            g = rng.standard_normal(p.shape).astype(np.float32)
+            ref_v = mu * ref_v + (g + wd * ref_p)
+            ref_p = ref_p - lr * ref_v
+            sgd_step(p, g, v, lr, mu, wd)
+            assert p.dtype == v.dtype == np.float32
+            assert p.tobytes() == ref_p.tobytes() and v.tobytes() == ref_v.tobytes()
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(Exception, match="sgd_step"):
@@ -89,6 +103,21 @@ class TestTrainLoop:
         train_set, valid_set, vocab = keyword_task
         ckpt, _ = train(small_config(), train_set, valid_set, vocab)
         np.testing.assert_array_equal(ckpt.params.store["W_e"].value[PAD_ID], 0.0)
+
+    def test_literal_pad_token_leaves_pad_row_zero(self):
+        # a "<pad>" in the text encodes to UNK_ID, never to PAD_ID, so no
+        # gradient reaches the PAD row and momentum and decay keep it zero
+        pairs = keyword_pairs(64, seed=11)
+        pairs[0] = (pairs[0][0], "<pad> " + pairs[0][1])
+        pairs[1] = (pairs[1][0], pairs[1][1] + " <pad> <unk>")
+        vocab = build_vocab((tokenize(t) for _, t in pairs), min_count=2)
+        train_set = pairs_to_dataset(pairs, vocab)
+        valid_set = pairs_to_dataset(keyword_pairs(16, seed=12), vocab,
+                                     label_names=train_set.label_names)
+        assert train_set.documents[0].ids[0] == UNK_ID
+        for encoder in ("bigru", "le"):
+            ckpt, _ = train(small_config(encoder=encoder), train_set, valid_set, vocab)
+            np.testing.assert_array_equal(ckpt.params.store["W_e"].value[PAD_ID], 0.0)
 
     def test_early_stopping_plateau_runs_patience_more_epochs(self, keyword_task):
         # seeded dropout/shuffle makes accuracy wiggle; force a plateau by
@@ -187,6 +216,23 @@ class TestBatchGraph:
         for name in params.store.names():
             np.testing.assert_allclose(batch[name].grad, single[name].grad,
                                        rtol=1e-12, err_msg=name)
+
+    @pytest.mark.parametrize("encoder", ["bigru", "le"])
+    @pytest.mark.parametrize("ctx", ["learned", "doc-mean"])
+    @pytest.mark.parametrize("regularizer", REGULARIZERS)
+    def test_every_parameter_gets_a_gradient(self, encoder, ctx, regularizer):
+        # train steps every parameter with its gradient, so each batch
+        # graph must reach all of them; the PAD row's gradient is exactly 0
+        rng = np.random.default_rng(8)
+        params = init_model(vocab_size=12, num_classes=3, rng=rng, d=6, h=3, m=2,
+                            mlp_hidden=8, ctx=ctx, encoder=encoder)
+        nodes = params.store.nodes()
+        tr._backward_batch(params, nodes, ragged_docs(rng, [3, 1, 6], 12, 3),
+                           ObjectiveConfig(regularizer, 0.2), rng)
+        for p in params.store:
+            assert nodes[p.name].grad is not None, p.name
+            assert nodes[p.name].grad.shape == p.value.shape, p.name
+        assert not nodes["W_e"].grad[PAD_ID].any()
 
     def test_dropout_masks_are_drawn_in_document_order(self):
         rng = np.random.default_rng(6)
@@ -337,7 +383,7 @@ class TestCheckpointIO:
         loaded = Checkpoint.load(tmp_path / "ckpt")
         monkeypatch.undo()
         for saved, read in zip(ckpt.params.store, loaded.params.store):
-            assert (saved.name, saved.frozen_rows) == (read.name, read.frozen_rows)
+            assert saved.name == read.name
             np.testing.assert_array_equal(saved.value, read.value)
         assert evaluate(loaded, valid_set) == evaluate(ckpt, valid_set)
 
