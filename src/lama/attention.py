@@ -8,11 +8,13 @@ across heads, and a row-wise softmax to give each head a distribution over
 words. A dense (unfactorized) single-head scorer is kept as the exactness
 oracle for the factorized path.
 
-Every function here works on the L valid positions of one document only:
-``model.forward_doc`` trims the padding before the encoder, so no mask
-reaches the normalizations and padding a document further cannot perturb
-the attended output. ``attend`` can lay its attention out over the padded
-width for export, with exact zeros in the padded columns.
+Every function here works on the valid positions of a minibatch's
+documents, packed back to back as runs of ``lengths`` rows; one document
+is the one-run case. ``model`` trims the padding before the encoder, so no
+mask reaches the normalizations and padding a document further cannot
+perturb the attended output. Only the softmax over words, S = A H and the
+doc-mean context look at the runs. ``attend`` can lay one document's
+attention out over the padded width for export, padded columns exactly 0.
 
 With a single head (m = 1) the L2 step normalizes each word's column of
 one score by its own magnitude, so every word scores exactly +1 or -1
@@ -52,9 +54,13 @@ def init_attention_arrays(d_ann: int, m: int, rng: np.random.Generator,
     return out
 
 
-def doc_mean_context(doc_embeddings: Node) -> Node:
-    """Mean embedding of the (valid) tokens, as a column vector Node."""
-    return ad.transpose(ad.tmean(doc_embeddings, axis=0))
+def doc_mean_context(X: Node, lengths=None) -> Node:
+    """Each word's context column: the mean embedding of its document's
+    valid tokens, as a d x N Node over the N packed rows of ``X``."""
+    counts = np.asarray([X.shape[0]] if lengths is None else lengths)
+    weights = np.repeat(1.0 / counts, counts).astype(X.value.dtype)[None, :]
+    means = ad.segment_matmul(ad.constant(weights), X, lengths)
+    return ad.transpose(ad.take_rows(means, np.repeat(np.arange(counts.size), counts)))
 
 
 def word_transform(H: Node, W_w: Node, b_w: Node) -> Node:
@@ -74,51 +80,55 @@ def single_head_scores(U: Node, c: Node, W_i: Node) -> tuple[Node, Node]:
 
 
 def lama_scores(U: Node, c: Node, P: Node, Q: Node) -> Node:
-    """All m head scores at once: column t of F is (P^T c) o (Q^T u_t)."""
+    """All m head scores at once: column t of F is (P^T c) o (Q^T u_t), ``c``
+    one context column for all words or one column per word."""
     d_ann = U.shape[1]
     if P.shape[0] != d_ann or Q.shape[0] != d_ann or P.shape[1] != Q.shape[1] \
-            or c.shape != (d_ann, 1):
+            or c.shape[0] != d_ann or c.shape[1] not in (1, U.shape[0]):
         raise ad.ShapeMismatchError("lama_scores", U.shape, c.shape, P.shape, Q.shape)
-    ctx_proj = ad.matmul(ad.transpose(P), c)           # m x 1, broadcast over words
+    ctx_proj = ad.matmul(ad.transpose(P), c)           # m x 1 (broadcast) or m x T
     word_proj = ad.matmul(ad.transpose(Q), ad.transpose(U))  # m x T
     return ad.hadamard(ctx_proj, word_proj)
 
 
-def attention_matrix(F: Node, normalize: bool = True) -> Node:
-    """tanh -> per-word L2 across heads -> row softmax over the m x L scores.
+def attention_matrix(F: Node, normalize: bool = True, lengths=None) -> Node:
+    """tanh -> per-word L2 across heads -> softmax of each head over each
+    document's run of the m x N scores.
 
     ``normalize=False`` skips tanh+L2 (the dense single-head oracle applies
     the softmax directly to its scores).
     """
     core = ad.l2_normalize(ad.tanh(F), axis=0) if normalize else F
-    return ad.softmax(core, axis=1)
+    return ad.softmax(core, axis=1, lengths=lengths)
 
 
-def sentence_embedding(A: Node, H: Node) -> tuple[Node, Node]:
-    """S = A H (one row per head) and its row-major flattening d_doc."""
+def sentence_embedding(A: Node, H: Node, lengths=None) -> tuple[Node, Node]:
+    """S, the documents' m x d blocks A H stacked, and d_doc, whose column
+    b is block b flattened row-major."""
     if A.shape[1] != H.shape[0]:
         raise ad.ShapeMismatchError("sentence_embedding", A.shape, H.shape)
-    S = ad.matmul(A, H)
-    d_doc = ad.reshape(S, (S.shape[0] * S.shape[1], 1))
-    return S, d_doc
+    S = ad.segment_matmul(A, H, lengths)
+    m = A.shape[0]
+    return S, ad.transpose(ad.reshape(S, (S.shape[0] // m, m * H.shape[1])))
 
 
 @dataclass
 class AttentionOutput:
-    """Attention and sentence embedding for one document.
+    """Attention and sentence embeddings of the documents of ``lengths``.
 
     ``A_valid``/``S``/``d_doc`` are the graph nodes the model trains
-    through, built from the valid positions; ``total_length`` is the padded
-    width that ``A`` lays them out over.
+    through, built from the valid positions (see ``sentence_embedding``);
+    ``total_length`` is the padded width that ``A`` lays them out over.
     """
     A_valid: Node
     S: Node
     d_doc: Node
     total_length: int
+    lengths: list | None = None
 
     @property
     def A(self) -> np.ndarray:
-        """``A_valid``'s value over ``total_length`` positions, padded
+        """One document's ``A_valid`` over ``total_length`` positions, padded
         columns exactly zero. Built on each read; the model never reads it."""
         m, L = self.A_valid.shape
         A = np.zeros((m, self.total_length), dtype=self.A_valid.value.dtype)
@@ -127,16 +137,18 @@ class AttentionOutput:
 
 
 def attend(H_valid: Node, c: Node, W_w: Node, b_w: Node, P: Node, Q: Node,
-           total_length: int | None = None) -> AttentionOutput:
-    """Full pipeline over the L valid annotation rows of one document.
+           total_length: int | None = None, lengths=None) -> AttentionOutput:
+    """Full pipeline over the valid annotation rows of the documents of
+    ``lengths`` (one document when None).
 
     With the embedding-only encoder ``H_valid`` is the embedded rows
     themselves, so the attention dimension equals the embedding dimension.
     """
     U = word_transform(H_valid, W_w, b_w)
     F = lama_scores(U, c, P, Q)
-    A_valid = attention_matrix(F)
-    S, d_doc = sentence_embedding(A_valid, H_valid)
+    A_valid = attention_matrix(F, lengths=lengths)
+    S, d_doc = sentence_embedding(A_valid, H_valid, lengths)
     T = total_length if total_length is not None else A_valid.shape[1]
-    return AttentionOutput(A_valid=A_valid, S=S, d_doc=d_doc, total_length=T)
+    return AttentionOutput(A_valid=A_valid, S=S, d_doc=d_doc, total_length=T,
+                           lengths=lengths)
 

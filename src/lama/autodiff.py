@@ -24,11 +24,14 @@ time, run on the first of them that ``backward`` calls. Its finiteness
 check runs once, on the whole pre-activation buffer and on the output,
 through ``check_finite``.
 
-The pullbacks of ``take_rows`` and ``slice_rows`` return a ``RowGrad``
-rather than a dense array, and ``backward`` adds its rows into the
-parent's gradient in place, so an embedding lookup never materialises a
-|V| x d gradient per call, and the row blocks that split a minibatch's
-annotations into documents share one gradient array.
+The pullback of ``take_rows`` returns a ``RowGrad`` rather than a dense
+array, and ``backward`` adds its rows into the parent's gradient in place,
+so an embedding lookup never materialises a |V| x d gradient per call.
+
+A minibatch's documents lie in one node as runs of ``lengths`` rows.
+``softmax(lengths=)`` and ``segment_matmul`` work within each run; on one
+run they do exactly what the plain op does, so a one-document graph keeps
+its bits.
 
 ``dropout`` draws its mask one column after another, so a batch of
 column vectors draws the masks those columns would draw one at a time.
@@ -224,17 +227,31 @@ def stable_sigmoid(x: np.ndarray) -> np.ndarray:
     return np.where(x >= 0, 1.0 / d, e / d)
 
 
-def softmax(a: Node, axis: int = 1) -> Node:
-    """Softmax along ``axis`` with the max subtracted for stability."""
+def segment_runs(lengths, n: int, op: str) -> np.ndarray | None:
+    """``lengths``, the run lengths of ``n`` packed rows (or entries), as an
+    array checked to tile ``n``; None for a single run or no ``lengths``."""
+    if lengths is None or len(lengths) == 1 and lengths[0] == n:
+        return None
+    runs = np.asarray(lengths, dtype=np.int64)
+    if runs.ndim != 1 or runs.size == 0 or runs.min() < 1 or runs.sum() != n:
+        raise ShapeMismatchError(op, (n,), tuple(runs.tolist()))
+    return runs
+
+
+def softmax(a: Node, axis: int = 1, lengths=None) -> Node:
+    """Softmax along ``axis`` with the max subtracted for stability; with
+    ``lengths``, separately within each run of that many entries."""
     x = a.value
-    shifted = x - x.max(axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    out = e / e.sum(axis=axis, keepdims=True)
+    runs = segment_runs(lengths, x.shape[axis], "softmax")
 
-    def back(g):
-        return out * (g - (g * out).sum(axis=axis, keepdims=True))
+    def per_run(ufunc, v):
+        if runs is None:  # keeps the bits of the unsegmented reduction
+            return ufunc.reduce(v, axis=axis, keepdims=True)
+        return np.repeat(ufunc.reduceat(v, np.cumsum(runs) - runs, axis=axis), runs, axis=axis)
 
-    return _make("softmax", out, [(a, back)])
+    e = np.exp(x - per_run(np.maximum, x))
+    out = e / per_run(np.add, e)
+    return _make("softmax", out, [(a, lambda g: out * (g - per_run(np.add, g * out)))])
 
 
 L2_EPS = 1e-12
@@ -255,12 +272,10 @@ def l2_normalize(a: Node, axis: int = 0) -> Node:
 
 
 def concat(nodes, axis: int = 0) -> Node:
-    """Join nodes along ``axis``; a single node is returned as it is."""
+    """Join nodes along ``axis``."""
     nodes = list(nodes)
     if not nodes:
         raise ShapeMismatchError("concat", ())
-    if len(nodes) == 1:
-        return nodes[0]
     other = 1 - axis
     base = nodes[0].shape[other]
     for n in nodes[1:]:
@@ -279,23 +294,30 @@ def concat(nodes, axis: int = 0) -> Node:
     return _make("concat", out, [(n, make_pull(i)) for i, n in enumerate(nodes)])
 
 
+def segment_matmul(a: Node, b: Node, lengths=None) -> Node:
+    """``a[:, seg] @ b[seg]`` for each run ``seg`` of ``lengths`` columns of
+    ``a`` (rows of ``b``), stacked in run order; no ``lengths`` is ``a @ b``."""
+    av, bv = a.value, b.value
+    if av.shape[1] != bv.shape[0]:
+        raise ShapeMismatchError("segment_matmul", av.shape, bv.shape)
+    runs = segment_runs(lengths, av.shape[1], "segment_matmul")
+    segs = [slice(None)] if runs is None else [
+        slice(hi - n, hi) for hi, n in zip(np.cumsum(runs), runs)]
+
+    def blocks(g):
+        return zip(np.split(g, len(segs)), segs)
+
+    return _make("segment_matmul", np.concatenate([av[:, s] @ bv[s] for s in segs]), (
+        (a, lambda g: np.concatenate([gk @ bv[s].T for gk, s in blocks(g)], axis=1)),
+        (b, lambda g: np.concatenate([av[:, s].T @ gk for gk, s in blocks(g)])),
+    ))
+
+
 class RowGrad(NamedTuple):
     """A gradient that is zero outside a few rows: ``values[k]`` adds into
-    row ``rows[k]``, repeated rows accumulating. ``rows`` is an index array
-    or a slice."""
-    rows: np.ndarray | slice
+    row ``rows[k]``, repeated rows accumulating."""
+    rows: np.ndarray
     values: np.ndarray
-
-
-def slice_rows(a: Node, lo: int, hi: int) -> Node:
-    """Rows ``lo:hi`` of ``a``; all of its rows give ``a`` itself."""
-    if not 0 <= lo < hi <= a.shape[0]:
-        raise ShapeMismatchError("slice_rows", a.shape, (lo, hi))
-    if (lo, hi) == (0, a.shape[0]):
-        return a
-    rows = slice(lo, hi)
-    # a block of an already checked value needs no finiteness check
-    return Node(a.value[rows], "slice_rows", ((a, lambda g: RowGrad(rows, g)),))
 
 
 def take_rows(a: Node, indices) -> Node:
@@ -306,17 +328,6 @@ def take_rows(a: Node, indices) -> Node:
     if idx.size and (idx.min() < 0 or idx.max() >= a.shape[0]):
         raise ShapeMismatchError("take_rows", a.shape, (int(idx.min()), int(idx.max())))
     return _make("take_rows", a.value[idx, :], [(a, lambda g: RowGrad(idx, g))])
-
-
-def tsum(a: Node, axis=None) -> Node:
-    """Sum of all entries (scalar) or along an axis (keepdims)."""
-    out = a.value.sum(axis=axis, keepdims=True)
-    return _make("sum", out, [(a, lambda g: np.broadcast_to(g, a.shape).copy())])
-
-
-def tmean(a: Node, axis=None) -> Node:
-    n = a.value.size if axis is None else a.shape[axis]
-    return scale(tsum(a, axis=axis), 1.0 / n)
 
 
 def frobenius_sq(a: Node) -> Node:
@@ -406,10 +417,7 @@ def backward(root: Node) -> None:
                 continue
             if parent.grad is None:
                 parent.grad = np.zeros_like(parent.value)
-            if isinstance(contrib.rows, slice):
-                parent.grad[contrib.rows] += contrib.values
-            else:
-                np.add.at(parent.grad, contrib.rows, contrib.values)
+            np.add.at(parent.grad, contrib.rows, contrib.values)
         if node.parents:
             node.grad = None
 

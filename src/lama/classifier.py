@@ -5,6 +5,7 @@ attention heads disagree: D_penal penalizes overlap between the head
 distributions (via ||A A^T - I||_F^2), D_emb penalizes cosine similarity
 between the per-head sentence embeddings. Both are <= their maximum at
 perfectly disagreeing heads, so subtracting them pushes heads apart.
+Each is summed over the documents of ``attention``'s packed layout.
 """
 
 from __future__ import annotations
@@ -78,20 +79,24 @@ def cross_entropy(probs: Node, onehot: Node) -> Node:
     return ad.Node(out, "cross_entropy", ((probs, back_p), (onehot, back_y)))
 
 
-def disagreement_positions(A: Node) -> Node:
-    """D_penal = -||A A^T - I||_F^2 (0 exactly when rows are orthonormal)."""
+def disagreement_positions(A: Node, lengths=None) -> Node:
+    """D_penal = -||A A^T - I||_F^2 over each document's run of columns,
+    summed (0 exactly when every document's rows are orthonormal)."""
     m = A.shape[0]
-    gram = ad.matmul(A, ad.transpose(A))
-    eye = ad.constant(np.eye(m, dtype=A.value.dtype))
-    diff = ad.add(gram, ad.scale(eye, -1.0))
-    return ad.scale(ad.frobenius_sq(diff), -1.0)
+    gram = ad.segment_matmul(A, ad.transpose(A), lengths)  # one m x m block each
+    minus_eye = np.tile(-np.eye(m, dtype=A.value.dtype), (gram.shape[0] // m, 1))
+    return ad.scale(ad.frobenius_sq(ad.add(gram, ad.constant(minus_eye))), -1.0)
 
 
-def disagreement_embeddings(S: Node) -> Node:
-    """D_emb = -(1/m^2) sum_ij cos(s_i, s_j), diagonal included."""
-    normalized = ad.l2_normalize(S, axis=1)
-    cosines = ad.matmul(normalized, ad.transpose(normalized))
-    return ad.scale(ad.tmean(cosines), -1.0)
+def disagreement_embeddings(S: Node, m: int | None = None) -> Node:
+    """D_emb = -(1/m^2) sum_ij cos(s_i, s_j), diagonal included, summed
+    over the m-row blocks of S (one block when ``m`` is None). A block's
+    cosines sum to the squared norm of the sum of its unit rows."""
+    m = S.shape[0] if m is None else m
+    unit = ad.l2_normalize(S, axis=1)
+    ones = ad.constant(np.ones((1, S.shape[0]), dtype=S.value.dtype))
+    sums = ad.segment_matmul(ones, unit, [m] * (S.shape[0] // m))
+    return ad.scale(ad.frobenius_sq(sums), -1.0 / (m * m))
 
 
 def total_objective(loss: Node, disagreement: Node | None, lam: float) -> Node:
@@ -113,9 +118,9 @@ class ObjectiveConfig:
             raise ValueError("lambda must be >= 0")
 
 
-def disagreement(config: ObjectiveConfig, A: Node, S: Node) -> Node | None:
+def disagreement(config: ObjectiveConfig, A: Node, S: Node, lengths=None) -> Node | None:
     if config.regularizer == "positions":
-        return disagreement_positions(A)
+        return disagreement_positions(A, lengths)
     if config.regularizer == "embeddings":
-        return disagreement_embeddings(S)
+        return disagreement_embeddings(S, A.shape[0])
     return None

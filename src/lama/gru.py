@@ -93,12 +93,9 @@ def _packed_schedule(lengths, rows: int, reverse: bool = False):
     previous step's. ``reverse`` walks each segment from its last row.
     ``perm`` indexes rows: an index array, or for one segment a slice.
     """
-    if lengths is None or len(lengths) == 1 and lengths[0] == rows:
+    lengths = ad.segment_runs(lengths, rows, "gru_scan")
+    if lengths is None:
         return slice(None, None, -1 if reverse else 1), [1] * rows
-    lengths = np.asarray(lengths, dtype=np.int64)
-    if lengths.ndim != 1 or lengths.size == 0 or lengths.min() < 1 \
-            or lengths.sum() != rows:
-        raise ad.ShapeMismatchError("gru_scan", (rows,), tuple(lengths.tolist()))
     by_length = np.argsort(-lengths, kind="stable")
     sorted_lengths = lengths[by_length]
     # row-major nonzero lists step 0's segments first, then step 1's, ...

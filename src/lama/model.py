@@ -4,10 +4,11 @@ Parameters live in a ``ParamStore`` (ordered name -> array registry). A
 forward pass builds a fresh graph over leaf Nodes wrapping those arrays.
 ``forward_batch`` builds one graph for a whole minibatch: one embedding
 lookup over the documents' concatenated ids, one packed BiGRU scan per
-direction (see ``gru``), attention per document on its own block of
+direction (see ``gru``), one ``attention.attend`` over the packed
 annotation rows, and one classifier pass over the m*d_ann x B matrix of
-sentence embeddings. The trainer backpropagates that graph once per
-batch. ``forward_doc`` is the one-document case of the same path.
+sentence embeddings, so its node count does not depend on the batch size.
+The trainer backpropagates it once per batch. ``forward_doc`` is the
+one-document case of the same path.
 
 Dropout in the classifier draws one mask column per document, in batch
 order, from one hidden x B draw; that is the stream B one-document passes
@@ -26,7 +27,6 @@ encoder, attention and classifier only ever see the real tokens.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
 
 import numpy as np
 
@@ -161,6 +161,7 @@ def init_model(vocab_size: int, num_classes: int, rng: np.random.Generator, *,
 
 @dataclass
 class ForwardPass:
+    """Column i of ``logits`` and ``probs`` is document i; ``attn`` spans all."""
     logits: Node
     probs: Node
     attn: AttentionOutput
@@ -168,15 +169,6 @@ class ForwardPass:
     @property
     def prediction(self) -> int:
         return int(np.argmax(self.probs.value))
-
-
-@dataclass
-class BatchPass:
-    """A minibatch's forward pass: column i of ``logits`` and ``probs``, and
-    ``attns[i]``, belong to document i."""
-    logits: Node
-    probs: Node
-    attns: list
 
 
 def _valid_ids(ids, true_length: int | None) -> np.ndarray:
@@ -189,34 +181,25 @@ def _valid_ids(ids, true_length: int | None) -> np.ndarray:
 
 
 def _forward(params: ModelParams, nodes: dict, id_rows: list, train: bool,
-             rng: np.random.Generator | None) -> BatchPass:
-    """One graph over the valid ids of each document: one embedding lookup
-    and one BiGRU scan per direction for all rows, attention per document
-    on its block of rows, and one classifier pass over the joined
-    sentence embeddings, one column per document."""
+             rng: np.random.Generator | None) -> ForwardPass:
+    """One graph over the valid ids of each document: one embedding lookup,
+    BiGRU scan per direction, attention pass and classifier pass for all."""
     lengths = [len(ids) for ids in id_rows]
     X = ad.take_rows(nodes["W_e"], np.concatenate(id_rows))
 
     if params.encoder == ENCODER_BIGRU:
-        fwd = gru.GruCell.from_nodes(nodes, "gru_f.")
-        bwd = gru.GruCell.from_nodes(nodes, "gru_b.")
-        H = gru.bigru_encode(X, fwd, bwd, lengths)
+        H = gru.bigru_encode(X, gru.GruCell.from_nodes(nodes, "gru_f."),
+                             gru.GruCell.from_nodes(nodes, "gru_b."), lengths)
     else:
         H = X
 
-    attns = []
-    for hi, L in zip(np.cumsum(lengths).tolist(), lengths):
-        if params.ctx == CTX_LEARNED:
-            c = nodes["attn.c"]
-        else:
-            c = attention.doc_mean_context(ad.slice_rows(X, hi - L, hi))
-        attns.append(attention.attend(ad.slice_rows(H, hi - L, hi), c, nodes["attn.W_w"],
-                                      nodes["attn.b_w"], nodes["attn.P"], nodes["attn.Q"]))
-    d_docs = ad.concat([a.d_doc for a in attns], axis=1)
-    probs, logits = classifier.classify(d_docs, nodes["cls.W1"], nodes["cls.b1"],
+    c = nodes["attn.c"] if params.ctx == CTX_LEARNED else attention.doc_mean_context(X, lengths)
+    attn = attention.attend(H, c, nodes["attn.W_w"], nodes["attn.b_w"], nodes["attn.P"],
+                            nodes["attn.Q"], lengths=lengths)
+    probs, logits = classifier.classify(attn.d_doc, nodes["cls.W1"], nodes["cls.b1"],
                                         nodes["cls.W_c"], nodes["cls.b_c"],
                                         params.dropout, train=train, rng=rng)
-    return BatchPass(logits=logits, probs=probs, attns=attns)
+    return ForwardPass(logits=logits, probs=probs, attn=attn)
 
 
 def forward_doc(params: ModelParams, nodes: dict, ids, true_length: int | None = None,
@@ -227,12 +210,11 @@ def forward_doc(params: ModelParams, nodes: dict, ids, true_length: int | None =
     them when it is None) reach the embedding lookup, so padded and
     unpadded calls are bit-identical.
     """
-    out = _forward(params, nodes, [_valid_ids(ids, true_length)], train, rng)
-    return ForwardPass(logits=out.logits, probs=out.probs, attn=out.attns[0])
+    return _forward(params, nodes, [_valid_ids(ids, true_length)], train, rng)
 
 
 def forward_batch(params: ModelParams, nodes: dict, docs, train: bool = False,
-                  rng: np.random.Generator | None = None) -> BatchPass:
+                  rng: np.random.Generator | None = None) -> ForwardPass:
     """Run a minibatch of ``text.Document``s through the model as one graph.
 
     Each document is trimmed to its ``true_length`` first. Dropout draws
@@ -243,26 +225,18 @@ def forward_batch(params: ModelParams, nodes: dict, docs, train: bool = False,
                     train, rng)
 
 
-def _objective(logits: Node, labels, attns, num_classes: int,
-               objective: classifier.ObjectiveConfig) -> Node:
+def batch_objective(fw: ForwardPass, labels, num_classes: int,
+                    objective: classifier.ObjectiveConfig) -> Node:
     """Summed over the documents: cross-entropy (fused, on the logits
-    column of each) plus its selected disagreement term."""
-    y = np.zeros((num_classes, len(labels)), dtype=logits.value.dtype)
+    column of each) plus the selected disagreement term."""
+    y = np.zeros((num_classes, len(labels)), dtype=fw.logits.value.dtype)
     y[labels, np.arange(len(labels))] = 1.0
-    loss = ad.softmax_cross_entropy(logits, ad.constant(y))
-    if objective.regularizer == "none":
-        return loss
-    d = reduce(ad.add, [classifier.disagreement(objective, a.A_valid, a.S) for a in attns])
+    loss = ad.softmax_cross_entropy(fw.logits, ad.constant(y))
+    d = classifier.disagreement(objective, fw.attn.A_valid, fw.attn.S, fw.attn.lengths)
     return classifier.total_objective(loss, d, objective.lam)
 
 
 def doc_objective(fw: ForwardPass, label: int, num_classes: int,
                   objective: classifier.ObjectiveConfig) -> Node:
-    """Cross-entropy (fused, on logits) plus the selected disagreement term."""
-    return _objective(fw.logits, [label], [fw.attn], num_classes, objective)
-
-
-def batch_objective(batch: BatchPass, labels, num_classes: int,
-                    objective: classifier.ObjectiveConfig) -> Node:
-    """The sum over the batch's documents of their ``doc_objective``."""
-    return _objective(batch.logits, labels, batch.attns, num_classes, objective)
+    """``batch_objective`` of a one-document pass."""
+    return batch_objective(fw, [label], num_classes, objective)

@@ -1,6 +1,7 @@
 """Tokenization, vocabulary construction, embeddings and dataset ingestion.
 
-Datasets are TSV files, one document per line: ``label<TAB>text``. The
+Datasets are TSV files, one document per line: ``label<TAB>text``. TSV and
+embedding files are read as UTF-8, a leading byte order mark skipped. The
 vocabulary reserves id 0 for padding and id 1 for unknown tokens and keeps
 the remaining ids dense, ordered by descending frequency then token.
 """
@@ -160,7 +161,7 @@ def read_tsv(path) -> list[tuple[int, str, str]]:
     failing fast with the line number on malformed input."""
     rows = []
     try:
-        fh = open(path, encoding="utf-8")
+        fh = open(path, encoding="utf-8-sig")
     except OSError as exc:
         raise FileOpenError(f"cannot open dataset {path}: {exc}") from exc
     with fh:
@@ -172,7 +173,7 @@ def read_tsv(path) -> list[tuple[int, str, str]]:
                 if "\t" not in line:
                     raise MalformedLineError(path, line_no, "expected label<TAB>text")
                 label, text = line.split("\t", 1)
-                if not label:
+                if not label.strip():
                     raise MalformedLineError(path, line_no, "empty label")
                 if not text.strip():
                     raise MalformedLineError(path, line_no, "empty document text")
@@ -241,7 +242,7 @@ def init_embeddings(vocab: Vocab, d: int, rng: np.random.Generator,
     if pretrained_path is not None:
         hits = 0
         try:
-            fh = open(pretrained_path, encoding="utf-8")
+            fh = open(pretrained_path, encoding="utf-8-sig")
         except OSError as exc:
             raise FileOpenError(f"cannot open embeddings {pretrained_path}: {exc}") from exc
         with fh:

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lama import attention as att
 from lama import autodiff as ad
@@ -34,7 +35,7 @@ class TestWordTransform:
         W = rng.standard_normal((3, 3)) * 0.5
         b = rng.standard_normal((3, 1)) * 0.5
         report = ad.grad_check(
-            lambda p: ad.tsum(word_transform(ad.constant(H), p[0], p[1])),
+            lambda p: ad.frobenius_sq(word_transform(ad.constant(H), p[0], p[1])),
             [W, b], step=1e-5, tolerance=1e-6)
         assert report.passed, report.max_rel_errors
 
@@ -48,7 +49,7 @@ class TestContextInit:
     def test_doc_mean_opposite_embeddings_cancel(self):
         x = np.array([[1.0, -2.0], [-1.0, 2.0]])
         c = doc_mean_context(ad.leaf(x))
-        np.testing.assert_array_equal(c.value, np.zeros((2, 1)))
+        np.testing.assert_array_equal(c.value, np.zeros((2, 2)))  # one column per word
 
     def test_learned_mode_reproducible_from_seed(self):
         a = att.init_attention_arrays(8, 2, np.random.default_rng(42), ctx="learned")
@@ -296,3 +297,48 @@ class TestLamaEncoder:
                      nodes["attn.Q"])
         np.testing.assert_array_equal(fw.attn.A, out.A)
         np.testing.assert_array_equal(fw.attn.S.value, out.S.value)
+
+
+class TestPackedDocuments:
+    """``attend`` over the packed rows of several documents equals
+    ``attend`` over each document on its own."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(lengths=st.lists(st.integers(1, 9), min_size=1, max_size=6),
+           d_ann=st.integers(1, 6), m=st.integers(1, 4),
+           doc_mean=st.booleans(), seed=st.integers(0, 2**32 - 1))
+    def test_packed_attend_matches_each_document(self, lengths, d_ann, m, doc_mean, seed):
+        rng = np.random.default_rng(seed)
+        H = rng.standard_normal((sum(lengths), d_ann))
+        weights = [ad.leaf(rng.standard_normal(shape) * 0.5)
+                   for shape in ((d_ann, 1), (d_ann, d_ann), (d_ann, 1), (d_ann, m), (d_ann, m))]
+        c, W_w, b_w, P, Q = weights
+        packed = attend(ad.leaf(H), doc_mean_context(ad.leaf(H), lengths) if doc_mean else c,
+                        W_w, b_w, P, Q, lengths=lengths)
+        assert packed.S.shape == (len(lengths) * m, d_ann)
+        assert packed.d_doc.shape == (m * d_ann, len(lengths))
+        for b, hi in enumerate(np.cumsum(lengths)):
+            H_b = ad.leaf(H[hi - lengths[b]:hi])
+            one = attend(H_b, doc_mean_context(H_b) if doc_mean else c, W_w, b_w, P, Q)
+            tol = dict(rtol=1e-12, atol=1e-14)
+            np.testing.assert_allclose(packed.A_valid.value[:, hi - lengths[b]:hi],
+                                       one.A_valid.value, **tol)
+            np.testing.assert_allclose(packed.S.value[b * m:(b + 1) * m], one.S.value, **tol)
+            np.testing.assert_allclose(packed.d_doc.value[:, b:b + 1], one.d_doc.value, **tol)
+
+    def test_one_document_is_the_unsegmented_case(self):
+        rng = np.random.default_rng(22)
+        H, c, P, Q = nodes_for(rng, 5, 4, 3)
+        W_w, b_w = ad.leaf(np.eye(4)), ad.leaf(np.zeros((4, 1)))
+        plain, one_run = attend(H, c, W_w, b_w, P, Q), attend(H, c, W_w, b_w, P, Q, lengths=[5])
+        for attr in ("A_valid", "S", "d_doc"):
+            np.testing.assert_array_equal(getattr(one_run, attr).value,
+                                          getattr(plain, attr).value)
+
+    def test_lengths_must_tile_the_rows(self):
+        rng = np.random.default_rng(23)
+        H, c, P, Q = nodes_for(rng, 5, 4, 3)
+        for lengths in ([2, 2], [5, 0], [3, 3]):
+            with pytest.raises(ad.ShapeMismatchError, match="softmax"):
+                attend(H, c, ad.leaf(np.eye(4)), ad.leaf(np.zeros((4, 1))), P, Q,
+                       lengths=lengths)

@@ -12,6 +12,13 @@ def rand(rng, *shape):
     return rng.standard_normal(shape)
 
 
+def total(node):
+    """The sum of all entries of ``node``, as a (1, 1) root."""
+    rows, cols = node.shape
+    return ad.matmul(ad.matmul(ad.constant(np.ones((1, rows))), node),
+                     ad.constant(np.ones((cols, 1))))
+
+
 class TestForward:
     def test_matmul_identity(self):
         rng = np.random.default_rng(0)
@@ -79,24 +86,11 @@ class TestBackward:
         rng = np.random.default_rng(2)
         x = ad.leaf(rand(rng, 3, 4), requires_grad=True)
         hidden = ad.tanh(x)
-        root = ad.tsum(ad.hadamard(hidden, hidden))
+        root = total(ad.hadamard(hidden, hidden))
         ad.backward(root)
         assert hidden.grad is None and root.grad is None
         np.testing.assert_allclose(x.grad, 2 * hidden.value * (1 - hidden.value ** 2),
                                    rtol=1e-12)
-
-    def test_slice_rows_of_all_rows_is_the_node_itself(self):
-        x = ad.leaf(np.ones((3, 2)))
-        assert ad.slice_rows(x, 0, 3) is x
-        for lo, hi in ((1, 1), (2, 4), (-1, 2)):
-            with pytest.raises(ad.ShapeMismatchError, match="slice_rows"):
-                ad.slice_rows(x, lo, hi)
-
-    def test_sum_gradient_is_ones(self):
-        rng = np.random.default_rng(3)
-        x = ad.leaf(rand(rng, 3, 4), requires_grad=True)
-        ad.backward(ad.tsum(x))
-        np.testing.assert_array_equal(x.grad, np.ones((3, 4)))
 
     def test_frobenius_gradient_is_2x(self):
         rng = np.random.default_rng(4)
@@ -110,7 +104,7 @@ class TestBackward:
         av, bv = rand(rng, 2, 5), rand(rng, 2, 5)
         a = ad.leaf(av, requires_grad=True)
         b = ad.leaf(bv, requires_grad=True)
-        ad.backward(ad.tsum(ad.hadamard(a, b)))
+        ad.backward(total(ad.hadamard(a, b)))
         np.testing.assert_allclose(a.grad, bv, rtol=1e-12)
         np.testing.assert_allclose(b.grad, av, rtol=1e-12)
 
@@ -119,11 +113,11 @@ class TestBackward:
         for _ in range(10):
             xv = rand(rng, 3, 2)
             x = ad.leaf(xv, requires_grad=True)
-            ad.backward(ad.add(ad.tsum(ad.tanh(x)), ad.frobenius_sq(x)))
+            ad.backward(ad.add(total(ad.tanh(x)), ad.frobenius_sq(x)))
             combined = x.grad.copy()
 
             x1 = ad.leaf(xv, requires_grad=True)
-            ad.backward(ad.tsum(ad.tanh(x1)))
+            ad.backward(total(ad.tanh(x1)))
             x2 = ad.leaf(xv, requires_grad=True)
             ad.backward(ad.frobenius_sq(x2))
             np.testing.assert_allclose(combined, x1.grad + x2.grad, rtol=1e-10)
@@ -131,7 +125,7 @@ class TestBackward:
     def test_take_rows_accumulates_repeats(self):
         w = ad.leaf(np.arange(12.0).reshape(4, 3), requires_grad=True)
         out = ad.take_rows(w, [1, 1, 2])
-        ad.backward(ad.tsum(out))
+        ad.backward(total(out))
         expected = np.zeros((4, 3))
         expected[1] = 2.0
         expected[2] = 1.0
@@ -139,25 +133,27 @@ class TestBackward:
 
 
 PRIMITIVE_BUILDERS = {
-    "matmul": lambda p: ad.tsum(ad.matmul(p[0], p[1])),
-    "add": lambda p: ad.tsum(ad.tanh(ad.add(p[0], p[1]))),
+    "matmul": lambda p: total(ad.matmul(p[0], p[1])),
+    "add": lambda p: total(ad.tanh(ad.add(p[0], p[1]))),
     # add broadcasting a bias column over every column of a matrix
-    "bias_add": lambda p: ad.tsum(ad.tanh(ad.add(p[0], ad.tmean(p[1], axis=1)))),
-    "hadamard": lambda p: ad.tsum(ad.hadamard(p[0], p[1])),
-    "tanh": lambda p: ad.tsum(ad.tanh(p[0])),
-    "softmax": lambda p: ad.tsum(ad.hadamard(ad.softmax(p[0], axis=1), p[1])),
-    "l2_normalize": lambda p: ad.tsum(ad.hadamard(ad.l2_normalize(p[0], axis=0), p[1])),
-    "concat": lambda p: ad.tsum(ad.tanh(ad.concat([p[0], p[1]], axis=0))),
-    "sum_axis": lambda p: ad.tsum(ad.tanh(ad.tsum(ad.scale(p[0], 0.3), axis=1))),
-    "mean": lambda p: ad.scale(ad.tmean(ad.hadamard(p[0], p[0])), 3.0),
-    "scale": lambda p: ad.tsum(ad.scale(p[0], -2.5)),
+    "bias_add": lambda p: total(ad.tanh(ad.add(
+        p[0], ad.matmul(p[1], ad.constant(np.full((5, 1), 0.2)))))),
+    "hadamard": lambda p: total(ad.hadamard(p[0], p[1])),
+    "tanh": lambda p: total(ad.tanh(p[0])),
+    "softmax": lambda p: total(ad.hadamard(ad.softmax(p[0], axis=1), p[1])),
+    # one softmax per run of columns, a one-column run included
+    "softmax_segments": lambda p: total(ad.hadamard(
+        ad.softmax(p[0], axis=1, lengths=[2, 1, 2]), p[1])),
+    "l2_normalize": lambda p: total(ad.hadamard(ad.l2_normalize(p[0], axis=0), p[1])),
+    "concat": lambda p: total(ad.tanh(ad.concat([p[0], p[1]], axis=0))),
+    "scale": lambda p: total(ad.scale(p[0], -2.5)),
     "frobenius": lambda p: ad.frobenius_sq(p[0]),
-    "transpose": lambda p: ad.tsum(ad.hadamard(ad.transpose(p[0]), ad.transpose(p[1]))),
-    "reshape": lambda p: ad.tsum(ad.tanh(ad.reshape(p[0], (1, p[0].value.size)))),
+    "transpose": lambda p: total(ad.hadamard(ad.transpose(p[0]), ad.transpose(p[1]))),
+    "reshape": lambda p: total(ad.tanh(ad.reshape(p[0], (1, p[0].value.size)))),
     "take_rows": lambda p: ad.frobenius_sq(ad.take_rows(p[0], [0, 2, 2, 1])),
-    # two overlapping row blocks of one node add into its one gradient
-    "slice_rows": lambda p: ad.tsum(ad.add(ad.tanh(ad.slice_rows(p[0], 0, 2)),
-                                           ad.slice_rows(p[0], 1, 3))),
+    # a 3 x 3 product per run of 2 and 3 columns of p[0] (rows of p[1]^T)
+    "segment_matmul": lambda p: total(ad.tanh(
+        ad.segment_matmul(p[0], ad.transpose(p[1]), [2, 3]))),
     "softmax_xent": lambda p: ad.softmax_cross_entropy(
         ad.reshape(p[0], (p[0].value.size, 1)),
         ad.constant(np.eye(p[0].value.size)[2].reshape(-1, 1))),
@@ -194,7 +190,7 @@ class TestGradCheckHarness:
 
     def test_rejects_nonpositive_step(self):
         with pytest.raises(ad.AutodiffError):
-            ad.grad_check(lambda p: ad.tsum(p[0]), [np.ones((1, 1))], step=0.0)
+            ad.grad_check(lambda p: total(p[0]), [np.ones((1, 1))], step=0.0)
 
 
 class TestDropout:
@@ -223,7 +219,7 @@ class TestDropout:
         rng = np.random.default_rng(11)
         x = ad.leaf(np.ones((6, 6)), requires_grad=True)
         out = ad.dropout(x, 0.5, rng, train=True)
-        ad.backward(ad.tsum(out))
+        ad.backward(total(out))
         np.testing.assert_array_equal(x.grad, (out.value != 0) * 2.0)
 
 

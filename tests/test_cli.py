@@ -223,6 +223,13 @@ class TestEval:
                        "--data", tmp_path / "train.tsv", "--out", tmp_path / "eval")
         assert code == 0
 
+    def test_byte_order_mark_prefixed_data_evaluates(self, workspace, tmp_path):
+        data = tmp_path / "bom.tsv"
+        data.write_bytes(b"\xef\xbb\xbf" + workspace["valid"].read_bytes())
+        code = run_cli("eval", "--checkpoint", workspace["ckpt"], "--data", data,
+                       "--out", tmp_path / "out")
+        assert code == 0
+
     def test_unknown_label_is_data_error(self, workspace, tmp_path):
         bad = tmp_path / "bad.tsv"
         bad.write_text("weird\tzing zing mundane0\n", encoding="utf-8")

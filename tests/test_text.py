@@ -2,11 +2,12 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lama import synthetic, text
 from lama.text import (PAD_ID, PAD_TOKEN, UNK_ID, UNK_TOKEN, EmptyCorpusError,
                        MalformedLineError, build_vocab, encode, init_embeddings,
-                       load_dataset, tokenize)
+                       load_dataset, read_tsv, tokenize)
 from lama.synthetic import pairs_to_dataset, write_tsv
 
 
@@ -154,6 +155,19 @@ class TestLoadDataset:
         assert ds.label_names == ["b", "a"]
         assert [d.label for d in ds.documents] == [0, 1, 0]
 
+    def test_byte_order_mark_is_not_part_of_the_first_label(self, tmp_path, tiny_vocab):
+        p = tmp_path / "data.tsv"
+        p.write_bytes("\ufeffpos\tgood\nneg\tbad\npos\tfine\n".encode("utf-8"))
+        ds = load_dataset(p, tiny_vocab, max_len=8)
+        assert ds.label_names == ["pos", "neg"]
+
+    @pytest.mark.parametrize("label", [" ", "\t", "\u3000 "])
+    def test_whitespace_label_is_empty(self, tmp_path, tiny_vocab, label):
+        p = tmp_path / "data.tsv"
+        p.write_text(f"pos\tgood\n{label}\tgood day\n", encoding="utf-8")
+        with pytest.raises(MalformedLineError, match=":2: empty label"):
+            load_dataset(p, tiny_vocab)
+
     def test_missing_file_is_io_error(self, tiny_vocab):
         with pytest.raises(text.FileOpenError, match="cannot open"):
             load_dataset("/nonexistent/nope.tsv", tiny_vocab)
@@ -185,6 +199,29 @@ class TestLoadDataset:
         assert len(calls) == 60
 
 
+# labels hold no tab or line break (and no BOM, which a file may start
+# with); texts hold no line break, tabs allowed; neither is blank
+LABELS = st.text(st.characters(blacklist_categories=("Cs",),
+                               blacklist_characters="\t\n\r\ufeff"), min_size=1).filter(str.strip)
+TEXTS = st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters="\n\r"),
+                min_size=1).filter(str.strip)
+
+
+class TestReadTsv:
+    @settings(max_examples=60, deadline=None)
+    @given(rows=st.lists(st.tuples(LABELS, TEXTS, st.integers(0, 2)), min_size=1, max_size=8),
+           bom=st.booleans(), newline=st.sampled_from(["\n", "\r\n"]))
+    def test_round_trip(self, tmp_path_factory, rows, bom, newline):
+        lines, expected = [], []
+        for label, body, blanks in rows:
+            lines += [""] * blanks + [f"{label}\t{body}"]
+            expected.append((len(lines), label, body))
+        p = tmp_path_factory.mktemp("tsv") / "data.tsv"
+        p.write_bytes(("\ufeff" if bom else "").encode("utf-8")
+                      + (newline.join(lines) + newline).encode("utf-8"))
+        assert read_tsv(p) == expected
+
+
 class TestInitEmbeddings:
     def test_random_shape_and_zero_pad_row(self, tiny_vocab):
         emb = init_embeddings(tiny_vocab, 16, np.random.default_rng(0))
@@ -202,6 +239,13 @@ class TestInitEmbeddings:
         emb = init_embeddings(vocab, 4, np.random.default_rng(0), pretrained_path=p)
         assert emb.coverage == pytest.approx(0.3)
         np.testing.assert_array_equal(emb.weights[vocab.lookup("t0")], 0.5)
+
+    def test_byte_order_mark_does_not_hide_the_first_row(self, tmp_path, tiny_vocab):
+        p = tmp_path / "vecs.txt"
+        p.write_bytes("\ufeffgood 1 2 3 4\nbad 5 6 7 8\n".encode("utf-8"))
+        emb = init_embeddings(tiny_vocab, 4, np.random.default_rng(0), pretrained_path=p)
+        assert emb.coverage == pytest.approx(2 / (len(tiny_vocab) - 2))
+        np.testing.assert_array_equal(emb.weights[tiny_vocab.lookup("good")], [1, 2, 3, 4])
 
     def test_dimension_mismatch_is_error(self, tmp_path, tiny_vocab):
         p = tmp_path / "vecs.txt"

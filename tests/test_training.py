@@ -7,7 +7,7 @@ from conftest import graph_nodes
 from lama import autodiff as ad
 from lama import training as tr
 from lama.classifier import REGULARIZERS, ObjectiveConfig
-from lama.model import doc_objective, forward_batch, forward_doc, init_model
+from lama.model import batch_objective, doc_objective, forward_batch, forward_doc, init_model
 from lama.synthetic import keyword_pairs, make_task, pairs_to_dataset
 from lama.text import PAD_ID, UNK_ID, Document, build_vocab, tokenize
 from lama.training import (Checkpoint, DivergenceError, EvalMetrics,
@@ -188,16 +188,21 @@ def ragged_docs(rng, lengths, vocab_size, num_classes, pad=3):
             for L in lengths]
 
 
+# (encoder, ctx) pairs; a learned context keeps the bare encoder as its id
+ENCODER_CTX = [pytest.param(encoder, ctx, id=encoder if ctx == "learned" else f"{encoder}-{ctx}")
+               for ctx in ("learned", "doc-mean") for encoder in ("bigru", "le")]
+
+
 class TestBatchGraph:
-    @pytest.mark.parametrize("encoder", ["bigru", "le"])
+    @pytest.mark.parametrize(("encoder", "ctx"), ENCODER_CTX)
     @pytest.mark.parametrize("regularizer", REGULARIZERS)
     def test_batch_grads_equal_summed_doc_grads(
-            self, encoder, regularizer):
+            self, encoder, ctx, regularizer):
         # float64, dropout off; the batch graph's leaf gradients must equal
         # those of one forward_doc graph per document, each scaled by 1/B
         rng = np.random.default_rng(5)
         params = init_model(vocab_size=12, num_classes=3, rng=rng, d=6, h=3, m=3,
-                            mlp_hidden=8, dropout=0.0, encoder=encoder)
+                            mlp_hidden=8, dropout=0.0, encoder=encoder, ctx=ctx)
         for p in params.store:
             p.value = rng.uniform(-0.6, 0.6, size=p.value.shape)
         docs = ragged_docs(rng, [3, 7, 1, 5, 9, 5], 12, 3)
@@ -251,6 +256,22 @@ class TestBatchGraph:
         # the masks differ between documents, so the check is not vacuous
         rerun = forward_batch(params, nodes, [docs[0]] * 2, train=True, rng=rng)
         assert not np.allclose(rerun.logits.value[:, 0], rerun.logits.value[:, 1])
+
+    @pytest.mark.parametrize("ctx", ["learned", "doc-mean"])
+    def test_graph_size_does_not_depend_on_batch_size(self, ctx):
+        # the documents share every node: attention runs over the packed rows
+        rng = np.random.default_rng(9)
+        params = init_model(vocab_size=12, num_classes=3, rng=rng, d=6, h=3, m=2,
+                            mlp_hidden=8, ctx=ctx)
+        nodes = params.store.nodes()
+        docs = ragged_docs(rng, rng.integers(1, 9, size=16), 12, 3)
+        counts = []
+        for B in (1, 4, 16):
+            out = forward_batch(params, nodes, docs[:B])
+            j = batch_objective(out, [d.label for d in docs[:B]], 3,
+                                ObjectiveConfig("positions", 0.2))
+            counts.append(len(graph_nodes(j)))
+        assert counts[0] == counts[1] == counts[2]
 
     def test_one_backward_and_two_gru_scans_per_batch(self, keyword_task, monkeypatch):
         train_set, valid_set, vocab = keyword_task
