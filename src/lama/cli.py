@@ -26,11 +26,11 @@ import numpy as np
 from . import __version__, baseline
 from .autodiff import NonFiniteError
 from .classifier import REGULARIZERS
-from .model import forward_doc
 from .text import (FileOpenError, TextError, build_vocab, init_embeddings,
                    load_dataset, read_tsv, rows_to_dataset, tokenize_rows)
 from .training import (Checkpoint, CheckpointError, DivergenceError, TrainConfig,
-                       TrainingError, evaluate, heads_sweep, sweep_to_csv, train)
+                       TrainingError, evaluate, forward_chunks, heads_sweep, sweep_to_csv,
+                       train)
 
 EXIT_USAGE = 2
 EXIT_IO = 3
@@ -230,16 +230,20 @@ def cmd_attend(args):
     dataset = rows_to_dataset(rows, checkpoint.vocab, checkpoint.config.max_len,
                               label_names=checkpoint.label_names, split="attend",
                               source=args.data)
-    nodes = checkpoint.params.store.nodes()
+    # one forward-only graph per chunk of documents, its A split by document
+    predicted, A_docs = [], []
+    for chunk, fw in forward_chunks(checkpoint.params, dataset.documents):
+        predicted += [checkpoint.label_names[k] for k in fw.predictions]
+        A_docs += np.split(fw.attn.A_valid.value,
+                           np.cumsum([doc.true_length for doc in chunk])[:-1], axis=1)
     with open(jsonl_path, "w", encoding="utf-8") as fh:
-        for doc_id, ((_, label, tokens), doc) in enumerate(zip(rows, dataset.documents)):
-            fw = forward_doc(checkpoint.params, nodes, doc.ids, doc.true_length)
+        for doc_id, ((_, label, tokens), pred, A) in enumerate(zip(rows, predicted, A_docs)):
             record = {
                 "doc_id": doc_id,
-                "tokens": tokens[:doc.true_length],
+                "tokens": tokens[:A.shape[1]],
                 "label": label,
-                "predicted": checkpoint.label_names[fw.prediction],
-                "A": [[float(x) for x in row] for row in fw.attn.A_valid.value],
+                "predicted": pred,
+                "A": [[float(x) for x in row] for row in A],
             }
             fh.write(json.dumps(record) + "\n")
     print(f"wrote {len(dataset)} documents to {jsonl_path}")

@@ -7,8 +7,9 @@ lookup over the documents' concatenated ids, one packed BiGRU scan per
 direction (see ``gru``), one ``attention.attend`` over the packed
 annotation rows, and one classifier pass over the m*d_ann x B matrix of
 sentence embeddings, so its node count does not depend on the batch size.
-The trainer backpropagates it once per batch. ``forward_doc`` is the
-one-document case of the same path.
+The trainer backpropagates it once per batch; evaluation and the
+attention export run it forward only, on leaves that track no gradient.
+``forward_doc`` is the one-document case of the same path.
 
 Dropout in the classifier draws one mask column per document, in batch
 order, from one hidden x B draw; that is the stream B one-document passes
@@ -65,9 +66,9 @@ class ParamStore:
     def names(self):
         return list(self._params)
 
-    def nodes(self) -> dict[str, Node]:
+    def nodes(self, requires_grad: bool = True) -> dict[str, Node]:
         """Fresh leaf Nodes over the stored arrays (no copies)."""
-        return {p.name: ad.leaf(p.value, requires_grad=True) for p in self}
+        return {p.name: ad.leaf(p.value, requires_grad=requires_grad) for p in self}
 
     def copy_values(self) -> dict[str, np.ndarray]:
         return {p.name: p.value.copy() for p in self}
@@ -167,8 +168,9 @@ class ForwardPass:
     attn: AttentionOutput
 
     @property
-    def prediction(self) -> int:
-        return int(np.argmax(self.probs.value))
+    def predictions(self) -> np.ndarray:
+        """The most probable class of each document."""
+        return np.argmax(self.probs.value, axis=0)
 
 
 def _valid_ids(ids, true_length: int | None) -> np.ndarray:
@@ -228,11 +230,13 @@ def forward_batch(params: ModelParams, nodes: dict, docs, train: bool = False,
 def batch_objective(fw: ForwardPass, labels, num_classes: int,
                     objective: classifier.ObjectiveConfig) -> Node:
     """Summed over the documents: cross-entropy (fused, on the logits
-    column of each) plus the selected disagreement term."""
+    column of each) plus the selected disagreement term, not built at
+    lambda = 0."""
     y = np.zeros((num_classes, len(labels)), dtype=fw.logits.value.dtype)
     y[labels, np.arange(len(labels))] = 1.0
     loss = ad.softmax_cross_entropy(fw.logits, ad.constant(y))
-    d = classifier.disagreement(objective, fw.attn.A_valid, fw.attn.S, fw.attn.lengths)
+    d = (classifier.disagreement(objective, fw.attn.A_valid, fw.attn.S, fw.attn.lengths)
+         if objective.lam > 0 else None)
     return classifier.total_objective(loss, d, objective.lam)
 
 

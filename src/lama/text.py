@@ -44,24 +44,23 @@ class EmptyCorpusError(TextError):
 
 def tokenize(text: str) -> list[str]:
     """Lowercase, split on whitespace, and break punctuation out into
-    standalone tokens."""
+    standalone tokens.
+
+    ``str.split`` splits where ``str.isspace`` holds, and an alphanumeric
+    word has no character of Unicode category P, so only other words are
+    scanned character by character."""
     tokens = []
-    word = []
-
-    def flush():
-        if word:
-            tokens.append("".join(word))
-            word.clear()
-
-    for ch in text.lower():
-        if ch.isspace():
-            flush()
-        elif unicodedata.category(ch).startswith("P"):
-            flush()
-            tokens.append(ch)
-        else:
-            word.append(ch)
-    flush()
+    for word in text.lower().split():
+        if word.isalnum():
+            tokens.append(word)
+            continue
+        start = 0
+        for i, ch in enumerate(word):
+            if unicodedata.category(ch).startswith("P"):
+                tokens += [word[start:i], ch] if start < i else [ch]
+                start = i + 1
+        if start < len(word):
+            tokens.append(word[start:])
     return tokens
 
 

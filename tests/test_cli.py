@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from lama import cli, text, training as tr
+from lama.model import forward_doc
 from lama.synthetic import keyword_pairs, write_tsv
 
 
@@ -270,6 +271,26 @@ class TestEval:
         assert code == cli.EXIT_DIVERGED
         assert len(err) == 1 and err[0].startswith("error: gru_scan"), err
 
+    def test_overflow_in_the_last_chunk_is_divergence(self, workspace, tmp_path, capsys):
+        # 129 documents run as chunks of 64, 64 and 1; only the last holds
+        # an unknown word, whose 3e38 embedding row overflows W_w h
+        ckpt = tr.Checkpoint.load(workspace["ckpt"])
+        ckpt.params.store["W_e"].value[text.UNK_ID] = 3e38
+        ckpt.params.store["attn.W_w"].value[:] = 1.0
+        ckpt.save(tmp_path / "ckpt")
+        lines = (workspace["train"].read_text() + workspace["valid"].read_text()).splitlines()
+        data = tmp_path / "eval.tsv"
+        for extra, expected in (([], 0), (["pos\tzing qwertyuiop mundane1"], cli.EXIT_DIVERGED)):
+            data.write_text("\n".join(lines[:2 * tr.EVAL_CHUNK] + extra) + "\n")
+            capsys.readouterr()
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                code = run_cli("eval", "--checkpoint", tmp_path / "ckpt", "--data", data,
+                               "--out", tmp_path / "out")
+            assert code == expected
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error: matmul"), err
+
     @pytest.mark.parametrize("corruption", sorted(CORRUPTIONS))
     def test_corrupt_checkpoint_is_io_error(self, workspace, tmp_path, capsys, corruption):
         ckpt = tmp_path / "ckpt"
@@ -344,6 +365,32 @@ class TestAttendAndTopwords:
     def test_min_occurrences_filter(self, export):
         ranking = cli.top_attended_words(export, min_occurrences=10_000)
         assert ranking == []
+
+
+class TestAttendBatched:
+    def test_records_equal_per_document_export(self, workspace, tmp_path):
+        # 144 documents: chunks of 64, 64 and 16
+        data = tmp_path / "all.tsv"
+        data.write_text(workspace["train"].read_text() + workspace["valid"].read_text())
+        code = run_cli("attend", "--checkpoint", workspace["ckpt"], "--data", data,
+                       "--out", tmp_path / "out")
+        assert code == 0
+        got = [json.loads(line)
+               for line in (tmp_path / "out" / "attention.jsonl").read_text().splitlines()]
+        ckpt = tr.Checkpoint.load(workspace["ckpt"])
+        rows = text.tokenize_rows(text.read_tsv(data))
+        dataset = text.rows_to_dataset(rows, ckpt.vocab, ckpt.config.max_len,
+                                       label_names=ckpt.label_names)
+        nodes = ckpt.params.store.nodes()
+        assert len(got) == len(rows) == 144
+        for doc_id, (rec, (_, label, tokens), doc) in enumerate(
+                zip(got, rows, dataset.documents)):
+            fw = forward_doc(ckpt.params, nodes, doc.ids, doc.true_length)
+            assert list(rec) == ["doc_id", "tokens", "label", "predicted", "A"]
+            assert (rec["doc_id"], rec["label"]) == (doc_id, label)
+            assert rec["tokens"] == tokens[:doc.true_length]
+            assert rec["predicted"] == ckpt.label_names[int(np.argmax(fw.probs.value))]
+            np.testing.assert_allclose(rec["A"], fw.attn.A_valid.value, rtol=0, atol=1e-6)
 
 
 class TestParams:

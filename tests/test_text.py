@@ -1,3 +1,4 @@
+import unicodedata
 from collections import Counter
 
 import numpy as np
@@ -30,6 +31,32 @@ class TestTokenize:
     def test_deterministic(self):
         s = "Some, text; with?? punctuation-galore..."
         assert tokenize(s) == tokenize(s)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.one_of(
+        st.sampled_from(["\r\n", *"aZ09 \t\r\n.,!?'\"-()\x1c\x1d\x1e\x1f\xa0\x00"
+                                   "\x85\u2028\u3000éßİΣ中٣…—、¿"]),
+        st.characters()), max_size=40).map("".join))
+    def test_equals_per_character_reference(self, s):
+        assert tokenize(s) == per_character_tokenize(s)
+
+
+def per_character_tokenize(text_):
+    """The reference: one pass over the lowercased characters, a word ends
+    at whitespace and every character of Unicode category P is a token."""
+    tokens, word = [], []
+    for ch in text_.lower():
+        if ch.isspace() or unicodedata.category(ch).startswith("P"):
+            if word:
+                tokens.append("".join(word))
+                word = []
+            if not ch.isspace():
+                tokens.append(ch)
+        else:
+            word.append(ch)
+    if word:
+        tokens.append("".join(word))
+    return tokens
 
 
 class TestBuildVocab:
@@ -108,6 +135,18 @@ class TestEncode:
         ids, true_length = encode(["a"] * 300, vocab, max_len=256)
         assert true_length == 256
         assert len(ids) == 256
+
+    @settings(max_examples=200, deadline=None)
+    @given(tokens=st.lists(st.sampled_from(["a", "b", "zzz", PAD_TOKEN, UNK_TOKEN, "!"]),
+                           max_size=12),
+           max_len=st.integers(1, 8))
+    def test_length_and_no_pad_id_for_text(self, tokens, max_len):
+        vocab = build_vocab([["a", "b", "!"] * 2], min_count=1)
+        ids, true_length = encode(tokens, vocab, max_len)
+        assert true_length == min(len(tokens), max_len)
+        assert len(ids) == max_len
+        assert PAD_ID not in ids[:true_length]
+        assert (ids[true_length:] == PAD_ID).all()
 
     def test_encode_tokenize_deterministic(self):
         vocab = build_vocab([tokenize("the quick brown fox!")], min_count=1)

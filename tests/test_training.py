@@ -273,6 +273,21 @@ class TestBatchGraph:
             counts.append(len(graph_nodes(j)))
         assert counts[0] == counts[1] == counts[2]
 
+    @pytest.mark.parametrize("regularizer", ["positions", "embeddings"])
+    def test_zero_lambda_builds_no_disagreement_term(self, regularizer):
+        rng = np.random.default_rng(10)
+        params = init_model(vocab_size=12, num_classes=3, rng=rng, d=6, h=3, m=2,
+                            mlp_hidden=8)
+        docs = ragged_docs(rng, [3, 1, 6], 12, 3)
+        fw = forward_batch(params, params.store.nodes(), docs)
+
+        def objective(reg):
+            before = next(ad._node_counter)
+            j = batch_objective(fw, [d.label for d in docs], 3, ObjectiveConfig(reg, 0.0))
+            return next(ad._node_counter) - before, j.value.tobytes()
+
+        assert objective(regularizer) == objective("none")
+
     def test_one_backward_and_two_gru_scans_per_batch(self, keyword_task, monkeypatch):
         train_set, valid_set, vocab = keyword_task
         scans = []
@@ -284,6 +299,52 @@ class TestBatchGraph:
             train(small_config(batch=batch, max_epochs=1), train_set, valid_set, vocab)
             assert len(scans) == -(-len(train_set) // batch)  # one call per batch
             assert set(scans) == {2}
+
+
+def mixed_docs(rng, n, max_len=12, vocab_size=30, num_classes=3):
+    """Single-token, unpadded max-length and in-between documents, cycled."""
+    lengths = np.resize([1, max_len, 2, 7, 3, max_len - 1, 5], n)
+    return [Document(np.append(rng.integers(2, vocab_size, size=L), [PAD_ID] * (max_len - L)),
+                     int(L), int(rng.integers(num_classes)))
+            for L in lengths]
+
+
+class TestBatchedInference:
+    """``evaluate`` runs chunks of EVAL_CHUNK documents through one forward
+    graph each; it must predict what one ``forward_doc`` per document does."""
+
+    @pytest.mark.parametrize(("encoder", "ctx"), ENCODER_CTX)
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_equals_per_document_forward(self, encoder, ctx, dtype):
+        rng = np.random.default_rng(21)
+        params = init_model(vocab_size=30, num_classes=3, rng=rng, d=8, h=4, m=4,
+                            mlp_hidden=16, encoder=encoder, ctx=ctx, dtype=dtype)
+        # 129 documents make chunks of 64, 64 and 1; m=4 exceeds L=1, 2, 3
+        docs = mixed_docs(rng, 2 * tr.EVAL_CHUNK + 1)
+        chunks = [fw for _, fw in tr.forward_chunks(params, docs)]
+        assert [fw.probs.shape[1] for fw in chunks] == [64, 64, 1]
+
+        nodes = params.store.nodes()
+        single = [forward_doc(params, nodes, d.ids, d.true_length) for d in docs]
+        tol = dict(rtol=1e-12) if dtype == np.float64 else dict(rtol=0, atol=1e-6)
+        np.testing.assert_allclose(np.hstack([fw.probs.value for fw in chunks]),
+                                   np.hstack([fw.probs.value for fw in single]), **tol)
+        np.testing.assert_allclose(np.hstack([fw.attn.A_valid.value for fw in chunks]),
+                                   np.hstack([fw.attn.A_valid.value for fw in single]), **tol)
+
+        expected = np.zeros((3, 3), dtype=int)
+        for doc, fw in zip(docs, single):
+            expected[doc.label, int(np.argmax(fw.probs.value))] += 1
+        metrics = evaluate(params, tr.Dataset(docs, ["a", "b", "c"], "eval"))
+        assert metrics.confusion == expected.tolist()
+        assert metrics.total == len(docs)
+
+    def test_leaves_track_no_gradient(self):
+        rng = np.random.default_rng(22)
+        params = init_model(vocab_size=30, num_classes=3, rng=rng, d=8, h=4, m=2,
+                            mlp_hidden=16)
+        (_, fw), = tr.forward_chunks(params, mixed_docs(rng, 5))
+        assert not any(node.requires_grad for node in graph_nodes(fw.probs))
 
 
 class TestEvaluate:
