@@ -24,9 +24,10 @@ time, run on the first of them that ``backward`` calls. Its finiteness
 check runs once, on the whole pre-activation buffer and on the output,
 through ``check_finite``.
 
-The pullback of ``take_rows`` returns a ``RowGrad`` rather than a dense
-array, and ``backward`` adds its rows into the parent's gradient in place,
-so an embedding lookup never materialises a |V| x d gradient per call.
+The pullback of ``take_rows`` returns a ``RowGrad``. A leaf keeps it (or
+several, concatenated) as its ``.grad``, so an embedding's gradient is as
+sparse as its lookups; a dense contribution densifies it, and a non-leaf
+gets the coalesced rows added in. ``dense_grad`` reads any ``.grad``.
 
 A minibatch's documents lie in one node as runs of ``lengths`` rows.
 ``softmax(lengths=)`` and ``segment_matmul`` work within each run; on one
@@ -319,6 +320,18 @@ class RowGrad(NamedTuple):
     rows: np.ndarray
     values: np.ndarray
 
+    def coalesce(self) -> tuple[np.ndarray, np.ndarray]:
+        """The sorted unique rows and the summed values of each (a run of
+        repeats is summed pairwise, so not in ``np.add.at``'s order)."""
+        order = np.argsort(self.rows, kind="stable")
+        rows = self.rows[order]
+        starts = np.flatnonzero(np.diff(rows, prepend=-1))
+        return rows[starts], np.add.reduceat(self.values[order], starts, axis=0)
+
+    def add_into(self, dense: np.ndarray) -> None:
+        rows, summed = self.coalesce()
+        dense[rows] += summed
+
 
 def take_rows(a: Node, indices) -> Node:
     """Gather rows by index (embedding lookup); repeated rows accumulate."""
@@ -380,6 +393,7 @@ def softmax_cross_entropy(logits: Node, onehot: Node) -> Node:
 def backward(root: Node) -> None:
     """Add d(root)/d(leaf) into ``.grad`` of every requires-grad leaf under
     ``root``; nothing is reset, so calls on roots that share leaves sum there.
+    A leaf reached only through ``take_rows`` holds a ``RowGrad``.
 
     Each non-leaf node's ``.grad`` is dropped once its pullbacks have run,
     so only leaves keep a gradient after the call, and the graph's inner
@@ -407,19 +421,34 @@ def backward(root: Node) -> None:
         for parent, pull in node.parents:
             if not parent.requires_grad:
                 continue
-            contrib = pull(node.grad)
+            contrib, g = pull(node.grad), parent.grad
             if not isinstance(contrib, RowGrad):
-                if parent.grad is None:
+                if g is None:
                     # a copy: a pullback may hand the same array to two parents
                     parent.grad = np.array(contrib, dtype=parent.value.dtype)
                 else:
+                    parent.grad = dense_grad(parent)
                     parent.grad += contrib
-                continue
-            if parent.grad is None:
-                parent.grad = np.zeros_like(parent.value)
-            np.add.at(parent.grad, contrib.rows, contrib.values)
+            elif parent.parents or isinstance(g, np.ndarray):
+                if g is None:
+                    g = parent.grad = np.zeros_like(parent.value)
+                contrib.add_into(g)
+            else:  # a leaf's row gradient stays row-sparse
+                parent.grad = contrib if g is None else RowGrad(
+                    np.concatenate([g.rows, contrib.rows]),
+                    np.concatenate([g.values, contrib.values]))
         if node.parents:
             node.grad = None
+
+
+def dense_grad(node: Node) -> np.ndarray:
+    """``node.grad`` as a dense array; zeros when there is none."""
+    if isinstance(node.grad, np.ndarray):
+        return node.grad
+    out = np.zeros_like(node.value)
+    if node.grad is not None:
+        node.grad.add_into(out)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -453,7 +482,7 @@ def grad_check(builder, params, step: float = 1e-5, tolerance: float = 1e-5) -> 
     leaves = [leaf(p.copy(), requires_grad=True) for p in base]
     root = builder(leaves)
     backward(root)
-    analytic = [lf.grad if lf.grad is not None else np.zeros_like(lf.value) for lf in leaves]
+    analytic = [dense_grad(lf) for lf in leaves]
 
     def value_at(arrays):
         return builder([leaf(a) for a in arrays]).value.item()

@@ -14,11 +14,17 @@ batch order, the stream per-document passes would draw. Evaluation runs
 ``forward_batch`` forward only, EVAL_CHUNK documents per graph on leaves
 that track no gradient, and draws nothing from the RNG.
 
-Every batch graph reaches every parameter, and ``sgd_step`` updates each
-parameter and its velocity in place, with its gradient as scratch. No
-embedding row is special. The PAD row starts at zero with zero velocity.
-Padding is trimmed before the lookup and no text encodes to ``PAD_ID``,
-so the row's gradient is exactly zero and every step keeps it at zero.
+Every batch graph reaches every parameter. ``sgd_step`` updates each
+dense parameter and its velocity in place. ``W_e``'s gradient stays the
+``RowGrad`` of the batch's lookups and ``LazyRowSGD`` steps only those
+rows; the others owe whole steps of momentum and decay at g = 0, which
+they catch up when next read: a batch's ids before its forward pass, the
+validation ids before each ``evaluate``, every row before a best-epoch
+snapshot and before ``train`` returns. That equals the dense update in
+real arithmetic, not bit for bit. No embedding row is special: the PAD
+row starts at zero with zero velocity, and since padding is trimmed
+before the lookup and no text encodes to ``PAD_ID``, it never gets a
+gradient and stays zero.
 """
 
 from __future__ import annotations
@@ -133,6 +139,50 @@ def sgd_step(param: np.ndarray, grad: np.ndarray, velocity: np.ndarray,
     velocity *= momentum
     velocity += grad
     param -= lr * velocity
+
+
+class LazyRowSGD:
+    """``sgd_step`` on the rows a ``RowGrad`` names. A row with no gradient
+    for k steps moves by one linear map, (v, p) <- M^k (v, p) with
+    M = [[mu, wd], [-lr mu, 1 - lr wd]], the dense step at g = 0.
+    ``catch_up`` applies it, M^k computed in float64 and cast, to rows about
+    to be read (every row by default); ``last[row]`` is the step a row is
+    current at.
+    """
+
+    def __init__(self, value: np.ndarray, lr: float, momentum: float, weight_decay: float):
+        self.value = value
+        self.velocity = np.zeros_like(value)
+        self.hyper = (lr, momentum, weight_decay)
+        self.M = np.array([[momentum, weight_decay], [-lr * momentum, 1.0 - lr * weight_decay]])
+        self.powers = np.eye(2)[None]  # powers[k] = M^k
+        self.steps = 0
+        self.last = np.zeros(len(value), dtype=np.int64)
+
+    def catch_up(self, rows: np.ndarray | None = None) -> None:
+        rows = np.flatnonzero(self.last < self.steps) if rows is None else rows
+        k = self.steps - self.last[rows]
+        rows, k = rows[k > 0], k[k > 0]
+        if not rows.size:
+            return
+        while len(self.powers) <= k.max():  # M^(n + j) = M^j M^n
+            self.powers = np.concatenate([self.powers, self.powers @ (self.powers[-1] @ self.M)])
+        c = self.powers[k].astype(self.value.dtype)[..., None]
+        v, p = self.velocity[rows], self.value[rows]
+        self.velocity[rows] = c[:, 0, 0] * v + c[:, 0, 1] * p
+        self.value[rows] = c[:, 1, 0] * v + c[:, 1, 1] * p
+        self.last[rows] = self.steps
+
+    def step(self, grad: ad.RowGrad) -> None:
+        """One step: the dense formula's ops on the touched rows, with the
+        gradient summed per row; every other row falls one step behind."""
+        rows, g = grad.coalesce()
+        self.catch_up(rows)
+        p, v = self.value[rows], self.velocity[rows]
+        sgd_step(p, g, v, *self.hyper)
+        self.value[rows], self.velocity[rows] = p, v
+        self.steps += 1
+        self.last[rows] = self.steps
 
 
 @dataclass
@@ -255,6 +305,12 @@ def _backward_batch(params: ModelParams, nodes: dict, batch: list,
     return j.value.item()
 
 
+def _unique_ids(documents) -> np.ndarray:
+    # sorted by hand: np.unique imports numpy.ma, 1.5 MB of resident memory
+    ids = np.sort(np.concatenate([doc.valid_ids() for doc in documents]).astype(np.int64))
+    return ids[np.diff(ids, prepend=-1) != 0]
+
+
 def _check_labels(dataset: Dataset, label_names) -> None:
     if list(dataset.label_names) != list(label_names):
         raise LabelMismatchError(
@@ -274,12 +330,21 @@ def train(config: TrainConfig, train_set: Dataset, valid_set: Dataset,
         raise ValueError("snapshot must be 'best' or 'final'")
     if len(valid_set) == 0:
         raise TrainingError("validation set is empty")
+    classes = sorted({doc.label for doc in train_set.documents})
+    if len(classes) < 2:
+        raise TrainingError("training set is empty" if not classes else
+                            f"training set has one class only: "
+                            f"{train_set.label_names[classes[0]]!r}")
     _check_labels(valid_set, train_set.label_names)
     rng = np.random.Generator(np.random.PCG64(config.seed))
     params = _fresh_model(config, len(vocab), train_set.num_classes, rng, embedding)
     objective = ObjectiveConfig(config.regularizer, config.lam)
 
-    velocities = {p.name: np.zeros_like(p.value) for p in params.store}
+    rows_sgd = LazyRowSGD(params.store["W_e"].value, config.lr, config.momentum,
+                          config.weight_decay)
+    dense = [p for p in params.store if p.name != "W_e"]
+    velocities = {p.name: np.zeros_like(p.value) for p in dense}
+    valid_rows = _unique_ids(valid_set.documents)
     history = TrainHistory()
     best_acc = -1.0
     best_values = None
@@ -292,6 +357,7 @@ def train(config: TrainConfig, train_set: Dataset, valid_set: Dataset,
         loss_sum = 0.0
         for batch_no, start in enumerate(range(0, len(order), config.batch)):
             batch = [docs[i] for i in order[start:start + config.batch]]
+            rows_sgd.catch_up(_unique_ids(batch))
             nodes = params.store.nodes()
             try:
                 # overflow is detected (and raised) by the primitives, so
@@ -303,10 +369,12 @@ def train(config: TrainConfig, train_set: Dataset, valid_set: Dataset,
             if not np.isfinite(batch_loss):
                 raise DivergenceError(epoch, batch_no, f"loss={batch_loss}")
             loss_sum += batch_loss
-            for p in params.store:
+            rows_sgd.step(nodes["W_e"].grad)
+            for p in dense:
                 sgd_step(p.value, nodes[p.name].grad, velocities[p.name], config.lr,
                          config.momentum, config.weight_decay)
 
+        rows_sgd.catch_up(valid_rows)
         valid_acc = evaluate(params, valid_set).accuracy
         record = EpochRecord(epoch, loss_sum / len(docs), valid_acc,
                              time.perf_counter() - started)
@@ -317,6 +385,7 @@ def train(config: TrainConfig, train_set: Dataset, valid_set: Dataset,
         if valid_acc > best_acc:
             best_acc = valid_acc
             history.best_epoch = epoch
+            rows_sgd.catch_up()
             best_values = params.store.copy_values()
             bad_epochs = 0
         else:
@@ -326,6 +395,8 @@ def train(config: TrainConfig, train_set: Dataset, valid_set: Dataset,
 
     if snapshot == "best":
         params.store.load_values(best_values)
+    else:
+        rows_sgd.catch_up()
     checkpoint = Checkpoint(config, vocab, list(train_set.label_names), params)
     return checkpoint, history
 

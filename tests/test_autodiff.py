@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lama import autodiff as ad
 
@@ -129,7 +130,71 @@ class TestBackward:
         expected = np.zeros((4, 3))
         expected[1] = 2.0
         expected[2] = 1.0
-        np.testing.assert_array_equal(w.grad, expected)
+        assert isinstance(w.grad, ad.RowGrad)
+        np.testing.assert_array_equal(ad.dense_grad(w), expected)
+
+    def test_leaf_keeps_row_gradients_of_several_lookups(self):
+        w = ad.leaf(np.arange(12.0).reshape(4, 3), requires_grad=True)
+        ad.backward(ad.add(total(ad.take_rows(w, [3, 1])), total(ad.take_rows(w, [1]))))
+        ad.backward(total(ad.take_rows(w, [0])))
+        assert isinstance(w.grad, ad.RowGrad)
+        assert sorted(w.grad.rows.tolist()) == [0, 1, 1, 3]
+        np.testing.assert_array_equal(ad.dense_grad(w), [[1.0] * 3, [2.0] * 3, [0.0] * 3,
+                                                         [1.0] * 3])
+
+    @pytest.mark.parametrize("lookup_first", [True, False])
+    def test_dense_contribution_densifies_a_leaf(self, lookup_first):
+        # backward runs the node created last first, so the order of creation
+        # decides whether the row or the dense gradient arrives first
+        rng = np.random.default_rng(7)
+        w = ad.leaf(rand(rng, 4, 3), requires_grad=True)
+        if lookup_first:
+            lookup = total(ad.take_rows(w, [2, 2, 0]))
+            square = ad.frobenius_sq(w)
+        else:
+            square = ad.frobenius_sq(w)
+            lookup = total(ad.take_rows(w, [2, 2, 0]))
+        ad.backward(ad.add(lookup, square))
+        expected = 2 * w.value
+        expected[[0, 2]] += [[1.0], [2.0]]
+        assert isinstance(w.grad, np.ndarray)
+        np.testing.assert_allclose(w.grad, expected, rtol=1e-15)
+
+    def test_non_leaf_gets_a_dense_gradient(self):
+        x = ad.leaf(np.ones((3, 2)), requires_grad=True)
+        ad.backward(total(ad.take_rows(ad.tanh(x), [0, 0, 2])))
+        assert isinstance(x.grad, np.ndarray)
+        np.testing.assert_allclose(x.grad[:, 0], np.array([2.0, 0.0, 1.0]) *
+                                   (1 - np.tanh(1.0) ** 2), rtol=1e-15)
+
+
+class TestRowGrad:
+    @settings(max_examples=60, deadline=None)
+    @given(rows=st.lists(st.integers(0, 9), min_size=1, max_size=40)
+           | st.lists(st.sampled_from([3]), min_size=1, max_size=40),
+           seed=st.integers(0, 2**32 - 1),
+           dtype=st.sampled_from([np.float32, np.float64]))
+    def test_coalesce_equals_add_at(self, rows, seed, dtype):
+        # many repeats, a single row and unsorted rows, against np.add.at.
+        # reduceat sums a run pairwise and np.add.at one value at a time, so
+        # a row of k values may differ by the bound on reordering a sum,
+        # (k - 1) eps sum|v|, in either dtype; up to two values agree exactly
+        rows = np.array(rows)
+        values = np.random.default_rng(seed).standard_normal((rows.size, 4)).astype(dtype)
+        unique, summed = ad.RowGrad(rows, values).coalesce()
+        assert unique.tolist() == sorted(set(rows.tolist())) and summed.dtype == dtype
+        expected, got, bound = (np.zeros((10, 4), dtype=dtype) for _ in range(3))
+        np.add.at(expected, rows, values)
+        got[unique] = summed
+        np.add.at(bound, rows, np.abs(values))
+        counts = np.bincount(rows, minlength=10)[:, None]
+        bound *= np.maximum(counts - 1, 0) * np.finfo(dtype).eps
+        assert (np.abs(got - expected) <= bound).all()
+        assert (got[counts[:, 0] <= 2] == expected[counts[:, 0] <= 2]).all()
+
+    def test_no_rows(self):
+        unique, summed = ad.RowGrad(np.zeros(0, dtype=np.int64), np.zeros((0, 3))).coalesce()
+        assert unique.shape == (0,) and summed.shape == (0, 3)
 
 
 PRIMITIVE_BUILDERS = {

@@ -163,6 +163,17 @@ class TestTrain:
                        "--lr", "200", "--weight-decay", "0.05", *TRAIN_FLAGS[2:])
         assert code == cli.EXIT_DIVERGED
 
+    def test_single_class_train_set_is_data_error(self, tmp_path, capsys):
+        pairs = [pair for pair in marker_pairs(48, seed=0) if pair[0] == "pos"]
+        write_tsv(pairs, tmp_path / "train.tsv")
+        write_tsv(pairs[:4], tmp_path / "valid.tsv")
+        capsys.readouterr()
+        code = run_cli("train", "--data", tmp_path / "train.tsv", "--valid",
+                       tmp_path / "valid.tsv", "--out", tmp_path / "out", *TRAIN_FLAGS)
+        err = capsys.readouterr().err.strip().splitlines()
+        assert code == cli.EXIT_DATA
+        assert len(err) == 1 and err[0].startswith("error: ") and "'pos'" in err[0], err
+
     def test_pretrained_embeddings_flag(self, workspace, tmp_path, capsys):
         vecs = tmp_path / "vectors.txt"
         dims = 16

@@ -100,8 +100,8 @@ class TestForward:
         fw = mdl.forward_doc(params, nodes, [2, 5])
         obj = mdl.doc_objective(fw, 1, 3, ObjectiveConfig("none"))
         ad.backward(obj)
-        grad = nodes["W_e"].grad
-        assert grad is not None and np.abs(grad[[2, 5]]).max() > 0
+        grad = ad.dense_grad(nodes["W_e"])
+        assert nodes["W_e"].grad is not None and np.abs(grad[[2, 5]]).max() > 0
 
     def test_full_model_gradient_check_all_regularizers(self):
         # bi-GRU + attention + classifier, float64, dropout off; the check

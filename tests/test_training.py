@@ -11,7 +11,7 @@ from lama.model import batch_objective, doc_objective, forward_batch, forward_do
 from lama.synthetic import keyword_pairs, make_task, pairs_to_dataset
 from lama.text import PAD_ID, UNK_ID, Document, build_vocab, tokenize
 from lama.training import (Checkpoint, DivergenceError, EvalMetrics,
-                           LabelMismatchError, TrainConfig, evaluate,
+                           LabelMismatchError, LazyRowSGD, TrainConfig, evaluate,
                            heads_sweep, sgd_step, train)
 
 
@@ -74,6 +74,53 @@ class TestSgdStep:
                      0.1, 0.9, 0.0)
 
 
+class TestLazyRowSGD:
+    def test_equals_dense_steps_in_float64(self):
+        # random row gradients with repeats; the last rows and PAD are never
+        # touched, and rows are read (caught up) at arbitrary steps
+        rng = np.random.default_rng(13)
+        lr, mu, wd = 0.05, 0.9, 0.01
+        p = rng.standard_normal((40, 5))
+        p[PAD_ID] = 0.0
+        v = np.zeros_like(p)
+        lazy = LazyRowSGD(p.copy(), lr, mu, wd)
+        for _ in range(60):
+            read = rng.choice(40, size=int(rng.integers(1, 8)))
+            lazy.catch_up(np.unique(read))
+            np.testing.assert_allclose(lazy.value[read], p[read], rtol=1e-10)
+            np.testing.assert_allclose(lazy.velocity[read], v[read], rtol=1e-10)
+            if rng.random() < 0.1:
+                lazy.catch_up()
+                np.testing.assert_allclose(lazy.value, p, rtol=1e-10)
+            rows = rng.integers(1, 30, size=int(rng.integers(1, 12)))
+            values = rng.standard_normal((rows.size, 5))
+            g = np.zeros_like(p)
+            np.add.at(g, rows, values)
+            sgd_step(p, g, v, lr, mu, wd)
+            lazy.step(ad.RowGrad(rows, values))
+        lazy.catch_up()
+        np.testing.assert_allclose(lazy.value, p, rtol=1e-10)
+        np.testing.assert_allclose(lazy.velocity, v, rtol=1e-10)
+        assert not lazy.value[PAD_ID].any() and not lazy.velocity[PAD_ID].any()
+
+    def test_touched_rows_take_the_dense_step_bits(self):
+        # rows current before the step get sgd_step's ops on the summed rows
+        rng = np.random.default_rng(14)
+        p = rng.standard_normal((6, 3)).astype(np.float32)
+        v = rng.standard_normal((6, 3)).astype(np.float32)
+        lazy = LazyRowSGD(p.copy(), 0.05, 0.9, 1e-4)
+        lazy.velocity[:] = v
+        rows = np.array([4, 1, 4])
+        values = rng.standard_normal((3, 3)).astype(np.float32)
+        lazy.step(ad.RowGrad(rows, values))
+        g = np.zeros_like(p)
+        np.add.at(g, rows, values)
+        sgd_step(p, g, v, 0.05, 0.9, 1e-4)
+        assert lazy.value[[1, 4]].tobytes() == p[[1, 4]].tobytes()
+        assert lazy.velocity[[1, 4]].tobytes() == v[[1, 4]].tobytes()
+        assert (lazy.last == [0, 1, 0, 0, 1, 0]).all()
+
+
 @pytest.fixture(scope="module")
 def keyword_task():
     return make_task("keyword", 64, 32, seed=11)
@@ -118,6 +165,99 @@ class TestTrainLoop:
         for encoder in ("bigru", "le"):
             ckpt, _ = train(small_config(encoder=encoder), train_set, valid_set, vocab)
             np.testing.assert_array_equal(ckpt.params.store["W_e"].value[PAD_ID], 0.0)
+
+    def test_final_snapshot_catches_up_never_read_rows(self):
+        # a vocabulary row that no document reads only decays; after train
+        # returns it has taken every step, as the dense update would
+        pairs = keyword_pairs(64, seed=11)
+        vocab = build_vocab([tokenize(t) for _, t in pairs] + [["zzunread"] * 2], min_count=2)
+        train_set = pairs_to_dataset(pairs, vocab)
+        valid_set = pairs_to_dataset(keyword_pairs(16, seed=12), vocab,
+                                     label_names=train_set.label_names)
+        row = vocab.lookup("zzunread")
+        cfg = small_config(encoder="le", weight_decay=0.01)
+        ckpt, hist = train(cfg, train_set, valid_set, vocab, snapshot="final")
+        rng = np.random.Generator(np.random.PCG64(cfg.seed))
+        p = tr._fresh_model(cfg, len(vocab), 2, rng).store["W_e"].value[row].astype(np.float64)
+        v = np.zeros_like(p)
+        for _ in range(len(hist.records) * -(-len(train_set) // cfg.batch)):
+            v = cfg.momentum * v + cfg.weight_decay * p
+            p = p - cfg.lr * v
+        np.testing.assert_allclose(ckpt.params.store["W_e"].value[row], p, rtol=1e-5)
+
+    @pytest.mark.parametrize("snapshot", ["best", "final"])
+    def test_lazy_embedding_update_equals_dense_update(self, keyword_task, monkeypatch,
+                                                       snapshot):
+        # the same run with W_e stepped densely, every row every step
+        class DenseRows(LazyRowSGD):
+            def catch_up(self, rows=None):
+                pass
+
+            def step(self, grad):
+                g = np.zeros_like(self.value)
+                grad.add_into(g)
+                sgd_step(self.value, g, self.velocity, *self.hyper)
+
+        train_set, valid_set, vocab = keyword_task
+        cfg = small_config(encoder="le", weight_decay=0.01, max_epochs=4)
+        lazy, lazy_hist = train(cfg, train_set, valid_set, vocab, snapshot=snapshot)
+        monkeypatch.setattr(tr, "LazyRowSGD", DenseRows)
+        dense, dense_hist = train(cfg, train_set, valid_set, vocab, snapshot=snapshot)
+        assert lazy_hist.best_epoch == dense_hist.best_epoch
+        np.testing.assert_allclose([r.train_loss for r in lazy_hist.records],
+                                   [r.train_loss for r in dense_hist.records], rtol=1e-5)
+        for p_lazy, p_dense in zip(lazy.params.store, dense.params.store):
+            np.testing.assert_allclose(p_lazy.value, p_dense.value, rtol=1e-4, atol=1e-6,
+                                       err_msg=p_lazy.name)
+
+    def test_every_row_a_forward_pass_reads_is_current(self, monkeypatch):
+        # training batches and the per-epoch validation read only rows that
+        # have taken every step so far; a batch reads about half the rows
+        steppers, stale = [], []
+
+        class Recorded(LazyRowSGD):
+            def __init__(self, *args):
+                super().__init__(*args)
+                steppers.append(self)
+
+        def checked_forward_batch(params, nodes, docs, *args, **kw):
+            ids = np.concatenate([doc.valid_ids() for doc in docs]).astype(int)
+            stale.append(int((steppers[-1].last[ids] < steppers[-1].steps).sum()))
+            return forward_batch(params, nodes, docs, *args, **kw)
+
+        monkeypatch.setattr(tr, "LazyRowSGD", Recorded)
+        monkeypatch.setattr(tr, "forward_batch", checked_forward_batch)
+        vocab = build_vocab([[f"w{i}" for i in range(198)]], min_count=1)
+        docs = mixed_docs(np.random.default_rng(16), 96, vocab_size=len(vocab))
+        train(small_config(encoder="le", max_epochs=2), tr.Dataset(docs[:64], ["a", "b", "c"]),
+              tr.Dataset(docs[64:], ["a", "b", "c"]), vocab)
+        assert len(stale) == 2 * (64 // 16 + 1) and not any(stale)
+
+    @pytest.mark.parametrize("encoder", ["bigru", "le"])
+    def test_more_heads_than_words(self, encoder):
+        # m = 8 heads over documents of 1 to 12 words, single words included
+        rng = np.random.default_rng(15)
+        vocab = build_vocab([[f"w{i}" for i in range(28)]], min_count=1)
+        docs = mixed_docs(rng, 48, vocab_size=len(vocab))
+        train_set = tr.Dataset(docs, ["a", "b", "c"], "train")
+        valid_set = tr.Dataset(docs[:16], ["a", "b", "c"], "valid")
+        ckpt, hist = train(small_config(encoder=encoder, m=8, max_epochs=2),
+                           train_set, valid_set, vocab)
+        assert all(np.isfinite(r.train_loss) for r in hist.records)
+        for chunk, fw in tr.forward_chunks(ckpt.params, docs):
+            lengths = [doc.true_length for doc in chunk]
+            sums = np.add.reduceat(fw.attn.A_valid.value, np.cumsum(lengths) - lengths, axis=1)
+            np.testing.assert_allclose(sums, 1.0, rtol=1e-5)
+
+    def test_single_class_train_set_rejected(self, keyword_task):
+        train_set, valid_set, vocab = keyword_task
+        pos = [doc for doc in train_set.documents if doc.label == 0]
+        one_class = tr.Dataset(pos, train_set.label_names, "train")
+        name = train_set.label_names[0]
+        with pytest.raises(tr.TrainingError, match=f"one class only: '{name}'"):
+            train(small_config(), one_class, valid_set, vocab)
+        with pytest.raises(tr.TrainingError, match="training set is empty"):
+            train(small_config(), tr.Dataset([], train_set.label_names), valid_set, vocab)
 
     def test_early_stopping_plateau_runs_patience_more_epochs(self, keyword_task):
         # seeded dropout/shuffle makes accuracy wiggle; force a plateau by
@@ -199,28 +339,32 @@ class TestBatchGraph:
     def test_batch_grads_equal_summed_doc_grads(
             self, encoder, ctx, regularizer):
         # float64, dropout off; the batch graph's leaf gradients must equal
-        # those of one forward_doc graph per document, each scaled by 1/B
-        rng = np.random.default_rng(5)
-        params = init_model(vocab_size=12, num_classes=3, rng=rng, d=6, h=3, m=3,
-                            mlp_hidden=8, dropout=0.0, encoder=encoder, ctx=ctx)
-        for p in params.store:
-            p.value = rng.uniform(-0.6, 0.6, size=p.value.shape)
-        docs = ragged_docs(rng, [3, 7, 1, 5, 9, 5], 12, 3)
-        objective = ObjectiveConfig(regularizer, 0.2)
+        # those of one forward_doc graph per document, each scaled by 1/B.
+        # The bound is relative to each parameter's largest gradient entry:
+        # an entry that cancels has no relative precision of its own
+        for seed in range(5):
+            rng = np.random.default_rng(seed)
+            params = init_model(vocab_size=12, num_classes=3, rng=rng, d=6, h=3, m=3,
+                                mlp_hidden=8, dropout=0.0, encoder=encoder, ctx=ctx)
+            for p in params.store:
+                p.value = rng.uniform(-0.6, 0.6, size=p.value.shape)
+            docs = ragged_docs(rng, [3, 7, 1, 5, 9, 5], 12, 3)
+            objective = ObjectiveConfig(regularizer, 0.2)
 
-        single = params.store.nodes()
-        expected_loss = 0.0
-        for doc in docs:
-            fw = forward_doc(params, single, doc.ids, doc.true_length)
-            j = doc_objective(fw, doc.label, 3, objective)
-            ad.backward(ad.scale(j, 1.0 / len(docs)))
-            expected_loss += j.value.item()
-        batch = params.store.nodes()
-        loss = tr._backward_batch(params, batch, docs, objective, rng)
-        assert loss == pytest.approx(expected_loss, rel=1e-12)
-        for name in params.store.names():
-            np.testing.assert_allclose(batch[name].grad, single[name].grad,
-                                       rtol=1e-12, err_msg=name)
+            single = params.store.nodes()
+            expected_loss = 0.0
+            for doc in docs:
+                fw = forward_doc(params, single, doc.ids, doc.true_length)
+                j = doc_objective(fw, doc.label, 3, objective)
+                ad.backward(ad.scale(j, 1.0 / len(docs)))
+                expected_loss += j.value.item()
+            batch = params.store.nodes()
+            loss = tr._backward_batch(params, batch, docs, objective, rng)
+            assert loss == pytest.approx(expected_loss, rel=1e-12)
+            for name in params.store.names():
+                got, want = ad.dense_grad(batch[name]), ad.dense_grad(single[name])
+                assert np.abs(want).max() > 0, (seed, name)
+                assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max(), (seed, name)
 
     @pytest.mark.parametrize("encoder", ["bigru", "le"])
     @pytest.mark.parametrize("ctx", ["learned", "doc-mean"])
@@ -236,8 +380,9 @@ class TestBatchGraph:
                            ObjectiveConfig(regularizer, 0.2), rng)
         for p in params.store:
             assert nodes[p.name].grad is not None, p.name
-            assert nodes[p.name].grad.shape == p.value.shape, p.name
-        assert not nodes["W_e"].grad[PAD_ID].any()
+            assert ad.dense_grad(nodes[p.name]).shape == p.value.shape, p.name
+        assert isinstance(nodes["W_e"].grad, ad.RowGrad)
+        assert not ad.dense_grad(nodes["W_e"])[PAD_ID].any()
 
     def test_dropout_masks_are_drawn_in_document_order(self):
         rng = np.random.default_rng(6)
