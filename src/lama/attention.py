@@ -75,8 +75,7 @@ def single_head_scores(U: Node, c: Node, W_i: Node) -> tuple[Node, Node]:
     if W_i.shape != (c.shape[0], U.shape[1]):
         raise ad.ShapeMismatchError("single_head_scores", W_i.shape, c.shape, U.shape)
     f = ad.matmul(ad.matmul(ad.transpose(c), W_i), ad.transpose(U))  # 1 x T
-    alpha = attention_matrix(f, normalize=False)
-    return f, alpha
+    return f, ad.softmax(f, axis=1)
 
 
 def lama_scores(U: Node, c: Node, P: Node, Q: Node) -> Node:
@@ -91,15 +90,10 @@ def lama_scores(U: Node, c: Node, P: Node, Q: Node) -> Node:
     return ad.hadamard(ctx_proj, word_proj)
 
 
-def attention_matrix(F: Node, normalize: bool = True, lengths=None) -> Node:
+def attention_matrix(F: Node, lengths=None) -> Node:
     """tanh -> per-word L2 across heads -> softmax of each head over each
-    document's run of the m x N scores.
-
-    ``normalize=False`` skips tanh+L2 (the dense single-head oracle applies
-    the softmax directly to its scores).
-    """
-    core = ad.l2_normalize(ad.tanh(F), axis=0) if normalize else F
-    return ad.softmax(core, axis=1, lengths=lengths)
+    document's run of the m x N scores."""
+    return ad.softmax(ad.l2_normalize(ad.tanh(F), axis=0), axis=1, lengths=lengths)
 
 
 def sentence_embedding(A: Node, H: Node, lengths=None) -> tuple[Node, Node]:

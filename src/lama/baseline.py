@@ -10,7 +10,10 @@ constant in the head count.
 Runtime measurements sweep the sequence length on synthetic batches and
 report the least-squares slope of log(time) against log(length); dimensions
 are deliberately small enough that the quadratic term dominates the
-transformer encoder inside the measured window.
+transformer encoder inside the measured window. The factorized attention
+is timed the way ``model.forward_batch`` runs it: one ``attention.attend``
+over the batch's rows packed back to back, on leaves that track no
+gradient.
 """
 
 from __future__ import annotations
@@ -180,9 +183,9 @@ class BenchResult:
 
 def _le_forward_batch(embedded_docs, arrays):
     nodes = {k: ad.leaf(v) for k, v in arrays.items()}
-    for X in embedded_docs:
-        attention.attend(ad.leaf(X), nodes["c"], nodes["W_w"], nodes["b_w"],
-                         nodes["P"], nodes["Q"])
+    attention.attend(ad.leaf(np.concatenate(embedded_docs)), nodes["c"], nodes["W_w"],
+                     nodes["b_w"], nodes["P"], nodes["Q"],
+                     lengths=[len(X) for X in embedded_docs])
 
 
 def _te_forward_batch(docs, params, heads):
@@ -207,6 +210,9 @@ def bench_runtime(kind: str, lengths, trials: int = 5, d: int | None = None,
         raise BaselineError("lengths must span at least an 8x range")
     if trials < 5:
         raise BaselineError("need at least 5 trials")
+    if min(batch, 1 if d is None else d, 1 if heads is None else heads) < 1:
+        raise BaselineError(f"batch, dim and heads must be >= 1, got batch={batch}, "
+                            f"dim={d}, heads={heads}")
 
     rng = np.random.Generator(np.random.PCG64(seed))
     if kind == "le":

@@ -157,13 +157,16 @@ def build_parser():
 
 
 def _config_from_args(args) -> TrainConfig:
-    return TrainConfig(
-        d=args.embed_dim, h=args.hidden, m=args.heads, max_len=args.max_len,
-        batch=args.batch, lr=args.lr, momentum=args.momentum,
-        weight_decay=args.weight_decay, dropout=args.dropout,
-        patience=args.patience, lam=args.lam, regularizer=args.regularizer,
-        ctx=args.ctx, encoder=args.encoder, mlp_hidden=args.mlp_hidden,
-        max_epochs=args.epochs, seed=args.seed)
+    try:
+        return TrainConfig(
+            d=args.embed_dim, h=args.hidden, m=args.heads, max_len=args.max_len,
+            batch=args.batch, lr=args.lr, momentum=args.momentum,
+            weight_decay=args.weight_decay, dropout=args.dropout,
+            patience=args.patience, lam=args.lam, regularizer=args.regularizer,
+            ctx=args.ctx, encoder=args.encoder, mlp_hidden=args.mlp_hidden,
+            max_epochs=args.epochs, seed=args.seed)
+    except ValueError as exc:
+        raise CliError(f"invalid training configuration: {exc}", EXIT_USAGE) from exc
 
 
 def _manifest(args, inputs, outputs) -> RunManifest:
@@ -178,6 +181,9 @@ def _load_train_valid(args, max_len):
     """Vocabulary and train set from one read of --data, then --valid."""
     rows = tokenize_rows(read_tsv(args.data))
     vocab = build_vocab((tokens for _, _, tokens in rows), args.min_count)
+    if len(vocab) == 2:  # <pad> and <unk> only
+        raise CliError(f"--min-count {args.min_count} keeps no token of {args.data}, "
+                       f"so every word would read as <unk>", EXIT_DATA)
     train_set = rows_to_dataset(rows, vocab, max_len, source=args.data)
     valid_set = load_dataset(args.valid, vocab, max_len,
                              label_names=train_set.label_names, split="valid")
@@ -265,9 +271,13 @@ def top_attended_words(jsonl_path, label=None, top_k=20, min_occurrences=3):
                 continue
             try:
                 record = json.loads(line)
+                if not isinstance(record, dict):
+                    raise ValueError(f"expected a JSON object, got {type(record).__name__}")
                 tokens = record["tokens"]
+                if not isinstance(tokens, list) or not all(isinstance(t, str) for t in tokens):
+                    raise ValueError("tokens must be a list of strings")
                 A = np.asarray(record["A"], dtype=np.float64)
-            except (json.JSONDecodeError, KeyError, ValueError) as exc:
+            except (KeyError, ValueError) as exc:
                 raise CliError(f"{jsonl_path}:{line_no}: bad record: {exc}", EXIT_DATA)
             if label is not None and record.get("label") != label:
                 continue
@@ -301,6 +311,12 @@ def cmd_topwords(args):
 def cmd_params(args):
     out_path = os.path.join(args.out, "params.csv")
     _manifest(args, [], [out_path]).write(args.out)
+    if not args.heads or min(args.heads) < 1:
+        raise CliError(f"--heads must list head counts >= 1, got {args.heads}", EXIT_USAGE)
+    for name in ("d_ann", "embed_dim", "vocab_size", "classes", "mlp_hidden", "d_model"):
+        if getattr(args, name) < 1:
+            raise CliError(f"--{name.replace('_', '-')} must be >= 1, "
+                           f"got {getattr(args, name)}", EXIT_USAGE)
     if args.d_ann % 2 != 0:
         raise CliError(f"--d-ann must be even (it is 2h), got {args.d_ann}", EXIT_USAGE)
     h = args.d_ann // 2
@@ -340,6 +356,8 @@ def cmd_heads_sweep(args):
     out_path = os.path.join(args.out, "sweep.csv")
     _manifest(args, [args.data, args.valid], [out_path]).write(args.out)
     config = _config_from_args(args)
+    if not args.grid or min(args.grid) < 1:
+        raise CliError(f"--grid must list head counts >= 1, got {args.grid}", EXIT_USAGE)
     train_set, valid_set, vocab = _load_train_valid(args, config.max_len)
     table = heads_sweep(config, args.grid, train_set, valid_set, vocab, log=print)
     sweep_to_csv(table, out_path)

@@ -1,7 +1,8 @@
 """GRU cell and bidirectional encoder producing contextual word annotations.
 
-All graph-level functions take parameters as Nodes (see ``GruCell``) so
-gradients flow to the underlying arrays.
+The graph-level functions take each direction's parameters as its nine
+gate Nodes in ``GATE_NAMES`` order, so gradients flow to the underlying
+arrays.
 
 Each direction is one fused autodiff node, ``gru_scan``, rather than a
 tape of small ops per step, and one node serves a whole minibatch. Its
@@ -29,8 +30,6 @@ documents' real tokens, and gets back one annotation per token.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import autodiff as ad
@@ -56,32 +55,6 @@ def init_gru_arrays(d: int, h: int, rng: np.random.Generator, dtype=np.float32) 
     return out
 
 
-@dataclass
-class GruCell:
-    """Node view of one direction's parameters."""
-    W_z: Node
-    U_z: Node
-    b_z: Node
-    W_r: Node
-    U_r: Node
-    b_r: Node
-    W_h: Node
-    U_h: Node
-    b_h: Node
-
-    @classmethod
-    def from_nodes(cls, nodes: dict, prefix: str) -> "GruCell":
-        return cls(**{name: nodes[prefix + name] for name in GATE_NAMES})
-
-    @property
-    def hidden_dim(self) -> int:
-        return self.W_z.shape[0]
-
-    @property
-    def input_dim(self) -> int:
-        return self.W_z.shape[1]
-
-
 def _packed_schedule(lengths, rows: int, reverse: bool = False):
     """Order in which a lockstep scan visits the rows of back-to-back
     segments of ``lengths`` rows each (one segment when it is None),
@@ -105,8 +78,9 @@ def _packed_schedule(lengths, rows: int, reverse: bool = False):
     return starts[by_length][k] + position, np.bincount(step).tolist()
 
 
-def gru_scan(X: Node, cell: GruCell, reverse: bool = False, lengths=None) -> Node:
-    """One direction of the GRU over the rows of ``X``, as one node.
+def gru_scan(X: Node, gate_nodes, reverse: bool = False, lengths=None) -> Node:
+    """One direction of the GRU over the rows of ``X``, as one node, with
+    ``gate_nodes`` the direction's nine parameter Nodes in ``GATE_NAMES`` order.
 
     ``X`` holds segments of ``lengths`` rows back to back (one segment of
     all rows when it is None), each scanned from a zero state; row i of the
@@ -116,13 +90,14 @@ def gru_scan(X: Node, cell: GruCell, reverse: bool = False, lengths=None) -> Nod
     and h' = (1 - z) o h + z o c.
     """
     x = X.value
-    N, h = x.shape[0], cell.hidden_dim
-    if x.shape[1] != cell.input_dim:
-        raise ad.ShapeMismatchError("gru_scan", x.shape, cell.W_z.shape)
+    W_z, U_z, b_z, W_r, U_r, b_r, W_h, U_h, b_h = gate_nodes
+    N, h = x.shape[0], W_z.shape[0]
+    if x.shape[1] != W_z.shape[1]:
+        raise ad.ShapeMismatchError("gru_scan", x.shape, W_z.shape)
     perm, widths = _packed_schedule(lengths, N, reverse)
-    W = np.concatenate([cell.W_z.value, cell.W_r.value, cell.W_h.value])
-    U = np.concatenate([cell.U_z.value, cell.U_r.value, cell.U_h.value])
-    b = np.concatenate([cell.b_z.value, cell.b_r.value, cell.b_h.value])[:, 0]
+    W = np.concatenate([W_z.value, W_r.value, W_h.value])
+    U = np.concatenate([U_z.value, U_r.value, U_h.value])
+    b = np.concatenate([b_z.value, b_r.value, b_h.value])[:, 0]
     U_T = U.T
     dtype = np.result_type(x, W)
 
@@ -197,23 +172,23 @@ def gru_scan(X: Node, cell: GruCell, reverse: bool = False, lengths=None) -> Nod
             return swept[1][name]
         return back
 
-    parents = [(X, pull("X"))] + [(getattr(cell, n), pull(n)) for n in GATE_NAMES]
+    parents = [(X, pull("X"))] + [(node, pull(n)) for n, node in zip(GATE_NAMES, gate_nodes)]
     return ad.Node(states, "gru_scan", tuple(parents))
 
 
-def bigru_encode(embedded: Node, forward_cell: GruCell, backward_cell: GruCell,
-                 lengths=None) -> Node:
+def bigru_encode(embedded: Node, forward_gates, backward_gates, lengths=None) -> Node:
     """Encode embedded rows into annotations, row t holding [forward
     state; backward state] at position t.
 
     ``embedded`` holds documents of ``lengths`` rows back to back (one
-    document when it is None). Every row is a real token: the caller trims
+    document when it is None); each direction's gates are as in
+    ``gru_scan``. Every row is a real token: the caller trims
     padding first, so each document's backward direction starts at its
     last token.
     """
-    if forward_cell.hidden_dim != backward_cell.hidden_dim:
-        raise ad.ShapeMismatchError(
-            "bigru_encode", (forward_cell.hidden_dim,), (backward_cell.hidden_dim,))
-    return ad.concat([gru_scan(embedded, forward_cell, lengths=lengths),
-                      gru_scan(embedded, backward_cell, reverse=True, lengths=lengths)],
+    h_f, h_b = forward_gates[0].shape[0], backward_gates[0].shape[0]
+    if h_f != h_b:
+        raise ad.ShapeMismatchError("bigru_encode", (h_f,), (h_b,))
+    return ad.concat([gru_scan(embedded, forward_gates, lengths=lengths),
+                      gru_scan(embedded, backward_gates, reverse=True, lengths=lengths)],
                      axis=1)

@@ -81,18 +81,10 @@ class ParamStore:
 @dataclass
 class ModelParams:
     store: ParamStore
-    d: int
-    h: int
-    m: int
     ctx: str
     encoder: str
-    mlp_hidden: int
     num_classes: int
     dropout: float
-
-    @property
-    def d_ann(self) -> int:
-        return self.d if self.encoder == ENCODER_LE else 2 * self.h
 
 
 def param_shapes(vocab_size: int, num_classes: int, *, d: int, h: int, m: int,
@@ -127,9 +119,9 @@ def init_model(vocab_size: int, num_classes: int, rng: np.random.Generator, *,
                dropout: float = 0.4, dtype=np.float32,
                embedding: EmbeddingMatrix | None = None) -> ModelParams:
     """Allocate and initialize every trainable tensor."""
-    param_shapes(vocab_size, num_classes, d=d, h=h, m=m, ctx=ctx, encoder=encoder,
-                 mlp_hidden=mlp_hidden)  # rejects an invalid combination
-    d_ann = d if encoder == ENCODER_LE else 2 * h
+    shapes = param_shapes(vocab_size, num_classes, d=d, h=h, m=m, ctx=ctx, encoder=encoder,
+                          mlp_hidden=mlp_hidden)  # rejects an invalid combination
+    d_ann = shapes["attn.W_w"][0]
 
     store = ParamStore()
     if embedding is None:
@@ -155,8 +147,7 @@ def init_model(vocab_size: int, num_classes: int, rng: np.random.Generator, *,
     for name, arr in cls_arrays.items():
         store.add("cls." + name, arr)
 
-    return ModelParams(store=store, d=d, h=h, m=m, ctx=ctx, encoder=encoder,
-                       mlp_hidden=mlp_hidden, num_classes=num_classes,
+    return ModelParams(store=store, ctx=ctx, encoder=encoder, num_classes=num_classes,
                        dropout=dropout)
 
 
@@ -190,8 +181,8 @@ def _forward(params: ModelParams, nodes: dict, id_rows: list, train: bool,
     X = ad.take_rows(nodes["W_e"], np.concatenate(id_rows))
 
     if params.encoder == ENCODER_BIGRU:
-        H = gru.bigru_encode(X, gru.GruCell.from_nodes(nodes, "gru_f."),
-                             gru.GruCell.from_nodes(nodes, "gru_b."), lengths)
+        H = gru.bigru_encode(X, [nodes["gru_f." + n] for n in gru.GATE_NAMES],
+                             [nodes["gru_b." + n] for n in gru.GATE_NAMES], lengths)
     else:
         H = X
 

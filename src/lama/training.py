@@ -99,8 +99,13 @@ class TrainConfig:
                      "max_epochs"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
+        for name in ("lr", "momentum", "weight_decay", "dropout", "lam"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if not 0.0 <= self.dropout < 1.0:
             raise ValueError("dropout must be in [0, 1)")
+        if not 0.0 <= self.momentum < 1.0:
+            raise ValueError("momentum must be in [0, 1)")
         if self.lam < 0 or self.lr <= 0 or self.weight_decay < 0:
             raise ValueError("lr must be > 0; lambda and weight_decay >= 0")
 
@@ -279,10 +284,8 @@ class Checkpoint:
                 raise CheckpointError(f"corrupt checkpoint {ckpt_dir}: tensor {name} "
                                       f"holds a non-finite value")
             store.add(name, np.array(arr, dtype=np.float32))
-        params = ModelParams(store=store, d=config.d, h=config.h, m=config.m,
-                             ctx=config.ctx, encoder=config.encoder,
-                             mlp_hidden=config.mlp_hidden, num_classes=len(labels),
-                             dropout=config.dropout)
+        params = ModelParams(store=store, ctx=config.ctx, encoder=config.encoder,
+                             num_classes=len(labels), dropout=config.dropout)
         return cls(config, vocab, labels, params)
 
 

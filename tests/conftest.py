@@ -1,5 +1,16 @@
 """Helpers shared by the test modules."""
 
+import os
+
+# The timing checks (criterion 4 and the bench tests) measure how the
+# attention layers scale with length, so BLAS runs on one thread, as in
+# perfbench. With two threads per process on a shared 2-core host, BLAS
+# spins on descheduled threads: a 3 ms LE batch then takes 40 ms, and the
+# fitted slopes measure the scheduler. This runs before numpy is imported;
+# a value set in the environment wins.
+for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
 
 def count_nodes(root):
     """Nodes of the autodiff graph reachable from ``root``, root included."""

@@ -121,6 +121,20 @@ class TestBenchRuntime:
         with pytest.raises(BaselineError):
             bench_runtime("gpu", [8, 16, 32, 64])
 
+    def test_le_times_one_packed_attend_per_batch(self, monkeypatch):
+        # the model's path: each timed batch is one attend over the packed rows
+        calls = []
+        attend = bl.attention.attend
+
+        def counted(H, *args, lengths=None, **kwargs):
+            calls.append((H.shape, lengths, H.requires_grad))
+            return attend(H, *args, lengths=lengths, **kwargs)
+
+        monkeypatch.setattr(bl.attention, "attend", counted)
+        bench_runtime("le", [8, 16, 32, 64], trials=5, d=16, heads=2, batch=3)
+        expected = [((3 * L, 16), [L] * 3, False) for L in (8, 16, 32, 64) for _ in range(6)]
+        assert calls == expected  # one warm-up and five timed batches per length
+
     def test_smoke_rows_and_csv(self, tmp_path):
         res = bench_runtime("le", [8, 16, 32, 64], trials=5, d=16, heads=2,
                             batch=1)

@@ -441,6 +441,46 @@ class TestBench:
         assert code == cli.EXIT_USAGE
 
 
+TRAIN_DATA = ["--data", "{train}", "--valid", "{valid}"]
+
+# argv and exit code of inputs outside their documented domain; "{...}"
+# names an input file, and each case fails before any training step
+OUT_OF_DOMAIN = {
+    "train-dropout-nan": (["train", *TRAIN_DATA, "--dropout", "nan"], cli.EXIT_USAGE),
+    "train-lambda-nan": (["train", *TRAIN_DATA, "--regularizer", "positions",
+                          "--lambda", "nan"], cli.EXIT_USAGE),
+    "train-lr-nan": (["train", *TRAIN_DATA, "--lr", "nan"], cli.EXIT_USAGE),
+    "train-lr-inf": (["train", *TRAIN_DATA, "--lr", "inf"], cli.EXIT_USAGE),
+    "train-momentum-5": (["train", *TRAIN_DATA, "--momentum", "5"], cli.EXIT_USAGE),
+    "train-momentum-1": (["train", *TRAIN_DATA, "--momentum", "1"], cli.EXIT_USAGE),
+    "train-momentum-nan": (["train", *TRAIN_DATA, "--momentum", "nan"], cli.EXIT_USAGE),
+    "train-weight-decay-nan": (["train", *TRAIN_DATA, "--weight-decay", "nan"],
+                               cli.EXIT_USAGE),
+    "train-min-count-1000": (["train", *TRAIN_DATA, "--min-count", "1000"], cli.EXIT_DATA),
+    "heads-sweep-grid-0": (["heads-sweep", *TRAIN_DATA, "--grid", "0"], cli.EXIT_USAGE),
+    "params-heads-0": (["params", "--heads", "0"], cli.EXIT_USAGE),
+    "params-vocab-size-negative": (["params", "--vocab-size", "-5"], cli.EXIT_USAGE),
+    "bench-le-heads-0": (["bench", "--kind", "le", "--heads", "0"], cli.EXIT_USAGE),
+    "bench-te-heads-0": (["bench", "--kind", "te", "--heads", "0"], cli.EXIT_USAGE),
+    "bench-batch-0": (["bench", "--kind", "le", "--batch", "0"], cli.EXIT_USAGE),
+    "bench-dim-0": (["bench", "--kind", "le", "--dim", "0"], cli.EXIT_USAGE),
+    "topwords-array-record": (["topwords", "--data", "{jsonl}"], cli.EXIT_DATA),
+}
+
+
+@pytest.mark.parametrize("case", list(OUT_OF_DOMAIN))
+def test_out_of_domain_input_exits_with_one_error_line(case, workspace, tmp_path, capsys):
+    argv, code = OUT_OF_DOMAIN[case]
+    jsonl = tmp_path / "attention.jsonl"
+    jsonl.write_text('["not", "an", "object"]\n', encoding="utf-8")
+    files = {"train": workspace["train"], "valid": workspace["valid"], "jsonl": jsonl}
+    capsys.readouterr()
+    assert run_cli(*[a.format(**files) for a in argv], "--out", tmp_path / "out") == code
+    out, err = capsys.readouterr()
+    assert err.startswith("error:") and len(err.splitlines()) == 1
+    assert "error:" not in out and "Traceback" not in out + err
+
+
 class TestHeadsSweep:
     def test_sweep_writes_sorted_csv(self, workspace, tmp_path):
         out = tmp_path / "sweep"

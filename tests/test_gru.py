@@ -7,7 +7,7 @@ from lama import autodiff as ad
 from lama import gru
 from lama import model as mdl
 from lama.classifier import ObjectiveConfig
-from lama.gru import GruCell, bigru_encode, init_gru_arrays
+from lama.gru import GATE_NAMES, bigru_encode, init_gru_arrays
 from lama.synthetic import make_task
 from lama.text import PAD_ID
 from lama.training import DivergenceError, TrainConfig, train
@@ -39,8 +39,8 @@ def reference_bigru(x, fwd_arrays, bwd_arrays):
 
 
 def encode(x, fwd_arrays, bwd_arrays, lengths=None):
-    fwd = GruCell(**{k: ad.leaf(v) for k, v in fwd_arrays.items()})
-    bwd = GruCell(**{k: ad.leaf(v) for k, v in bwd_arrays.items()})
+    fwd = [ad.leaf(fwd_arrays[n]) for n in GATE_NAMES]
+    bwd = [ad.leaf(bwd_arrays[n]) for n in GATE_NAMES]
     return bigru_encode(ad.leaf(x), fwd, bwd, lengths).value
 
 
@@ -166,17 +166,12 @@ class TestBigruEncode:
         x = rng.standard_normal((L, 3)) * 0.5
         fa = init_gru_arrays(3, 2, rng, dtype=np.float64)
         ba = init_gru_arrays(3, 2, rng, dtype=np.float64)
-        names_f = list(fa)
-        names_b = list(ba)
 
         def builder(leaves):
-            xs = leaves[0]
-            k = 1
-            fwd = GruCell(**{n: leaves[k + i] for i, n in enumerate(names_f)})
-            bwd = GruCell(**{n: leaves[k + 9 + i] for i, n in enumerate(names_b)})
-            return ad.frobenius_sq(ad.tanh(bigru_encode(xs, fwd, bwd, lengths)))
+            return ad.frobenius_sq(ad.tanh(bigru_encode(leaves[0], leaves[1:10],
+                                                        leaves[10:], lengths)))
 
-        params = [x] + [fa[n] for n in names_f] + [ba[n] for n in names_b]
+        params = [x] + [fa[n] for n in GATE_NAMES] + [ba[n] for n in GATE_NAMES]
         return ad.grad_check(builder, params, step=1e-5, tolerance=1e-6)
 
     def test_gradients_pass_finite_difference_check(self):

@@ -26,7 +26,7 @@ class TestInit:
     def test_le_model_has_no_gru(self):
         params = tiny_model(encoder="le")
         assert not any(n.startswith("gru") for n in params.store.names())
-        assert params.d_ann == 6
+        assert params.store["attn.W_w"].value.shape == (6, 6)
 
     def test_doc_mean_model_has_no_context_vector(self):
         params = tiny_model(ctx="doc-mean")
