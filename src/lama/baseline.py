@@ -45,10 +45,6 @@ class TeConfig:
             raise BaselineError(
                 f"d_model {self.d_model} not divisible by heads {self.heads}")
 
-    @property
-    def head_dim(self) -> int:
-        return self.d_model // self.heads
-
 
 @dataclass
 class ParamReport:

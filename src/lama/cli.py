@@ -10,11 +10,10 @@ from __future__ import annotations
 
 import os
 
-# honor the thread cap before numpy loads its BLAS
-_threads = os.environ.get("LAMA_THREADS")
-if _threads:
-    for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-        os.environ.setdefault(_var, _threads)
+# one BLAS thread unless the environment says otherwise, set before numpy
+# loads its BLAS: with more, a shared host's scheduler times `lama bench`
+for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
 
 import argparse
 import json
@@ -26,8 +25,8 @@ import numpy as np
 from . import __version__, baseline
 from .autodiff import NonFiniteError
 from .classifier import REGULARIZERS
-from .text import (FileOpenError, TextError, build_vocab, init_embeddings,
-                   load_dataset, read_tsv, rows_to_dataset, tokenize_rows)
+from .text import (FileOpenError, TextError, build_vocab, load_dataset, read_pretrained,
+                   read_tsv, rows_to_dataset, tokenize_rows)
 from .training import (Checkpoint, CheckpointError, DivergenceError, TrainConfig,
                        TrainingError, evaluate, forward_chunks, heads_sweep, sweep_to_csv,
                        train)
@@ -88,8 +87,8 @@ def _add_train_flags(p):
     p.add_argument("--encoder", choices=["bigru", "le"], default="bigru")
     p.add_argument("--min-count", type=int, default=5, help="vocab frequency threshold")
     p.add_argument("--embeddings",
-                   help="pretrained vectors (token v1 .. vd per line); the values of "
-                        "tokens outside the vocabulary are not parsed, only counted")
+                   help="pretrained vectors (token v1 .. vd per line) that replace their "
+                        "tokens' initial rows; other tokens' values are only counted")
 
 
 def build_parser():
@@ -177,17 +176,24 @@ def _manifest(args, inputs, outputs) -> RunManifest:
                        outputs=[str(p) for p in outputs], version=__version__)
 
 
-def _load_train_valid(args, max_len):
-    """Vocabulary and train set from one read of --data, then --valid."""
+def _load_inputs(args, config):
+    """Vocabulary and train set from one read of --data, then --valid, and
+    the (ids, rows) of --embeddings, its coverage printed, or None."""
+    if args.min_count < 1:
+        raise CliError(f"--min-count must be >= 1, got {args.min_count}", EXIT_USAGE)
     rows = tokenize_rows(read_tsv(args.data))
     vocab = build_vocab((tokens for _, _, tokens in rows), args.min_count)
     if len(vocab) == 2:  # <pad> and <unk> only
         raise CliError(f"--min-count {args.min_count} keeps no token of {args.data}, "
                        f"so every word would read as <unk>", EXIT_DATA)
-    train_set = rows_to_dataset(rows, vocab, max_len, source=args.data)
-    valid_set = load_dataset(args.valid, vocab, max_len,
+    train_set = rows_to_dataset(rows, vocab, config.max_len, source=args.data)
+    valid_set = load_dataset(args.valid, vocab, config.max_len,
                              label_names=train_set.label_names, split="valid")
-    return train_set, valid_set, vocab
+    pretrained = None
+    if args.embeddings:
+        pretrained = read_pretrained(args.embeddings, vocab, config.d)
+        print(f"pretrained coverage: {len(pretrained[0]) / (len(vocab) - 2):.3f}")
+    return train_set, valid_set, vocab, pretrained
 
 
 def cmd_train(args):
@@ -196,15 +202,9 @@ def cmd_train(args):
     _manifest(args, [args.data, args.valid], [ckpt_dir, history_csv]).write(args.out)
 
     config = _config_from_args(args)
-    train_set, valid_set, vocab = _load_train_valid(args, config.max_len)
-    embedding = None
-    if args.embeddings:
-        rng = np.random.Generator(np.random.PCG64(config.seed))
-        embedding = init_embeddings(vocab, config.d, rng, pretrained_path=args.embeddings)
-        print(f"pretrained coverage: {embedding.coverage:.3f}")
-    checkpoint, history = train(config, train_set, valid_set, vocab,
-                                embedding=embedding, log=print,
-                                snapshot=args.snapshot)
+    train_set, valid_set, vocab, pretrained = _load_inputs(args, config)
+    checkpoint, history = train(config, train_set, valid_set, vocab, pretrained=pretrained,
+                                log=print, snapshot=args.snapshot)
     checkpoint.save(ckpt_dir)
     history.to_csv(history_csv)
     best = history.records[history.best_epoch - 1]
@@ -259,6 +259,8 @@ def cmd_attend(args):
 def top_attended_words(jsonl_path, label=None, top_k=20, min_occurrences=3):
     """Aggregate an attention export: a word scores the mean over its
     occurrences of its max attention weight across heads."""
+    if top_k < 1:
+        raise CliError(f"--top-k must be >= 1, got {top_k}", EXIT_USAGE)
     sums = {}
     counts = {}
     try:
@@ -358,8 +360,9 @@ def cmd_heads_sweep(args):
     config = _config_from_args(args)
     if not args.grid or min(args.grid) < 1:
         raise CliError(f"--grid must list head counts >= 1, got {args.grid}", EXIT_USAGE)
-    train_set, valid_set, vocab = _load_train_valid(args, config.max_len)
-    table = heads_sweep(config, args.grid, train_set, valid_set, vocab, log=print)
+    train_set, valid_set, vocab, pretrained = _load_inputs(args, config)
+    table = heads_sweep(config, args.grid, train_set, valid_set, vocab,
+                        pretrained=pretrained, log=print)
     sweep_to_csv(table, out_path)
     for m, acc in table:
         print(f"m={m}: {acc:.4f}")

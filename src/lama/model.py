@@ -34,7 +34,7 @@ import numpy as np
 from . import attention, autodiff as ad, classifier, gru
 from .attention import CTX_DOC_MEAN, CTX_LEARNED, AttentionOutput
 from .autodiff import Node
-from .text import EmbeddingMatrix, PAD_ID
+from .text import PAD_ID
 
 ENCODER_BIGRU = "bigru"
 ENCODER_LE = "le"
@@ -116,21 +116,14 @@ def param_shapes(vocab_size: int, num_classes: int, *, d: int, h: int, m: int,
 def init_model(vocab_size: int, num_classes: int, rng: np.random.Generator, *,
                d: int = 100, h: int = 50, m: int = 1, ctx: str = CTX_LEARNED,
                encoder: str = ENCODER_BIGRU, mlp_hidden: int = 512,
-               dropout: float = 0.4, dtype=np.float32,
-               embedding: EmbeddingMatrix | None = None) -> ModelParams:
+               dropout: float = 0.4, dtype=np.float32) -> ModelParams:
     """Allocate and initialize every trainable tensor."""
     shapes = param_shapes(vocab_size, num_classes, d=d, h=h, m=m, ctx=ctx, encoder=encoder,
                           mlp_hidden=mlp_hidden)  # rejects an invalid combination
     d_ann = shapes["attn.W_w"][0]
 
     store = ParamStore()
-    if embedding is None:
-        weights = rng.uniform(-0.1, 0.1, size=(vocab_size, d)).astype(dtype)
-    else:
-        if embedding.weights.shape != (vocab_size, d):
-            raise ValueError(
-                f"embedding shape {embedding.weights.shape} != ({vocab_size}, {d})")
-        weights = embedding.weights.astype(dtype, copy=True)
+    weights = rng.uniform(-0.1, 0.1, size=(vocab_size, d)).astype(dtype)
     weights[PAD_ID] = 0.0
     store.add("W_e", weights)
 

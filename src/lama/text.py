@@ -1,9 +1,12 @@
-"""Tokenization, vocabulary construction, embeddings and dataset ingestion.
+"""Tokenization, vocabulary construction, dataset ingestion and pretrained
+vector files.
 
 Datasets are TSV files, one document per line: ``label<TAB>text``. TSV and
-embedding files are read as UTF-8, a leading byte order mark skipped. The
+vector files are read as UTF-8, a leading byte order mark skipped. The
 vocabulary reserves id 0 for padding and id 1 for unknown tokens and keeps
 the remaining ids dense, ordered by descending frequency then token.
+``read_pretrained`` only reads a vector file: the trainer writes its rows
+into the model's own randomly initialized embedding matrix.
 """
 
 from __future__ import annotations
@@ -220,50 +223,43 @@ def load_dataset(path, vocab: Vocab, max_len: int = 256,
                            split, source=path)
 
 
-@dataclass
-class EmbeddingMatrix:
-    weights: np.ndarray      # |V| x d, PAD row all zeros
-    coverage: float | None = None  # pretrained hit ratio
+def read_pretrained(path, vocab: Vocab, d: int) -> tuple[np.ndarray, np.ndarray]:
+    """The vocabulary ids a whitespace separated ``token v1 .. vd`` text
+    file lists, in file order, and their rows as a float32 len(ids) x d
+    array.
 
-
-def init_embeddings(vocab: Vocab, d: int, rng: np.random.Generator,
-                    pretrained_path=None, dtype=np.float32) -> EmbeddingMatrix:
-    """Random uniform(-0.1, 0.1) init, or rows copied from a whitespace
-    separated ``token v1 .. vd`` text file with random fill for misses.
-
-    A row without d values, or a copied row that is not d finite numbers,
-    is a TextError naming ``path:line``. Rows of tokens outside the
-    vocabulary are not parsed: only their field count is checked."""
+    A row without d values, a listed row that is not d finite numbers, or
+    a vocabulary token listed twice is a TextError naming ``path:line``.
+    Rows of tokens outside the vocabulary, and of ``<pad>`` and ``<unk>``,
+    are not parsed: only their field count is checked."""
     if d < 1:
         raise TextError(f"embedding dimension must be >= 1, got {d}")
-    weights = rng.uniform(-0.1, 0.1, size=(len(vocab), d)).astype(dtype)
-    coverage = None
-    if pretrained_path is not None:
-        hits = 0
+    rows = {}
+    try:
+        fh = open(path, encoding="utf-8-sig")
+    except OSError as exc:
+        raise FileOpenError(f"cannot open embeddings {path}: {exc}") from exc
+    with fh:
         try:
-            fh = open(pretrained_path, encoding="utf-8-sig")
-        except OSError as exc:
-            raise FileOpenError(f"cannot open embeddings {pretrained_path}: {exc}") from exc
-        with fh:
             for line_no, line in enumerate(fh, start=1):
                 parts = line.rstrip("\n").split()
                 if not parts:
                     continue
                 token, values = parts[0], parts[1:]
                 if len(values) != d:
-                    raise TextError(
-                        f"{pretrained_path}:{line_no}: expected {d} floats, got {len(values)}"
-                    )
+                    raise TextError(f"{path}:{line_no}: expected {d} floats, got {len(values)}")
                 idx = vocab.token_to_id.get(token)
-                if idx is not None and idx >= 2:
-                    try:
-                        row = np.asarray([float(v) for v in values], dtype=dtype)
-                    except ValueError as exc:
-                        raise TextError(f"{pretrained_path}:{line_no}: {exc}") from exc
-                    if not np.isfinite(row).all():
-                        raise TextError(f"{pretrained_path}:{line_no}: non-finite value")
-                    weights[idx] = row
-                    hits += 1
-        coverage = hits / max(len(vocab) - 2, 1)
-    weights[PAD_ID] = 0.0
-    return EmbeddingMatrix(weights, coverage=coverage)
+                if idx is None or idx <= UNK_ID:
+                    continue
+                if idx in rows:
+                    raise TextError(f"{path}:{line_no}: token {token!r} listed twice")
+                try:
+                    rows[idx] = np.asarray([float(v) for v in values], dtype=np.float32)
+                except ValueError as exc:
+                    raise TextError(f"{path}:{line_no}: {exc}") from exc
+                if not np.isfinite(rows[idx]).all():
+                    raise TextError(f"{path}:{line_no}: non-finite value")
+        except UnicodeDecodeError as exc:
+            raise EncodingError(f"{path}: invalid UTF-8: {exc}") from exc
+    return (np.fromiter(rows, dtype=np.int64, count=len(rows)),
+            np.asarray(list(rows.values()), dtype=np.float32).reshape(len(rows), d))

@@ -46,7 +46,7 @@ from .model import (ENCODER_BIGRU, ModelParams, ParamStore, batch_objective, for
                     init_model, param_shapes)
 # test_perfbench.py::test_install_patches_callers_namespaces_and_uninstall_restores reads this
 from .model import forward_doc  # noqa: F401
-from .text import Dataset, EmbeddingMatrix, TextError, Vocab
+from .text import Dataset, TextError, Vocab
 
 WEIGHTS_DTYPE = "<f4"  # little-endian IEEE-754 32-bit
 EVAL_CHUNK = 64  # documents per forward-only graph in evaluation and the attention export
@@ -290,11 +290,14 @@ class Checkpoint:
 
 
 def _fresh_model(config: TrainConfig, vocab_size: int, num_classes: int,
-                 rng, embedding: EmbeddingMatrix | None = None) -> ModelParams:
-    return init_model(vocab_size, num_classes, rng, d=config.d, h=config.h,
-                      m=config.m, ctx=config.ctx, encoder=config.encoder,
-                      mlp_hidden=config.mlp_hidden, dropout=config.dropout,
-                      embedding=embedding)
+                 rng, pretrained=None) -> ModelParams:
+    params = init_model(vocab_size, num_classes, rng, d=config.d, h=config.h,
+                        m=config.m, ctx=config.ctx, encoder=config.encoder,
+                        mlp_hidden=config.mlp_hidden, dropout=config.dropout)
+    if pretrained is not None:
+        ids, rows = pretrained
+        params.store["W_e"].value[ids] = rows
+    return params
 
 
 def _backward_batch(params: ModelParams, nodes: dict, batch: list,
@@ -321,10 +324,14 @@ def _check_labels(dataset: Dataset, label_names) -> None:
 
 
 def train(config: TrainConfig, train_set: Dataset, valid_set: Dataset,
-          vocab: Vocab, embedding: EmbeddingMatrix | None = None,
+          vocab: Vocab, pretrained: tuple[np.ndarray, np.ndarray] | None = None,
           log=None, snapshot: str = "best") -> tuple[Checkpoint, TrainHistory]:
     """Train until max_epochs or until validation accuracy has not improved
     for ``patience`` consecutive epochs; returns the best-epoch checkpoint.
+
+    ``pretrained=(ids, rows)`` (see ``text.read_pretrained``) overwrites
+    those rows of the freshly initialized ``W_e``; every other row and
+    every later draw are the ones the run without it makes.
 
     ``snapshot="final"`` returns the last-epoch weights instead (for
     analyses of where training ends up rather than its best point).
@@ -340,7 +347,7 @@ def train(config: TrainConfig, train_set: Dataset, valid_set: Dataset,
                             f"{train_set.label_names[classes[0]]!r}")
     _check_labels(valid_set, train_set.label_names)
     rng = np.random.Generator(np.random.PCG64(config.seed))
-    params = _fresh_model(config, len(vocab), train_set.num_classes, rng, embedding)
+    params = _fresh_model(config, len(vocab), train_set.num_classes, rng, pretrained)
     objective = ObjectiveConfig(config.regularizer, config.lam)
 
     rows_sgd = LazyRowSGD(params.store["W_e"].value, config.lr, config.momentum,
@@ -457,16 +464,19 @@ def evaluate(params_or_checkpoint, dataset: Dataset) -> EvalMetrics:
 
 
 def heads_sweep(base_config: TrainConfig, m_values, train_set: Dataset,
-                valid_set: Dataset, vocab: Vocab, log=None) -> list[tuple[int, float]]:
-    """Train one model per head count (shared seed) and report the best
-    validation accuracy of each, sorted ascending by m."""
+                valid_set: Dataset, vocab: Vocab, pretrained=None,
+                log=None) -> list[tuple[int, float]]:
+    """Train one model per head count (shared seed and ``pretrained`` rows,
+    see ``train``) and report the best validation accuracy of each, sorted
+    ascending by m."""
     if not m_values:
         raise TrainingError("heads_sweep needs a non-empty grid")
     rows = []
     for m in sorted(set(int(v) for v in m_values)):
         cfg_dict = asdict(base_config)
         cfg_dict["m"] = m
-        _, history = train(TrainConfig(**cfg_dict), train_set, valid_set, vocab, log=log)
+        _, history = train(TrainConfig(**cfg_dict), train_set, valid_set, vocab,
+                           pretrained=pretrained, log=log)
         best = max(r.valid_acc for r in history.records)
         rows.append((m, best))
         if log:

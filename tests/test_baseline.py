@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -5,7 +7,7 @@ from lama import baseline as bl
 from lama.baseline import (BaselineError, TeConfig, bench_runtime,
                            init_te_params, lama_param_count, sdpa_forward,
                            te_param_count)
-from lama.model import init_model
+from lama.model import init_model, param_shapes
 
 TABLE_DELTAS_M = [0.002, 0.004, 0.009, 0.016, 0.034]  # published rounding
 
@@ -41,6 +43,13 @@ class TestLamaCount:
                 params = init_model(77, 4, np.random.default_rng(0), d=20, h=10,
                                     m=m, ctx=ctx, mlp_hidden=32)
                 assert rep.total == sum(p.value.size for p in params.store)
+
+    @pytest.mark.parametrize("ctx,total", [("learned", 6044), ("doc-mean", 6024)])
+    def test_full_count_matches_param_shapes(self, ctx, total):
+        shapes = param_shapes(77, 4, d=20, h=10, m=3, ctx=ctx, encoder="bigru",
+                              mlp_hidden=32)
+        assert lama_param_count(20, 10, 3, 77, 32, 4, ctx=ctx).total == total
+        assert sum(math.prod(shape) for shape in shapes.values()) == total
 
     def test_full_marginal_includes_classifier_growth(self):
         a = lama_param_count(20, 10, 3, 77, 32, 4)

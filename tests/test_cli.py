@@ -2,7 +2,10 @@ import csv
 import json
 import os
 import shutil
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -193,6 +196,24 @@ class TestTrain:
                        workspace["valid"], "--out", tmp_path / "pre2",
                        "--embeddings", vecs, "--epochs", "1", *TRAIN_FLAGS)
         assert code == cli.EXIT_DATA
+
+    def test_plain_initial_rows_as_pretrained_give_the_plain_weights(self, workspace,
+                                                                      tmp_path):
+        # the vectors only replace their rows of the plain run's W_e, so a
+        # file of those same initial rows leaves every weight as it was
+        argv = ["--data", workspace["train"], "--valid", workspace["valid"], "--seed", "3",
+                *TRAIN_FLAGS, "--epochs", "2"]
+        assert run_cli("train", *argv, "--out", tmp_path / "plain") == 0
+        plain = tr.Checkpoint.load(tmp_path / "plain" / "checkpoint")
+        W_e = tr._fresh_model(plain.config, len(plain.vocab), len(plain.label_names),
+                              np.random.Generator(np.random.PCG64(3))).store["W_e"].value
+        vecs = tmp_path / "vectors.txt"
+        vecs.write_text("".join(
+            f"{t} " + " ".join(repr(float(x)) for x in W_e[plain.vocab.lookup(t)]) + "\n"
+            for t in ("zing", "blah", "mundane3")), encoding="utf-8")
+        assert run_cli("train", *argv, "--embeddings", vecs, "--out", tmp_path / "pre") == 0
+        assert (tmp_path / "pre" / "checkpoint" / "weights.bin").read_bytes() == \
+            (tmp_path / "plain" / "checkpoint" / "weights.bin").read_bytes()
 
     @pytest.mark.parametrize("bad_value", ["abc", "nan", "inf"])
     def test_bad_pretrained_value_is_data_error(self, workspace, tmp_path, capsys, bad_value):
@@ -457,7 +478,10 @@ OUT_OF_DOMAIN = {
     "train-weight-decay-nan": (["train", *TRAIN_DATA, "--weight-decay", "nan"],
                                cli.EXIT_USAGE),
     "train-min-count-1000": (["train", *TRAIN_DATA, "--min-count", "1000"], cli.EXIT_DATA),
+    "train-min-count-0": (["train", *TRAIN_DATA, "--min-count", "0"], cli.EXIT_USAGE),
     "heads-sweep-grid-0": (["heads-sweep", *TRAIN_DATA, "--grid", "0"], cli.EXIT_USAGE),
+    "heads-sweep-min-count-0": (["heads-sweep", *TRAIN_DATA, "--min-count", "0"],
+                                cli.EXIT_USAGE),
     "params-heads-0": (["params", "--heads", "0"], cli.EXIT_USAGE),
     "params-vocab-size-negative": (["params", "--vocab-size", "-5"], cli.EXIT_USAGE),
     "bench-le-heads-0": (["bench", "--kind", "le", "--heads", "0"], cli.EXIT_USAGE),
@@ -465,6 +489,9 @@ OUT_OF_DOMAIN = {
     "bench-batch-0": (["bench", "--kind", "le", "--batch", "0"], cli.EXIT_USAGE),
     "bench-dim-0": (["bench", "--kind", "le", "--dim", "0"], cli.EXIT_USAGE),
     "topwords-array-record": (["topwords", "--data", "{jsonl}"], cli.EXIT_DATA),
+    "topwords-top-k-0": (["topwords", "--data", "{jsonl}", "--top-k", "0"], cli.EXIT_USAGE),
+    "topwords-top-k-negative": (["topwords", "--data", "{jsonl}", "--top-k", "-1"],
+                                cli.EXIT_USAGE),
 }
 
 
@@ -490,6 +517,18 @@ class TestHeadsSweep:
         assert code == 0
         rows = list(csv.DictReader((out / "sweep.csv").read_text().splitlines()))
         assert [int(r["m"]) for r in rows] == [1, 2]
+
+
+    def test_embeddings_dimension_mismatch_is_data_error(self, workspace, tmp_path, capsys):
+        vecs = tmp_path / "short.txt"
+        vecs.write_text("zing 1.0 2.0\n", encoding="utf-8")
+        capsys.readouterr()
+        code = run_cli("heads-sweep", "--data", workspace["train"], "--valid",
+                       workspace["valid"], "--grid", "1", "--out", tmp_path / "sweep",
+                       "--embeddings", vecs, *TRAIN_FLAGS[:-2], "--embed-dim", "8")
+        err = capsys.readouterr().err.strip().splitlines()
+        assert code == cli.EXIT_DATA
+        assert len(err) == 1 and err[0].startswith(f"error: {vecs}:1: expected 8 floats"), err
 
 
 class TestErrorSurface:
@@ -520,3 +559,15 @@ class TestErrorSurface:
         assert run_cli(*argv) == 0
         for name, blob in first.items():
             assert (out / name).read_bytes() == blob
+
+
+def test_import_defaults_blas_to_one_thread_and_keeps_a_set_value():
+    blas = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+    env = {k: v for k, v in os.environ.items() if k not in blas}
+    env["PYTHONPATH"] = str(Path(cli.__file__).resolve().parents[1])
+    env["MKL_NUM_THREADS"] = "3"
+    out = subprocess.run(
+        [sys.executable, "-c",
+         f"import os, lama.cli; print(*(os.environ[v] for v in {blas!r}))"],
+        env=env, capture_output=True, text=True, check=True).stdout
+    assert out.split() == ["1", "1", "3"]

@@ -36,6 +36,12 @@ class TestInit:
         with pytest.raises(ValueError, match="doc-mean"):
             tiny_model(ctx="doc-mean", d=5)  # d != 2h
 
+    def test_embedding_init_shape_bound_and_zero_pad_row(self):
+        W_e = tiny_model().store["W_e"].value
+        assert W_e.shape == (12, 6) and W_e.dtype == np.float32
+        assert np.abs(W_e).max() <= 0.1 and np.abs(W_e[1:]).min() > 0
+        np.testing.assert_array_equal(W_e[PAD_ID], 0.0)
+
     def test_pad_row_zeroed(self):
         params = tiny_model()
         np.testing.assert_array_equal(params.store["W_e"].value[PAD_ID], 0.0)

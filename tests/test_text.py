@@ -7,8 +7,8 @@ from hypothesis import given, settings, strategies as st
 
 from lama import synthetic, text
 from lama.text import (PAD_ID, PAD_TOKEN, UNK_ID, UNK_TOKEN, EmptyCorpusError,
-                       MalformedLineError, build_vocab, encode, init_embeddings,
-                       load_dataset, read_tsv, tokenize)
+                       MalformedLineError, build_vocab, encode, load_dataset,
+                       read_pretrained, read_tsv, tokenize)
 from lama.synthetic import pairs_to_dataset, write_tsv
 
 
@@ -262,12 +262,8 @@ class TestReadTsv:
 
 
 class TestInitEmbeddings:
-    def test_random_shape_and_zero_pad_row(self, tiny_vocab):
-        emb = init_embeddings(tiny_vocab, 16, np.random.default_rng(0))
-        assert emb.weights.shape == (len(tiny_vocab), 16)
-        np.testing.assert_array_equal(emb.weights[PAD_ID], 0.0)
-        assert np.abs(emb.weights).max() <= 0.1
-        assert emb.coverage is None
+    """``read_pretrained``: the rows a vector file gives the trainer to
+    write into ``W_e`` (see test_training's TestPretrained)."""
 
     def test_pretrained_coverage_ratio(self, tmp_path):
         tokens = [f"t{i}" for i in range(10)]
@@ -275,38 +271,52 @@ class TestInitEmbeddings:
         lines = [f"t{i} " + " ".join(["0.5"] * 4) for i in range(3)]
         p = tmp_path / "vecs.txt"
         p.write_text("\n".join(lines) + "\n", encoding="utf-8")
-        emb = init_embeddings(vocab, 4, np.random.default_rng(0), pretrained_path=p)
-        assert emb.coverage == pytest.approx(0.3)
-        np.testing.assert_array_equal(emb.weights[vocab.lookup("t0")], 0.5)
+        ids, rows = read_pretrained(p, vocab, 4)
+        assert len(ids) / (len(vocab) - 2) == pytest.approx(0.3)
+        assert ids.tolist() == [vocab.lookup(f"t{i}") for i in range(3)]
+        assert rows.dtype == np.float32 and rows.shape == (3, 4)
+        np.testing.assert_array_equal(rows, 0.5)
 
     def test_byte_order_mark_does_not_hide_the_first_row(self, tmp_path, tiny_vocab):
         p = tmp_path / "vecs.txt"
         p.write_bytes("\ufeffgood 1 2 3 4\nbad 5 6 7 8\n".encode("utf-8"))
-        emb = init_embeddings(tiny_vocab, 4, np.random.default_rng(0), pretrained_path=p)
-        assert emb.coverage == pytest.approx(2 / (len(tiny_vocab) - 2))
-        np.testing.assert_array_equal(emb.weights[tiny_vocab.lookup("good")], [1, 2, 3, 4])
+        ids, rows = read_pretrained(p, tiny_vocab, 4)
+        assert ids.tolist() == [tiny_vocab.lookup("good"), tiny_vocab.lookup("bad")]
+        np.testing.assert_array_equal(rows, [[1, 2, 3, 4], [5, 6, 7, 8]])
 
     def test_dimension_mismatch_is_error(self, tmp_path, tiny_vocab):
         p = tmp_path / "vecs.txt"
         p.write_text("good 1.0 2.0\n", encoding="utf-8")
         with pytest.raises(text.TextError, match="expected 4 floats"):
-            init_embeddings(tiny_vocab, 4, np.random.default_rng(0), pretrained_path=p)
-
-    def test_misses_filled_randomly_and_pad_zeroed(self, tmp_path, tiny_vocab):
-        p = tmp_path / "vecs.txt"
-        p.write_text("good 9 9 9 9\n", encoding="utf-8")
-        emb = init_embeddings(tiny_vocab, 4, np.random.default_rng(0), pretrained_path=p)
-        np.testing.assert_array_equal(emb.weights[PAD_ID], 0.0)
-        miss = emb.weights[tiny_vocab.lookup("bad")]
-        assert np.abs(miss).max() <= 0.1
+            read_pretrained(p, tiny_vocab, 4)
 
     def test_out_of_vocab_rows_are_only_counted(self, tmp_path, tiny_vocab):
         # rows of tokens outside the vocabulary are not parsed, so a bad
-        # value there passes; the same value in a copied row is an error
+        # value there passes; the same value in a listed row is an error
         p = tmp_path / "vecs.txt"
         p.write_text("zzz abc 1 2 3\ngood 1 2 3 4\n", encoding="utf-8")
-        emb = init_embeddings(tiny_vocab, 4, np.random.default_rng(0), pretrained_path=p)
-        np.testing.assert_array_equal(emb.weights[tiny_vocab.lookup("good")], [1, 2, 3, 4])
+        ids, rows = read_pretrained(p, tiny_vocab, 4)
+        assert ids.tolist() == [tiny_vocab.lookup("good")]
+        np.testing.assert_array_equal(rows, [[1, 2, 3, 4]])
         p.write_text("zzz 1 2 3 4\ngood abc 1 2 3\n", encoding="utf-8")
         with pytest.raises(text.TextError, match=":2: "):
-            init_embeddings(tiny_vocab, 4, np.random.default_rng(0), pretrained_path=p)
+            read_pretrained(p, tiny_vocab, 4)
+
+    def test_reserved_tokens_are_not_listed(self, tmp_path, tiny_vocab):
+        p = tmp_path / "vecs.txt"
+        p.write_text(f"{PAD_TOKEN} nan 1 2 3\n{UNK_TOKEN} 9 9 9 9\n", encoding="utf-8")
+        ids, rows = read_pretrained(p, tiny_vocab, 4)
+        assert ids.shape == (0,) and rows.shape == (0, 4)
+
+    def test_vocabulary_token_listed_twice_is_error(self, tmp_path, tiny_vocab):
+        p = tmp_path / "vecs.txt"
+        p.write_text("good 1 2 3 4\nzzz 1 2 3 4\nzzz 1 2 3 4\ngood 5 6 7 8\n",
+                     encoding="utf-8")
+        with pytest.raises(text.TextError, match=r":4: token 'good' listed twice"):
+            read_pretrained(p, tiny_vocab, 4)
+
+    def test_invalid_utf8_is_encoding_error(self, tmp_path, tiny_vocab):
+        p = tmp_path / "vecs.txt"
+        p.write_bytes(b"good 1 2 3 4\n\xff\xfe 1 2 3 4\n")
+        with pytest.raises(text.EncodingError, match="invalid UTF-8"):
+            read_pretrained(p, tiny_vocab, 4)

@@ -321,6 +321,32 @@ class TestTrainLoop:
             train(small_config(), train_set, valid_set, vocab, snapshot="median")
 
 
+class TestPretrained:
+    def test_misses_keep_the_plain_init_and_pad_row_stays_zero(self, keyword_task):
+        _, _, vocab = keyword_task
+        ids = np.array([5, 2, 9])
+        rows = np.arange(3 * 16, dtype=np.float32).reshape(3, 16)
+        plain = tr._fresh_model(small_config(), len(vocab), 2, np.random.default_rng(4))
+        pre = tr._fresh_model(small_config(), len(vocab), 2, np.random.default_rng(4),
+                              (ids, rows))
+        expected = plain.store["W_e"].value.copy()
+        expected[ids] = rows
+        assert pre.store["W_e"].value.tobytes() == expected.tobytes()
+        np.testing.assert_array_equal(pre.store["W_e"].value[PAD_ID], 0.0)
+        for p in plain.store:
+            if p.name != "W_e":
+                assert pre.store[p.name].value.tobytes() == p.value.tobytes(), p.name
+
+    def test_heads_sweep_hands_the_rows_to_every_run(self, keyword_task, monkeypatch):
+        seen = []
+        real_train = tr.train
+        monkeypatch.setattr(tr, "train", lambda *a, **kw: seen.append(kw["pretrained"])
+                            or real_train(*a, **kw))
+        pretrained = (np.array([2]), np.zeros((1, 16), dtype=np.float32))
+        heads_sweep(small_config(max_epochs=1), [1, 2], *keyword_task, pretrained=pretrained)
+        assert [p is pretrained for p in seen] == [True, True]
+
+
 def ragged_docs(rng, lengths, vocab_size, num_classes, pad=3):
     """Padded documents of the given true lengths with random ids and labels."""
     return [Document(np.append(rng.integers(2, vocab_size, size=L), [PAD_ID] * pad), L,
