@@ -12,9 +12,15 @@ Every function here works on the valid positions of a minibatch's
 documents, packed back to back as runs of ``lengths`` rows; one document
 is the one-run case. ``model`` trims the padding before the encoder, so no
 mask reaches the normalizations and padding a document further cannot
-perturb the attended output. Only the softmax over words, S = A H and the
-doc-mean context look at the runs. ``attend`` can lay one document's
-attention out over the padded width for export, padded columns exactly 0.
+perturb the attended output. The softmax over words, S = A H, the doc-mean
+context and the disagreement terms look at the runs; the word transform
+and the Q projection look only at a word's own row. So when the
+annotations depend on the token alone (the embedding-only encoder),
+``attend`` runs those two once per distinct token of the batch and
+spreads the m projected scores over the words with ``autodiff.expand``;
+everything from the (P^T c) Hadamard on stays per word. ``attend`` can lay
+one document's attention out over the padded width for export, padded
+columns exactly 0.
 
 With a single head (m = 1) the L2 step normalizes each word's column of
 one score by its own magnitude, so every word scores exactly +1 or -1
@@ -78,15 +84,24 @@ def single_head_scores(U: Node, c: Node, W_i: Node) -> tuple[Node, Node]:
     return f, ad.softmax(f, axis=1)
 
 
-def lama_scores(U: Node, c: Node, P: Node, Q: Node) -> Node:
+def lama_scores(U: Node, c: Node, P: Node, Q: Node, groups: ad.Groups | None = None) -> Node:
     """All m head scores at once: column t of F is (P^T c) o (Q^T u_t), ``c``
-    one context column for all words or one column per word."""
+    one context column for all words or one column per word.
+
+    With ``groups``, U holds one row per distinct token and word t is
+    ``groups.inverse[t]``: Q^T u runs once per distinct token and is then
+    spread over the words.
+    """
     d_ann = U.shape[1]
+    T = U.shape[0] if groups is None else groups.inverse.size
     if P.shape[0] != d_ann or Q.shape[0] != d_ann or P.shape[1] != Q.shape[1] \
-            or c.shape[0] != d_ann or c.shape[1] not in (1, U.shape[0]):
+            or c.shape[0] != d_ann or c.shape[1] not in (1, T):
         raise ad.ShapeMismatchError("lama_scores", U.shape, c.shape, P.shape, Q.shape)
     ctx_proj = ad.matmul(ad.transpose(P), c)           # m x 1 (broadcast) or m x T
-    word_proj = ad.matmul(ad.transpose(Q), ad.transpose(U))  # m x T
+    if groups is None:
+        word_proj = ad.matmul(ad.transpose(Q), ad.transpose(U))  # m x T
+    else:
+        word_proj = ad.transpose(ad.expand(ad.matmul(U, Q), groups))
     return ad.hadamard(ctx_proj, word_proj)
 
 
@@ -131,15 +146,22 @@ class AttentionOutput:
 
 
 def attend(H_valid: Node, c: Node, W_w: Node, b_w: Node, P: Node, Q: Node,
-           total_length: int | None = None, lengths=None) -> AttentionOutput:
+           total_length: int | None = None, lengths=None,
+           distinct: tuple[Node, ad.Groups] | None = None) -> AttentionOutput:
     """Full pipeline over the valid annotation rows of the documents of
     ``lengths`` (one document when None).
 
     With the embedding-only encoder ``H_valid`` is the embedded rows
     themselves, so the attention dimension equals the embedding dimension.
+    ``distinct=(rows, groups)``, where ``H_valid`` is
+    ``ad.expand(rows, groups)``, runs the word transform and the Q
+    projection on the distinct ``rows`` only.
     """
-    U = word_transform(H_valid, W_w, b_w)
-    F = lama_scores(U, c, P, Q)
+    if distinct is None:
+        F = lama_scores(word_transform(H_valid, W_w, b_w), c, P, Q)
+    else:
+        rows, groups = distinct
+        F = lama_scores(word_transform(rows, W_w, b_w), c, P, Q, groups)
     A_valid = attention_matrix(F, lengths=lengths)
     S, d_doc = sentence_embedding(A_valid, H_valid, lengths)
     T = total_length if total_length is not None else A_valid.shape[1]

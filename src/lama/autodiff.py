@@ -29,6 +29,13 @@ several, concatenated) as its ``.grad``, so an embedding's gradient is as
 sparse as its lookups; a dense contribution densifies it, and a non-leaf
 gets the coalesced rows added in. ``dense_grad`` reads any ``.grad``.
 
+``group_ids`` sorts an id array once into its distinct ids, each
+position's group, the sort order and the group starts. ``expand`` is the
+gather that spreads one row per distinct id over the positions; its
+pullback sums each group's rows with ``np.add.reduceat`` over that
+presorted order, so it needs no sort and no scatter, and its gradient is
+dense. ``RowGrad.coalesce`` is the same grouping of a gradient's rows.
+
 A minibatch's documents lie in one node as runs of ``lengths`` rows.
 ``softmax(lengths=)`` and ``segment_matmul`` work within each run; on one
 run they do exactly what the plain op does, so a one-document graph keeps
@@ -314,6 +321,48 @@ def segment_matmul(a: Node, b: Node, lengths=None) -> Node:
     ))
 
 
+class Groups(NamedTuple):
+    """An id array grouped by value: ``unique`` is strictly increasing and
+    ``ids == unique[inverse]``; ``order`` is the stable sort of the ids and
+    group k takes ``order[starts[k]:starts[k + 1]]``."""
+    unique: np.ndarray
+    inverse: np.ndarray
+    order: np.ndarray
+    starts: np.ndarray
+
+    def sum(self, values: np.ndarray) -> np.ndarray:
+        """Row k: the sum of the rows of ``values`` at group k's positions
+        (a group is summed pairwise, so not in ``np.add.at``'s order)."""
+        ordered = values[self.order]
+        if self.starts.size == len(ordered):  # no repeats: reduceat would copy
+            return ordered
+        return np.add.reduceat(ordered, self.starts, axis=0)
+
+
+def group_ids(ids) -> Groups:
+    """Group a 1-D integer array by value, with one sort."""
+    # sorted by hand: np.unique imports numpy.ma, 1.5 MB of resident memory
+    ids = np.asarray(ids, dtype=np.int64)
+    order = np.argsort(ids, kind="stable")
+    ordered = ids[order]
+    first = np.empty(ids.size, dtype=bool)
+    first[:1] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
+    inverse = np.empty_like(order)
+    inverse[order] = np.cumsum(first) - 1
+    starts = np.flatnonzero(first)
+    return Groups(ordered[starts], inverse, order, starts)
+
+
+def expand(a: Node, groups: Groups) -> Node:
+    """Row t is row ``groups.inverse[t]`` of ``a``, whose rows are the
+    groups' values (one row per distinct id); the pullback sums each group's
+    rows over the presorted order, with no sort and no scatter."""
+    if a.shape[0] != groups.unique.size:
+        raise ShapeMismatchError("expand", a.shape, groups.unique.shape)
+    return _make("expand", a.value[groups.inverse], [(a, groups.sum)])
+
+
 class RowGrad(NamedTuple):
     """A gradient that is zero outside a few rows: ``values[k]`` adds into
     row ``rows[k]``, repeated rows accumulating."""
@@ -321,12 +370,10 @@ class RowGrad(NamedTuple):
     values: np.ndarray
 
     def coalesce(self) -> tuple[np.ndarray, np.ndarray]:
-        """The sorted unique rows and the summed values of each (a run of
-        repeats is summed pairwise, so not in ``np.add.at``'s order)."""
-        order = np.argsort(self.rows, kind="stable")
-        rows = self.rows[order]
-        starts = np.flatnonzero(np.diff(rows, prepend=-1))
-        return rows[starts], np.add.reduceat(self.values[order], starts, axis=0)
+        """The sorted unique rows and the summed values of each (see
+        ``Groups.sum``)."""
+        groups = group_ids(self.rows)
+        return groups.unique, groups.sum(self.values)
 
     def add_into(self, dense: np.ndarray) -> None:
         rows, summed = self.coalesce()

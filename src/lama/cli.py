@@ -25,6 +25,7 @@ import numpy as np
 from . import __version__, baseline
 from .autodiff import NonFiniteError
 from .classifier import REGULARIZERS
+from .model import param_shapes
 from .text import (FileOpenError, TextError, build_vocab, load_dataset, read_pretrained,
                    read_tsv, rows_to_dataset, tokenize_rows)
 from .training import (Checkpoint, CheckpointError, DivergenceError, TrainConfig,
@@ -176,9 +177,18 @@ def _manifest(args, inputs, outputs) -> RunManifest:
                        outputs=[str(p) for p in outputs], version=__version__)
 
 
-def _load_inputs(args, config):
+def _check_model(vocab_size, num_classes, **dims):
+    try:
+        param_shapes(vocab_size, num_classes, **dims)
+    except ValueError as exc:
+        raise CliError(f"invalid model: {exc}", EXIT_USAGE) from exc
+
+
+def _load_inputs(args, config, m):
     """Vocabulary and train set from one read of --data, then --valid, and
-    the (ids, rows) of --embeddings, its coverage printed, or None."""
+    the (ids, rows) of --embeddings, its coverage printed, or None. Exits 2
+    first if the model with ``m`` heads is invalid or too large to allocate
+    (``model.param_shapes``)."""
     if args.min_count < 1:
         raise CliError(f"--min-count must be >= 1, got {args.min_count}", EXIT_USAGE)
     rows = tokenize_rows(read_tsv(args.data))
@@ -187,6 +197,8 @@ def _load_inputs(args, config):
         raise CliError(f"--min-count {args.min_count} keeps no token of {args.data}, "
                        f"so every word would read as <unk>", EXIT_DATA)
     train_set = rows_to_dataset(rows, vocab, config.max_len, source=args.data)
+    _check_model(len(vocab), train_set.num_classes, d=config.d, h=config.h, m=m,
+                 ctx=config.ctx, encoder=config.encoder, mlp_hidden=config.mlp_hidden)
     valid_set = load_dataset(args.valid, vocab, config.max_len,
                              label_names=train_set.label_names, split="valid")
     pretrained = None
@@ -202,7 +214,7 @@ def cmd_train(args):
     _manifest(args, [args.data, args.valid], [ckpt_dir, history_csv]).write(args.out)
 
     config = _config_from_args(args)
-    train_set, valid_set, vocab, pretrained = _load_inputs(args, config)
+    train_set, valid_set, vocab, pretrained = _load_inputs(args, config, config.m)
     checkpoint, history = train(config, train_set, valid_set, vocab, pretrained=pretrained,
                                 log=print, snapshot=args.snapshot)
     checkpoint.save(ckpt_dir)
@@ -322,6 +334,8 @@ def cmd_params(args):
     if args.d_ann % 2 != 0:
         raise CliError(f"--d-ann must be even (it is 2h), got {args.d_ann}", EXIT_USAGE)
     h = args.d_ann // 2
+    _check_model(args.vocab_size, args.classes, d=args.embed_dim, h=h, m=max(args.heads),
+                 ctx="learned", encoder="bigru", mlp_hidden=args.mlp_hidden)
     lines = ["heads,lama_millions,lama_delta_millions,te_millions"]
     prev = None
     for m in args.heads:
@@ -360,7 +374,7 @@ def cmd_heads_sweep(args):
     config = _config_from_args(args)
     if not args.grid or min(args.grid) < 1:
         raise CliError(f"--grid must list head counts >= 1, got {args.grid}", EXIT_USAGE)
-    train_set, valid_set, vocab, pretrained = _load_inputs(args, config)
+    train_set, valid_set, vocab, pretrained = _load_inputs(args, config, max(args.grid))
     table = heads_sweep(config, args.grid, train_set, valid_set, vocab,
                         pretrained=pretrained, log=print)
     sweep_to_csv(table, out_path)

@@ -11,6 +11,17 @@ The trainer backpropagates it once per batch; evaluation and the
 attention export run it forward only, on leaves that track no gradient.
 ``forward_doc`` is the one-document case of the same path.
 
+With the embedding-only encoder a word's annotation depends on its token
+id alone, so the batch's ids are grouped once (``autodiff.group_ids``).
+The embedding lookup, the word transform tanh(W_w e + b_w) and the Q
+projection run once per distinct token, and ``autodiff.expand`` spreads
+the rows and the projected scores over the positions. Per position stay
+the (P^T c) Hadamard (with its per-word context in doc-mean mode), tanh,
+the L2 across heads, the softmax over each document's run, S = A H and
+the disagreement terms. ``W_e``'s gradient then holds one row per
+distinct token. The BiGRU's annotations depend on context, so it looks
+up and transforms every position.
+
 Dropout in the classifier draws one mask column per document, in batch
 order, from one hidden x B draw; that is the stream B one-document passes
 in the same order would consume, so a seed gives the same masks whichever
@@ -27,6 +38,7 @@ encoder, attention and classifier only ever see the real tokens.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,6 +50,9 @@ from .text import PAD_ID
 
 ENCODER_BIGRU = "bigru"
 ENCODER_LE = "le"
+# 1 GiB of float32 weights; training holds as much again in velocities and
+# in gradients, so a larger model cannot train on a small host anyway
+MAX_PARAMS = 2**28
 
 
 @dataclass
@@ -90,7 +105,8 @@ class ModelParams:
 def param_shapes(vocab_size: int, num_classes: int, *, d: int, h: int, m: int,
                  ctx: str, encoder: str, mlp_hidden: int) -> dict[str, tuple]:
     """Name -> shape of every tensor ``init_model`` makes, in store order,
-    allocating nothing; a ValueError names an invalid combination."""
+    allocating nothing; a ValueError names an invalid combination or a
+    total above ``MAX_PARAMS``."""
     if encoder not in (ENCODER_BIGRU, ENCODER_LE):
         raise ValueError(f"unknown encoder {encoder!r}")
     if ctx not in (CTX_LEARNED, CTX_DOC_MEAN):
@@ -110,6 +126,10 @@ def param_shapes(vocab_size: int, num_classes: int, *, d: int, h: int, m: int,
         shapes["attn.c"] = (d_ann, 1)
     shapes.update({"cls.W1": (mlp_hidden, m * d_ann), "cls.b1": (mlp_hidden, 1),
                    "cls.W_c": (num_classes, mlp_hidden), "cls.b_c": (num_classes, 1)})
+    total = sum(math.prod(shape) for shape in shapes.values())
+    if total > MAX_PARAMS:
+        raise ValueError(f"the model would have {total:,} parameters, more than the "
+                         f"{MAX_PARAMS:,} allowed")
     return shapes
 
 
@@ -171,17 +191,22 @@ def _forward(params: ModelParams, nodes: dict, id_rows: list, train: bool,
     """One graph over the valid ids of each document: one embedding lookup,
     BiGRU scan per direction, attention pass and classifier pass for all."""
     lengths = [len(ids) for ids in id_rows]
-    X = ad.take_rows(nodes["W_e"], np.concatenate(id_rows))
+    ids = np.concatenate(id_rows)
 
     if params.encoder == ENCODER_BIGRU:
+        X = ad.take_rows(nodes["W_e"], ids)
         H = gru.bigru_encode(X, [nodes["gru_f." + n] for n in gru.GATE_NAMES],
                              [nodes["gru_b." + n] for n in gru.GATE_NAMES], lengths)
-    else:
-        H = X
+        distinct = None
+    else:  # a word's annotation is its token's row: look each distinct id up once
+        groups = ad.group_ids(ids)
+        rows = ad.take_rows(nodes["W_e"], groups.unique)
+        X = H = ad.expand(rows, groups)
+        distinct = (rows, groups)
 
     c = nodes["attn.c"] if params.ctx == CTX_LEARNED else attention.doc_mean_context(X, lengths)
     attn = attention.attend(H, c, nodes["attn.W_w"], nodes["attn.b_w"], nodes["attn.P"],
-                            nodes["attn.Q"], lengths=lengths)
+                            nodes["attn.Q"], lengths=lengths, distinct=distinct)
     probs, logits = classifier.classify(attn.d_doc, nodes["cls.W1"], nodes["cls.b1"],
                                         nodes["cls.W_c"], nodes["cls.b_c"],
                                         params.dropout, train=train, rng=rng)

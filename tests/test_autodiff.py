@@ -197,6 +197,39 @@ class TestRowGrad:
         assert unique.shape == (0,) and summed.shape == (0, 3)
 
 
+class TestGroups:
+    @settings(max_examples=80, deadline=None)
+    @given(ids=st.lists(st.integers(-3, 12), min_size=1, max_size=50)
+           | st.lists(st.sampled_from([7]), min_size=1, max_size=20),
+           seed=st.integers(0, 2**32 - 1))
+    def test_grouping_and_expand_pullback(self, ids, seed):
+        ids = np.array(ids)
+        groups = ad.group_ids(ids)
+        assert (groups.unique[groups.inverse] == ids).all()
+        assert (np.diff(groups.unique) > 0).all()
+        assert sorted(groups.order.tolist()) == list(range(ids.size))
+        # the pullback of expand against np.add.at; integer-valued float64
+        # values sum exactly in any order, so the two must be equal
+        rng = np.random.default_rng(seed)
+        rows = ad.leaf(rng.standard_normal((groups.unique.size, 3)), requires_grad=True)
+        weights = rng.integers(-50, 50, size=(ids.size, 3)).astype(np.float64)
+        spread = ad.expand(rows, groups)
+        np.testing.assert_array_equal(spread.value, rows.value[groups.inverse])
+        ad.backward(total(ad.hadamard(spread, ad.constant(weights))))
+        expected = np.zeros_like(rows.value)
+        np.add.at(expected, groups.inverse, weights)
+        np.testing.assert_array_equal(rows.grad, expected)
+
+    def test_no_ids(self):
+        groups = ad.group_ids(np.zeros(0, dtype=np.int64))
+        assert all(part.shape == (0,) for part in groups)
+        assert groups.sum(np.zeros((0, 3))).shape == (0, 3)
+
+    def test_expand_rejects_a_row_count_other_than_the_groups(self):
+        with pytest.raises(ad.ShapeMismatchError, match="expand"):
+            ad.expand(ad.leaf(np.ones((3, 2))), ad.group_ids([4, 4, 1]))
+
+
 PRIMITIVE_BUILDERS = {
     "matmul": lambda p: total(ad.matmul(p[0], p[1])),
     "add": lambda p: total(ad.tanh(ad.add(p[0], p[1]))),
@@ -216,6 +249,10 @@ PRIMITIVE_BUILDERS = {
     "transpose": lambda p: total(ad.hadamard(ad.transpose(p[0]), ad.transpose(p[1]))),
     "reshape": lambda p: total(ad.tanh(ad.reshape(p[0], (1, p[0].value.size)))),
     "take_rows": lambda p: ad.frobenius_sq(ad.take_rows(p[0], [0, 2, 2, 1])),
+    # three distinct ids, two of them repeated, spread over six rows
+    "expand": lambda p: total(ad.hadamard(
+        ad.tanh(ad.expand(p[0], ad.group_ids([9, 4, 9, 7, 4, 9]))),
+        ad.concat([p[1], p[1]]))),
     # a 3 x 3 product per run of 2 and 3 columns of p[0] (rows of p[1]^T)
     "segment_matmul": lambda p: total(ad.tanh(
         ad.segment_matmul(p[0], ad.transpose(p[1]), [2, 3]))),

@@ -479,11 +479,20 @@ OUT_OF_DOMAIN = {
                                cli.EXIT_USAGE),
     "train-min-count-1000": (["train", *TRAIN_DATA, "--min-count", "1000"], cli.EXIT_DATA),
     "train-min-count-0": (["train", *TRAIN_DATA, "--min-count", "0"], cli.EXIT_USAGE),
+    # models over model.MAX_PARAMS, rejected before anything is allocated
+    "train-embed-dim-huge": (["train", *TRAIN_DATA, "--embed-dim", "100000000"],
+                             cli.EXIT_USAGE),
+    "train-heads-huge": (["train", *TRAIN_DATA, "--heads", "100000"], cli.EXIT_USAGE),
+    "train-doc-mean-dim-mismatch": (["train", *TRAIN_DATA, "--ctx", "doc-mean",
+                                     "--embed-dim", "8"], cli.EXIT_USAGE),
+    "heads-sweep-grid-huge": (["heads-sweep", *TRAIN_DATA, "--grid", "1,100000"],
+                              cli.EXIT_USAGE),
     "heads-sweep-grid-0": (["heads-sweep", *TRAIN_DATA, "--grid", "0"], cli.EXIT_USAGE),
     "heads-sweep-min-count-0": (["heads-sweep", *TRAIN_DATA, "--min-count", "0"],
                                 cli.EXIT_USAGE),
     "params-heads-0": (["params", "--heads", "0"], cli.EXIT_USAGE),
     "params-vocab-size-negative": (["params", "--vocab-size", "-5"], cli.EXIT_USAGE),
+    "params-heads-huge": (["params", "--heads", "2,100000"], cli.EXIT_USAGE),
     "bench-le-heads-0": (["bench", "--kind", "le", "--heads", "0"], cli.EXIT_USAGE),
     "bench-te-heads-0": (["bench", "--kind", "te", "--heads", "0"], cli.EXIT_USAGE),
     "bench-batch-0": (["bench", "--kind", "le", "--batch", "0"], cli.EXIT_USAGE),

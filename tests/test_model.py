@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
+from conftest import graph_nodes
 
+from lama import attention, classifier
 from lama import autodiff as ad
 from lama import model as mdl
 from lama.classifier import ObjectiveConfig
-from lama.text import PAD_ID
+from lama.text import PAD_ID, Document
 
 
 def tiny_model(rng=None, **overrides):
@@ -54,6 +56,20 @@ class TestInit:
         assert mdl.param_shapes(12, 3, **dims) == \
             {p.name: p.value.shape for p in params.store}
         assert list(mdl.param_shapes(12, 3, **dims)) == params.store.names()
+
+    def test_param_shapes_rejects_a_model_over_the_budget(self, monkeypatch):
+        # only shapes are computed: nothing of the size is allocated
+        dims = dict(d=6, h=3, m=2, mlp_hidden=8, ctx="learned", encoder="bigru")
+        total = sum(np.prod(s) for s in mdl.param_shapes(12, 3, **dims).values())
+        monkeypatch.setattr(mdl, "MAX_PARAMS", total)
+        mdl.param_shapes(12, 3, **dims)
+        monkeypatch.setattr(mdl, "MAX_PARAMS", total - 1)
+        with pytest.raises(ValueError, match=f"{total:,} parameters"):
+            mdl.param_shapes(12, 3, **dims)
+        monkeypatch.undo()
+        for huge in (dict(d=10**8), dict(m=10**7), dict(h=10**5), dict(mlp_hidden=10**8)):
+            with pytest.raises(ValueError, match="parameters, more than"):
+                mdl.param_shapes(12, 3, **{**dims, **huge})
 
     def test_same_seed_same_weights(self):
         a = tiny_model(np.random.default_rng(5))
@@ -130,3 +146,65 @@ class TestForward:
             report = ad.grad_check(builder, [p.value for p in params.store],
                                    step=1e-5, tolerance=1e-5)
             assert report.passed, (kind, report.max_rel_errors)
+
+
+def shared_token_docs():
+    """Three padded documents whose tokens repeat within and across them."""
+    rows = [([2, 5, 2, 7], 0), ([5, 9, 2], 2), ([7, 7], 1)]
+    return [Document(np.array(ids + [PAD_ID] * 2), len(ids), label) for ids, label in rows]
+
+
+class TestGroupedEmbeddingPath:
+    """The embedding-only encoder transforms each distinct token of a batch
+    once; the result must be the per-position computation."""
+
+    @pytest.mark.parametrize("ctx", ["learned", "doc-mean"])
+    def test_matches_the_per_position_oracle(self, ctx):
+        params = tiny_model(encoder="le", ctx=ctx)
+        nodes = params.store.nodes(requires_grad=False)
+        docs = shared_token_docs()
+        fw = mdl.forward_batch(params, nodes, docs)
+        assert sum(n.op == "expand" for n in graph_nodes(fw.logits)) == 2
+        # attend without a grouping, over every position's own row
+        lengths = [doc.true_length for doc in docs]
+        X = ad.constant(params.store["W_e"].value[np.concatenate(
+            [doc.valid_ids() for doc in docs])])
+        c = nodes["attn.c"] if ctx == "learned" else attention.doc_mean_context(X, lengths)
+        oracle = attention.attend(X, c, nodes["attn.W_w"], nodes["attn.b_w"],
+                                  nodes["attn.P"], nodes["attn.Q"], lengths=lengths)
+        _, logits = classifier.classify(oracle.d_doc, nodes["cls.W1"], nodes["cls.b1"],
+                                        nodes["cls.W_c"], nodes["cls.b_c"], 0.0, train=False)
+        for got, want in ((fw.attn.A_valid, oracle.A_valid), (fw.attn.S, oracle.S),
+                          (fw.logits, logits)):
+            assert got.shape == want.shape
+            np.testing.assert_allclose(got.value, want.value, rtol=1e-6, atol=1e-6)
+
+    @pytest.mark.parametrize("ctx", ["learned", "doc-mean"])
+    def test_embedding_gradient_has_one_row_per_distinct_token(self, ctx):
+        params = tiny_model(encoder="le", ctx=ctx)
+        nodes = params.store.nodes()
+        docs = shared_token_docs()
+        fw = mdl.forward_batch(params, nodes, docs)
+        ad.backward(mdl.batch_objective(fw, [doc.label for doc in docs], 3,
+                                        ObjectiveConfig("positions", 0.2)))
+        assert isinstance(nodes["W_e"].grad, ad.RowGrad)
+        assert nodes["W_e"].grad.rows.tolist() == [2, 5, 7, 9]
+
+    @pytest.mark.parametrize("ctx,regularizer", [("learned", "embeddings"),
+                                                 ("doc-mean", "positions")])
+    def test_full_model_gradient_check(self, ctx, regularizer):
+        rng = np.random.default_rng(4)
+        params = tiny_model(rng, encoder="le", ctx=ctx, dropout=0.0)
+        for p in params.store:
+            p.value = rng.uniform(-0.6, 0.6, size=p.value.shape)
+        names = params.store.names()
+        docs = shared_token_docs()
+        objective = ObjectiveConfig(regularizer, 0.2)
+
+        def builder(leaves):
+            fw = mdl.forward_batch(params, dict(zip(names, leaves)), docs)
+            return mdl.batch_objective(fw, [doc.label for doc in docs], 3, objective)
+
+        report = ad.grad_check(builder, [p.value for p in params.store],
+                               step=1e-5, tolerance=1e-5)
+        assert report.passed, report.max_rel_errors

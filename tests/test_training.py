@@ -431,18 +431,23 @@ class TestBatchGraph:
     @pytest.mark.parametrize("ctx", ["learned", "doc-mean"])
     def test_graph_size_does_not_depend_on_batch_size(self, ctx):
         # the documents share every node: attention runs over the packed rows
-        rng = np.random.default_rng(9)
-        params = init_model(vocab_size=12, num_classes=3, rng=rng, d=6, h=3, m=2,
-                            mlp_hidden=8, ctx=ctx)
-        nodes = params.store.nodes()
-        docs = ragged_docs(rng, rng.integers(1, 9, size=16), 12, 3)
-        counts = []
-        for B in (1, 4, 16):
-            out = forward_batch(params, nodes, docs[:B])
-            j = batch_objective(out, [d.label for d in docs[:B]], 3,
-                                ObjectiveConfig("positions", 0.2))
-            counts.append(len(graph_nodes(j)))
-        assert counts[0] == counts[1] == counts[2]
+        for encoder in ("bigru", "le"):
+            rng = np.random.default_rng(9)
+            params = init_model(vocab_size=12, num_classes=3, rng=rng, d=6, h=3, m=2,
+                                mlp_hidden=8, ctx=ctx, encoder=encoder)
+            nodes = params.store.nodes()
+            docs = ragged_docs(rng, rng.integers(1, 9, size=16), 12, 3)
+            counts, expands = [], []
+            for B in (1, 4, 16):
+                out = forward_batch(params, nodes, docs[:B])
+                j = batch_objective(out, [d.label for d in docs[:B]], 3,
+                                    ObjectiveConfig("positions", 0.2))
+                counts.append(len(graph_nodes(j)))
+                expands.append(sum(n.op == "expand" for n in graph_nodes(j)))
+            assert counts[0] == counts[1] == counts[2], encoder
+            # only the embedding-only encoder groups its tokens; the BiGRU's
+            # annotations are contextual, so its graph is the per-position one
+            assert set(expands) == ({0} if encoder == "bigru" else {2}), encoder
 
     @pytest.mark.parametrize("regularizer", ["positions", "embeddings"])
     def test_zero_lambda_builds_no_disagreement_term(self, regularizer):
