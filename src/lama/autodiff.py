@@ -16,13 +16,13 @@ Every primitive validates shapes up front and checks its output for
 NaN/Inf, so a non-finite value never propagates silently.
 
 Most nodes are one elementwise or matrix op. The GRU is the exception:
-``gru.gru_scan`` builds one fused node for a whole direction of a
-minibatch, runs the recurrence on raw arrays and keeps the per-step
-intermediates itself. Its parents are the input rows and the nine gate
-tensors; their pullbacks share one hand-written backpropagation through
-time, run on the first of them that ``backward`` calls. Its finiteness
-check runs once, on the whole pre-activation buffer and on the output,
-through ``check_finite``.
+``gru.bigru_encode`` builds one fused ``gru_scan`` node for both
+directions of a whole minibatch, runs the recurrence on raw arrays and
+keeps the per-step intermediates itself. Its parents are the input rows
+and each direction's nine gate tensors; their nineteen pullbacks share one
+hand-written backpropagation through time, run on the first of them that
+``backward`` calls. Its finiteness check runs once, on the whole
+pre-activation buffer and on the output, through ``check_finite``.
 
 The pullback of ``take_rows`` returns a ``RowGrad``. A leaf keeps it (or
 several, concatenated) as its ``.grad``, so an embedding's gradient is as
@@ -34,7 +34,9 @@ position's group, the sort order and the group starts. ``expand`` is the
 gather that spreads one row per distinct id over the positions; its
 pullback sums each group's rows with ``np.add.reduceat`` over that
 presorted order, so it needs no sort and no scatter, and its gradient is
-dense. ``RowGrad.coalesce`` is the same grouping of a gradient's rows.
+dense. ``RowGrad.coalesce`` is the same grouping of a gradient's rows; rows
+that are already strictly increasing, as an embedding-only batch's
+distinct ids are, pass through without a second sort.
 
 A minibatch's documents lie in one node as runs of ``lengths`` rows.
 ``softmax(lengths=)`` and ``segment_matmul`` work within each run; on one
@@ -229,10 +231,13 @@ def tanh(a: Node) -> Node:
 
 def stable_sigmoid(x: np.ndarray) -> np.ndarray:
     """1 / (1 + exp(-x)) on an array, exact 0 and 1 at the extremes."""
-    # exp(-|x|) never overflows; the where() picks the stable branch
-    e = np.exp(-np.abs(x))
-    d = 1.0 + e
-    return np.where(x >= 0, 1.0 / d, e / d)
+    # as (1 + tanh(x / 2)) / 2, in place on one temporary: tanh never
+    # overflows and saturates to exactly -1 and 1, so no branch is needed
+    out = x * 0.5
+    np.tanh(out, out=out)
+    out += 1.0
+    out *= 0.5
+    return out
 
 
 def segment_runs(lengths, n: int, op: str) -> np.ndarray | None:
@@ -371,7 +376,10 @@ class RowGrad(NamedTuple):
 
     def coalesce(self) -> tuple[np.ndarray, np.ndarray]:
         """The sorted unique rows and the summed values of each (see
-        ``Groups.sum``)."""
+        ``Groups.sum``); rows that are already strictly increasing come back
+        as they are, with their own values array, and are not sorted again."""
+        if (self.rows[1:] > self.rows[:-1]).all():
+            return self.rows, self.values
         groups = group_ids(self.rows)
         return groups.unique, groups.sum(self.values)
 

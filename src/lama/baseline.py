@@ -25,6 +25,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import attention, autodiff as ad
+from .model import MAX_PARAMS
+
+MAX_TRIALS = 1000
 
 
 class BaselineError(Exception):
@@ -202,29 +205,33 @@ def bench_runtime(kind: str, lengths, trials: int = 5, d: int | None = None,
     lengths = [int(x) for x in lengths]
     if len(lengths) < 4 or any(b <= a for a, b in zip(lengths, lengths[1:])):
         raise BaselineError("need >= 4 strictly increasing lengths")
-    if lengths[-1] < 8 * lengths[0]:
-        raise BaselineError("lengths must span at least an 8x range")
-    if trials < 5:
-        raise BaselineError("need at least 5 trials")
-    if min(batch, 1 if d is None else d, 1 if heads is None else heads) < 1:
-        raise BaselineError(f"batch, dim and heads must be >= 1, got batch={batch}, "
-                            f"dim={d}, heads={heads}")
+    if lengths[0] < 1 or lengths[-1] < 8 * lengths[0]:
+        raise BaselineError("lengths must be >= 1 and span at least an 8x range")
+    if not 5 <= trials <= MAX_TRIALS:
+        raise BaselineError(f"need 5 to {MAX_TRIALS} trials, got {trials}")
+    if kind not in ("le", "te"):
+        raise BaselineError(f"unknown benchmark kind {kind!r}")
+    d = (512 if kind == "le" else 32) if d is None else d
+    m = (8 if kind == "le" else 4) if heads is None else heads
+    if min(batch, d, m, seed + 1) < 1:
+        raise BaselineError(f"batch, dim and heads must be >= 1 and seed >= 0, got "
+                            f"batch={batch}, dim={d}, heads={m}, seed={seed}")
+    # the weights, the longest batch and its scores, bounded before any allocation
+    L = lengths[-1]
+    floats = 4 * d * d + 2 * d * m + batch * L * (d + m * (L if kind == "te" else 1))
+    if floats > MAX_PARAMS:
+        raise BaselineError(f"a {kind} benchmark at dim={d}, heads={m}, batch={batch} "
+                            f"and length {L} holds {floats} floats, over {MAX_PARAMS}")
 
     rng = np.random.Generator(np.random.PCG64(seed))
     if kind == "le":
-        d = 512 if d is None else d
-        m = 8 if heads is None else heads
         arrays = attention.init_attention_arrays(d, m, rng)
         run = lambda docs: _le_forward_batch(docs, arrays)
         dims = {"d": d, "heads": m, "batch": batch}
-    elif kind == "te":
-        d = 32 if d is None else d
-        m = 4 if heads is None else heads
+    else:
         params = init_te_params(d, rng)
         run = lambda docs: _te_forward_batch(docs, params, m)
         dims = {"d_model": d, "heads": m, "batch": batch}
-    else:
-        raise BaselineError(f"unknown benchmark kind {kind!r}")
 
     resolution = time.get_clock_info("perf_counter").resolution
     rows = []

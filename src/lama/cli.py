@@ -28,7 +28,7 @@ from .classifier import REGULARIZERS
 from .model import param_shapes
 from .text import (FileOpenError, TextError, build_vocab, load_dataset, read_pretrained,
                    read_tsv, rows_to_dataset, tokenize_rows)
-from .training import (Checkpoint, CheckpointError, DivergenceError, TrainConfig,
+from .training import (MAX_LEN, Checkpoint, CheckpointError, DivergenceError, TrainConfig,
                        TrainingError, evaluate, forward_chunks, heads_sweep, sweep_to_csv,
                        train)
 
@@ -73,7 +73,8 @@ def _add_train_flags(p):
     p.add_argument("--heads", "-m", type=int, default=1, help="attention heads")
     p.add_argument("--hidden", type=int, default=50, help="GRU hidden size per direction")
     p.add_argument("--embed-dim", type=int, default=100)
-    p.add_argument("--max-len", type=int, default=256)
+    p.add_argument("--max-len", type=int, default=256,
+                   help=f"tokens kept per document, at most {MAX_LEN}")
     p.add_argument("--epochs", type=int, default=50)
     p.add_argument("--lr", type=float, default=0.05)
     p.add_argument("--momentum", type=float, default=0.9)
@@ -273,6 +274,8 @@ def top_attended_words(jsonl_path, label=None, top_k=20, min_occurrences=3):
     occurrences of its max attention weight across heads."""
     if top_k < 1:
         raise CliError(f"--top-k must be >= 1, got {top_k}", EXIT_USAGE)
+    if min_occurrences < 1:
+        raise CliError(f"--min-occurrences must be >= 1, got {min_occurrences}", EXIT_USAGE)
     sums = {}
     counts = {}
     try:
@@ -291,13 +294,17 @@ def top_attended_words(jsonl_path, label=None, top_k=20, min_occurrences=3):
                 if not isinstance(tokens, list) or not all(isinstance(t, str) for t in tokens):
                     raise ValueError("tokens must be a list of strings")
                 A = np.asarray(record["A"], dtype=np.float64)
-            except (KeyError, ValueError) as exc:
+            except (KeyError, TypeError, ValueError) as exc:
                 raise CliError(f"{jsonl_path}:{line_no}: bad record: {exc}", EXIT_DATA)
-            if label is not None and record.get("label") != label:
-                continue
             if A.ndim != 2 or A.shape[1] != len(tokens):
                 raise CliError(f"{jsonl_path}:{line_no}: A shape {A.shape} does not "
                                f"match {len(tokens)} tokens", EXIT_DATA)
+            weights = (A >= 0) & (A <= 1)  # false for NaN too
+            if not weights.all():
+                raise CliError(f"{jsonl_path}:{line_no}: attention weight {A[~weights][0]} "
+                               f"is not in [0, 1]", EXIT_DATA)
+            if label is not None and record.get("label") != label:
+                continue
             best = A.max(axis=0)
             for token, weight in zip(tokens, best):
                 sums[token] = sums.get(token, 0.0) + float(weight)

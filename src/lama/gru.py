@@ -4,28 +4,44 @@ The graph-level functions take each direction's parameters as its nine
 gate Nodes in ``GATE_NAMES`` order, so gradients flow to the underlying
 arrays.
 
-Each direction is one fused autodiff node, ``gru_scan``, rather than a
-tape of small ops per step, and one node serves a whole minibatch. Its
-input holds the documents' rows back to back with their lengths; the
+The BiGRU is one fused autodiff node, ``gru_scan``, rather than a tape of
+small ops per step: one node for both directions of a whole minibatch.
+Its input holds the documents' rows back to back with their lengths; the
 documents run in lockstep, longest first, so the documents still running
-at step t are a prefix of those running at step t - 1. The rows are
-permuted into that packed order once: step t owns one contiguous block of
-n_t rows and carries an n_t x h state (Appleyard et al., arXiv:1604.01946).
-The forward pass does one input GEMM for every row with the stacked
-W_z|W_r|W_h, then per step one n_t x h product with the stacked U_z|U_r
-and one with U_h on raw arrays, keeping the pre-activations, gates,
-candidates, U_h h and previous states in packed buffers. Its backward
-pass is backpropagation through time over the same schedule in reverse,
-run once and shared by the pullbacks of all ten parents (the input rows
-and the nine gate tensors): one product per step carries the state
-gradient, and the weight gradients come from whole-batch GEMMs after the
-loop. The finiteness check runs once per direction, after the loop, on
-the pre-activation buffer and on the output states; a non-finite value
-anywhere in a step reaches one of those two arrays. A single document is
-the one-segment case of the same scan.
+at step t are a prefix of those running at step t - 1, and the widths n_t
+are the same in both directions, whose row orders differ only in where
+each document starts (Appleyard et al., arXiv:1604.01946). So one loop
+runs both directions. Its buffers are gate-major and direction-stacked,
+[gate, direction, row, unit], with the rows permuted into scan order once:
+step t's rows of one gate are one contiguous n_t x h block per direction.
 
-The encoder never sees padding: ``model`` passes only the rows of the
-documents' real tokens, and gets back one annotation per token.
+Contiguity is the point of that layout. At h = 50 a step's arrays hold a
+few thousand values, so each numpy call costs about as much in set-up as
+in arithmetic, and a call over a column slice of a rows x 3h buffer runs
+one inner loop per row. Each step does one batched product of the
+2 x n_t x h state with the contiguous transposed U of every gate and
+direction, and its elementwise work (the sigmoid in its tanh form, the
+candidate, the blend) runs on contiguous temporaries; each buffer block is
+read or written once. The input product W x + b is one batched GEMM over
+every row before the loop.
+
+The backward pass is backpropagation through time over the same schedule
+in reverse, run once and shared by the pullbacks of all nineteen parents
+(the input rows and each direction's nine gate tensors). The factors that
+do not depend on the incoming gradient are computed once over all rows
+before the loop: z(1 - c^2) for the candidate's pre-activation, with r for
+U_h h; (c - h) z(1 - z) for the update gate's; z(1 - c^2) r (U_h h)(1 - r)
+for the reset gate's; and 1 - z for the state's own path back. Each
+reverse step then adds the carried gradient, multiplies the factors by it
+in place and does one batched product with U for the next carry. The
+weight, bias and input gradients are whole-batch GEMMs after the loop.
+
+The finiteness check runs once, after the loop, on the pre-activation
+buffer and on the output states; a non-finite value anywhere in a step
+reaches one of those two arrays. A single document is the one-segment case
+of the same scan. The encoder never sees padding: ``model`` passes only
+the rows of the documents' real tokens, and gets back one annotation per
+token.
 """
 
 from __future__ import annotations
@@ -55,140 +71,163 @@ def init_gru_arrays(d: int, h: int, rng: np.random.Generator, dtype=np.float32) 
     return out
 
 
-def _packed_schedule(lengths, rows: int, reverse: bool = False):
+def _packed_schedule(lengths, rows: int):
     """Order in which a lockstep scan visits the rows of back-to-back
     segments of ``lengths`` rows each (one segment when it is None),
     longest segment first.
 
-    Returns ``(perm, widths)``: step t visits the next ``widths[t]`` rows
-    of ``perm``, one per segment still running, in the same segment order
-    at every step, so the active segments always form a prefix of the
-    previous step's. ``reverse`` walks each segment from its last row.
-    ``perm`` indexes rows: an index array, or for one segment a slice.
+    Returns ``(perm, widths)``: step t visits the next ``widths[t]``
+    entries of ``perm[0]`` (forward, each segment from its first row) and
+    of ``perm[1]`` (backward, each segment from its last row), one row per
+    segment still running, in the same segment order at every step, so
+    the active segments always form a prefix of the previous step's.
     """
     lengths = ad.segment_runs(lengths, rows, "gru_scan")
     if lengths is None:
-        return slice(None, None, -1 if reverse else 1), [1] * rows
+        forward = np.arange(rows)
+        return np.stack([forward, forward[::-1]]), [1] * rows
     by_length = np.argsort(-lengths, kind="stable")
     sorted_lengths = lengths[by_length]
     # row-major nonzero lists step 0's segments first, then step 1's, ...
     step, k = np.nonzero(np.arange(sorted_lengths[0])[:, None] < sorted_lengths)
-    position = sorted_lengths[k] - 1 - step if reverse else step
-    starts = np.cumsum(lengths) - lengths
-    return starts[by_length][k] + position, np.bincount(step).tolist()
+    first = (np.cumsum(lengths) - lengths)[by_length][k]
+    return (np.stack([first + step, first + sorted_lengths[k] - 1 - step]),
+            np.bincount(step).tolist())
 
 
-def gru_scan(X: Node, gate_nodes, reverse: bool = False, lengths=None) -> Node:
-    """One direction of the GRU over the rows of ``X``, as one node, with
-    ``gate_nodes`` the direction's nine parameter Nodes in ``GATE_NAMES`` order.
+def bigru_encode(embedded: Node, forward_gates, backward_gates, lengths=None) -> Node:
+    """Encode embedded rows into annotations, row t holding [forward
+    state; backward state] at position t, as one ``gru_scan`` node.
 
-    ``X`` holds segments of ``lengths`` rows back to back (one segment of
-    all rows when it is None), each scanned from a zero state; row i of the
-    result is the state after row i. ``reverse`` visits each segment's rows
-    from last to first. Each step computes z = sigmoid(W_z x + U_z h + b_z),
+    ``embedded`` holds documents of ``lengths`` rows back to back (one
+    document when it is None), each scanned from a zero state in both
+    directions; each direction's gates are its nine parameter Nodes in
+    ``GATE_NAMES`` order. Every row is a real token: the caller trims
+    padding first, so each document's backward direction starts at its
+    last token. Each step computes z = sigmoid(W_z x + U_z h + b_z),
     r = sigmoid(W_r x + U_r h + b_r), c = tanh(W_h x + r o (U_h h) + b_h)
     and h' = (1 - z) o h + z o c.
     """
-    x = X.value
-    W_z, U_z, b_z, W_r, U_r, b_r, W_h, U_h, b_h = gate_nodes
-    N, h = x.shape[0], W_z.shape[0]
-    if x.shape[1] != W_z.shape[1]:
-        raise ad.ShapeMismatchError("gru_scan", x.shape, W_z.shape)
-    perm, widths = _packed_schedule(lengths, N, reverse)
-    W = np.concatenate([W_z.value, W_r.value, W_h.value])
-    U = np.concatenate([U_z.value, U_r.value, U_h.value])
-    b = np.concatenate([b_z.value, b_r.value, b_h.value])[:, 0]
-    U_T = U.T
+    x = embedded.value
+    h_f, h_b = forward_gates[0].shape[0], backward_gates[0].shape[0]
+    if h_f != h_b:
+        raise ad.ShapeMismatchError("bigru_encode", (h_f,), (h_b,))
+    for gates in (forward_gates, backward_gates):
+        if x.shape[1] != gates[0].shape[1]:
+            raise ad.ShapeMismatchError("gru_scan", x.shape, gates[0].shape)
+    N, h = x.shape[0], h_f
+    perm, widths = _packed_schedule(lengths, N)
+    values = [[node.value for node in gates] for gates in (forward_gates, backward_gates)]
+
+    def stack(k):  # gate-major, direction-stacked: [gate][direction]
+        return np.array([[v[k + 3 * g] for v in values] for g in range(3)])
+
+    W, U, b = stack(0), stack(1), stack(2)[..., 0][:, :, None, :]
+    U_T = np.ascontiguousarray(U.transpose(0, 1, 3, 2))
     dtype = np.result_type(x, W)
 
-    # buffers in scan order, kept for the backward sweep: step t owns the
-    # next widths[t] rows, the state of its segments is n_t x h
-    xp = x[perm]
-    pre = xp @ W.T                         # a_z | a_r | a_h, from W x + b
+    # gate-major buffers in scan order, kept for the backward sweep:
+    # [gate, direction, row, unit]; step t owns rows lo:hi, so each of its
+    # gate blocks is one contiguous n_t x h block per direction
+    xp = x[perm]                                       # 2 x N x d
+    pre = np.matmul(xp, W.transpose(0, 1, 3, 2))       # a_z, a_r, a_h from W x + b
     pre += b
-    gates = np.empty((N, 3 * h), dtype)    # z | r | c
-    u = np.empty((N, 3 * h), dtype)        # U_z h_prev | U_r h_prev | U_h h_prev
-    prev = np.empty((N, h), dtype)         # h_prev
-    out = np.empty((N, h), dtype)
-    state = np.zeros((widths[0], h), dtype)
+    act = np.empty_like(pre)                           # z, r, c
+    u_h = np.empty((2, N, h), dtype)                   # U_h h
+    prev = np.empty((2, N, h), dtype)                  # h before the step
+    out = np.empty((2, N, h), dtype)
+    state = np.zeros((2, widths[0], h), dtype)
     lo = 0
     for n in widths:
         hi = lo + n
-        s = prev[lo:hi] = state[:n]
-        u_t = u[lo:hi] = np.dot(s, U_T)
-        a_zr, a_h = pre[lo:hi, :2 * h], pre[lo:hi, 2 * h:]
-        a_zr += u_t[:, :2 * h]
-        zr = gates[lo:hi, :2 * h] = ad.stable_sigmoid(a_zr)
-        z, r = zr[:, :h], zr[:, h:]
-        a_h += r * u_t[:, 2 * h:]
-        c = gates[lo:hi, 2 * h:] = np.tanh(a_h)
-        state = out[lo:hi] = s + z * (c - s)
+        # the step's arithmetic runs on contiguous n x h temporaries; the
+        # buffers' multi-block views are only read once or written once
+        s = state if n == state.shape[1] else np.ascontiguousarray(state[:, :n])
+        prev[:, lo:hi] = s
+        u = np.matmul(s, U_T)                          # U_z h, U_r h, U_h h
+        a_zr = pre[:2, :, lo:hi]
+        a_zr += u[:2]
+        z, r = act[:2, :, lo:hi] = ad.stable_sigmoid(a_zr)
+        u_h[:, lo:hi] = u[2]
+        a_h = pre[2, :, lo:hi]
+        a_h += r * u[2]
+        c = act[2, :, lo:hi] = np.tanh(a_h)
+        state = c - s
+        state *= z
+        state += s
+        out[:, lo:hi] = state
         lo = hi
     ad.check_finite(pre, "gru_scan")
     ad.check_finite(out, "gru_scan")
-    states = np.empty_like(out)
-    states[perm] = out
+    states = np.empty((N, 2 * h), dtype)
+    states[perm[0], :h] = out[0]
+    states[perm[1], h:] = out[1]
 
     def bptt(g):
         """Gradients of every parent from dL/d(states) ``g``."""
-        g = g[perm]
-        d_pre = np.empty_like(pre)         # d a_z | d a_r | d a_h
-        d_u = np.empty_like(pre)           # d(U_z h) | d(U_r h) | d(U_h h)
-        carry = np.zeros((widths[0], h), dtype)
+        z, r, c = act
+        # d holds the factors that do not depend on the incoming gradient
+        # dh, computed once over all rows: d(U_h h) = dh f_u, d a_z = dh f_z,
+        # d a_r = dh f_r and d a_h = dh f_h; the sweep multiplies them by dh
+        # in place. The first three meet U_h, U_z and U_r in the carry
+        # product; the last three are the pre-activations' gradients.
+        d = np.empty((4, 2, N, h), dtype)
+        f_u, f_z, f_r, f_h = d
+        np.multiply(c, c, out=f_h)
+        np.subtract(1.0, f_h, out=f_h)
+        f_h *= z
+        np.multiply(f_h, r, out=f_u)
+        keep = 1.0 - z                     # the state's own path back
+        np.subtract(c, prev, out=f_z)
+        f_z *= z
+        f_z *= keep
+        np.subtract(1.0, r, out=f_r)
+        f_r *= f_u
+        f_r *= u_h
+        U_back = U[[2, 0, 1]]
+        g = np.stack([g[perm[0], :h], g[perm[1], h:]])
+        carry = np.zeros((2, 0, h), dtype)
         hi = N
         for n in reversed(widths):
             lo = hi - n
-            dh = g[lo:hi] + carry[:n]
-            zr, c = gates[lo:hi, :2 * h], gates[lo:hi, 2 * h:]
-            z, r = zr[:, :h], zr[:, h:]
-            d_a_h = dh * z * (1.0 - c * c)
-            d_zr = np.concatenate([dh * (c - prev[lo:hi]), d_a_h * u[lo:hi, 2 * h:]], axis=1)
-            d_pre[lo:hi, :2 * h] = d_u[lo:hi, :2 * h] = d_zr * zr * (1.0 - zr)
-            d_pre[lo:hi, 2 * h:] = d_a_h
-            d_u[lo:hi, 2 * h:] = d_a_h * r
-            carry[:n] = dh * (1.0 - z) + np.dot(d_u[lo:hi], U)
+            # dL/dh' of the step's rows; the segments that end here get no carry
+            dh = g[:, lo:hi].copy()
+            dh[:, :carry.shape[1]] += carry
+            d_t = d[:, :, lo:hi]
+            d_t *= dh
+            p = np.matmul(d_t[:3], U_back)
+            carry = keep[:, lo:hi] * dh
+            carry += p[0]
+            carry += p[1]
+            carry += p[2]
             hi = lo
-        d_W = d_pre.T @ xp
-        d_U = d_u.T @ prev
-        d_b = d_pre.sum(axis=0).reshape(-1, 1)
-        d_x = np.empty((N, x.shape[1]), d_pre.dtype)
-        d_x[perm] = d_pre @ W
-        grads = {"X": d_x}
-        for k, gate in enumerate("zrh"):
-            rows = slice(k * h, (k + 1) * h)
-            grads["W_" + gate] = d_W[rows]
-            grads["U_" + gate] = d_U[rows]
-            grads["b_" + gate] = d_b[rows]
+        d_pre, d_u = d[1:], d[:3]
+        d_W = np.matmul(d_pre.transpose(0, 1, 3, 2), xp)
+        d_U = np.matmul(d_u.transpose(0, 1, 3, 2), prev)[[1, 2, 0]]  # to z, r, h
+        # one GEMV per block: sum(axis=2) would run an inner loop per row
+        d_b = np.matmul(np.ones(N, dtype), d_pre)[..., None]
+        d_xp = np.matmul(d_pre[0], W[0])
+        d_xp += np.matmul(d_pre[1], W[1])
+        d_xp += np.matmul(d_pre[2], W[2])
+        d_x = np.empty((N, x.shape[1]), dtype)
+        d_x[perm[0]] = d_xp[0]
+        d_x[perm[1]] += d_xp[1]
+        grads = [d_x]
+        for k in range(2):
+            for gate in range(3):
+                grads += [d_W[gate, k], d_U[gate, k], d_b[gate, k]]
         return grads
 
     # backward calls every pullback with the same gradient array, so the
     # sweep runs on the first call and the others read its result
     swept = [None, None]
 
-    def pull(name):
+    def pull(i):
         def back(g):
             if swept[0] is not g:
                 swept[:] = [g, bptt(g)]
-            return swept[1][name]
+            return swept[1][i]
         return back
 
-    parents = [(X, pull("X"))] + [(node, pull(n)) for n, node in zip(GATE_NAMES, gate_nodes)]
-    return ad.Node(states, "gru_scan", tuple(parents))
-
-
-def bigru_encode(embedded: Node, forward_gates, backward_gates, lengths=None) -> Node:
-    """Encode embedded rows into annotations, row t holding [forward
-    state; backward state] at position t.
-
-    ``embedded`` holds documents of ``lengths`` rows back to back (one
-    document when it is None); each direction's gates are as in
-    ``gru_scan``. Every row is a real token: the caller trims
-    padding first, so each document's backward direction starts at its
-    last token.
-    """
-    h_f, h_b = forward_gates[0].shape[0], backward_gates[0].shape[0]
-    if h_f != h_b:
-        raise ad.ShapeMismatchError("bigru_encode", (h_f,), (h_b,))
-    return ad.concat([gru_scan(embedded, forward_gates, lengths=lengths),
-                      gru_scan(embedded, backward_gates, reverse=True, lengths=lengths)],
-                     axis=1)
+    parents = [embedded, *forward_gates, *backward_gates]
+    return ad.Node(states, "gru_scan", tuple((node, pull(i)) for i, node in enumerate(parents)))

@@ -3,8 +3,8 @@
 Parameters live in a ``ParamStore`` (ordered name -> array registry). A
 forward pass builds a fresh graph over leaf Nodes wrapping those arrays.
 ``forward_batch`` builds one graph for a whole minibatch: one embedding
-lookup over the documents' concatenated ids, one packed BiGRU scan per
-direction (see ``gru``), one ``attention.attend`` over the packed
+lookup over the documents' concatenated ids, one packed BiGRU scan of
+both directions (see ``gru``), one ``attention.attend`` over the packed
 annotation rows, and one classifier pass over the m*d_ann x B matrix of
 sentence embeddings, so its node count does not depend on the batch size.
 The trainer backpropagates it once per batch; evaluation and the
@@ -187,9 +187,9 @@ def _valid_ids(ids, true_length: int | None) -> np.ndarray:
 
 
 def _forward(params: ModelParams, nodes: dict, id_rows: list, train: bool,
-             rng: np.random.Generator | None) -> ForwardPass:
+             rng: np.random.Generator | None, groups: ad.Groups | None = None) -> ForwardPass:
     """One graph over the valid ids of each document: one embedding lookup,
-    BiGRU scan per direction, attention pass and classifier pass for all."""
+    BiGRU scan, attention pass and classifier pass for all."""
     lengths = [len(ids) for ids in id_rows]
     ids = np.concatenate(id_rows)
 
@@ -199,7 +199,7 @@ def _forward(params: ModelParams, nodes: dict, id_rows: list, train: bool,
                              [nodes["gru_b." + n] for n in gru.GATE_NAMES], lengths)
         distinct = None
     else:  # a word's annotation is its token's row: look each distinct id up once
-        groups = ad.group_ids(ids)
+        groups = ad.group_ids(ids) if groups is None else groups
         rows = ad.take_rows(nodes["W_e"], groups.unique)
         X = H = ad.expand(rows, groups)
         distinct = (rows, groups)
@@ -225,15 +225,19 @@ def forward_doc(params: ModelParams, nodes: dict, ids, true_length: int | None =
 
 
 def forward_batch(params: ModelParams, nodes: dict, docs, train: bool = False,
-                  rng: np.random.Generator | None = None) -> ForwardPass:
+                  rng: np.random.Generator | None = None,
+                  groups: ad.Groups | None = None) -> ForwardPass:
     """Run a minibatch of ``text.Document``s through the model as one graph.
 
     Each document is trimmed to its ``true_length`` first. Dropout draws
     the masks of the documents one after another, in batch order, as
-    ``forward_doc`` calls in that order would.
+    ``forward_doc`` calls in that order would. ``groups`` is
+    ``autodiff.group_ids`` of the documents' concatenated valid ids, when
+    the caller already has it; the embedding-only encoder then does not
+    sort them again, and the BiGRU does not use it.
     """
     return _forward(params, nodes, [_valid_ids(d.ids, d.true_length) for d in docs],
-                    train, rng)
+                    train, rng, groups)
 
 
 def batch_objective(fw: ForwardPass, labels, num_classes: int,

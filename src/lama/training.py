@@ -21,10 +21,12 @@ rows; the others owe whole steps of momentum and decay at g = 0, which
 they catch up when next read: a batch's ids before its forward pass, the
 validation ids before each ``evaluate``, every row before a best-epoch
 snapshot and before ``train`` returns. That equals the dense update in
-real arithmetic, not bit for bit. No embedding row is special: the PAD
-row starts at zero with zero velocity, and since padding is trimmed
-before the lookup and no text encodes to ``PAD_ID``, it never gets a
-gradient and stays zero.
+real arithmetic, not bit for bit. One sort of a batch's ids
+(``autodiff.group_ids``) serves its catch-up, the embedding-only
+encoder's lookup and the step of ``W_e``'s rows. No embedding row is
+special: the PAD row starts at zero with zero velocity, and since padding
+is trimmed before the lookup and no text encodes to ``PAD_ID``, it never
+gets a gradient and stays zero.
 """
 
 from __future__ import annotations
@@ -50,6 +52,7 @@ from .text import Dataset, TextError, Vocab
 
 WEIGHTS_DTYPE = "<f4"  # little-endian IEEE-754 32-bit
 EVAL_CHUNK = 64  # documents per forward-only graph in evaluation and the attention export
+MAX_LEN = 2**16  # every document is padded to max_len ids, so it is bounded
 
 
 class TrainingError(Exception):
@@ -108,6 +111,10 @@ class TrainConfig:
             raise ValueError("momentum must be in [0, 1)")
         if self.lam < 0 or self.lr <= 0 or self.weight_decay < 0:
             raise ValueError("lr must be > 0; lambda and weight_decay >= 0")
+        if self.max_len > MAX_LEN:
+            raise ValueError(f"max_len must be <= {MAX_LEN}")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
 
 
 @dataclass
@@ -180,7 +187,8 @@ class LazyRowSGD:
 
     def step(self, grad: ad.RowGrad) -> None:
         """One step: the dense formula's ops on the touched rows, with the
-        gradient summed per row; every other row falls one step behind."""
+        gradient summed per row; every other row falls one step behind.
+        ``grad``'s values may be used as scratch."""
         rows, g = grad.coalesce()
         self.catch_up(rows)
         p, v = self.value[rows], self.velocity[rows]
@@ -301,18 +309,20 @@ def _fresh_model(config: TrainConfig, vocab_size: int, num_classes: int,
 
 
 def _backward_batch(params: ModelParams, nodes: dict, batch: list,
-                    objective: ObjectiveConfig, rng: np.random.Generator) -> float:
+                    objective: ObjectiveConfig, rng: np.random.Generator,
+                    groups: ad.Groups | None = None) -> float:
     """Add the gradient of the batch's mean objective into the leaves in
-    ``nodes`` and return the summed objective. Nothing of the graph
-    outlives the call."""
-    out = forward_batch(params, nodes, batch, train=True, rng=rng)
+    ``nodes`` and return the summed objective; ``groups``, the batch's
+    ``_group_ids`` if the caller has them, goes to ``forward_batch``.
+    Nothing of the graph outlives the call."""
+    out = forward_batch(params, nodes, batch, train=True, rng=rng, groups=groups)
     j = batch_objective(out, [doc.label for doc in batch], params.num_classes, objective)
     ad.backward(ad.scale(j, 1.0 / len(batch)))
     return j.value.item()
 
 
-def _unique_ids(documents) -> np.ndarray:
-    return ad.group_ids(np.concatenate([doc.valid_ids() for doc in documents])).unique
+def _group_ids(documents) -> ad.Groups:
+    return ad.group_ids(np.concatenate([doc.valid_ids() for doc in documents]))
 
 
 def _check_labels(dataset: Dataset, label_names) -> None:
@@ -352,7 +362,7 @@ def train(config: TrainConfig, train_set: Dataset, valid_set: Dataset,
                           config.weight_decay)
     dense = [p for p in params.store if p.name != "W_e"]
     velocities = {p.name: np.zeros_like(p.value) for p in dense}
-    valid_rows = _unique_ids(valid_set.documents)
+    valid_rows = _group_ids(valid_set.documents).unique
     history = TrainHistory()
     best_acc = -1.0
     best_values = None
@@ -365,13 +375,17 @@ def train(config: TrainConfig, train_set: Dataset, valid_set: Dataset,
         loss_sum = 0.0
         for batch_no, start in enumerate(range(0, len(order), config.batch)):
             batch = [docs[i] for i in order[start:start + config.batch]]
-            rows_sgd.catch_up(_unique_ids(batch))
+            # one sort of the batch's ids: the catch-up, the embedding-only
+            # lookup and W_e's step (its rows come back sorted) share it
+            groups = _group_ids(batch)
+            rows_sgd.catch_up(groups.unique)
             nodes = params.store.nodes()
             try:
                 # overflow is detected (and raised) by the primitives, so
                 # numpy's warnings would only duplicate the signal
                 with np.errstate(over="ignore", invalid="ignore"):
-                    batch_loss = _backward_batch(params, nodes, batch, objective, rng)
+                    batch_loss = _backward_batch(params, nodes, batch, objective, rng,
+                                                 groups)
             except ad.NonFiniteError as exc:
                 raise DivergenceError(epoch, batch_no, str(exc)) from exc
             if not np.isfinite(batch_loss):

@@ -196,6 +196,20 @@ class TestRowGrad:
         unique, summed = ad.RowGrad(np.zeros(0, dtype=np.int64), np.zeros((0, 3))).coalesce()
         assert unique.shape == (0,) and summed.shape == (0, 3)
 
+    def test_strictly_increasing_rows_are_not_sorted_again(self, monkeypatch):
+        # an embedding-only batch's row gradient holds its sorted distinct ids
+        def no_sort(ids):
+            raise AssertionError("sorted again")
+
+        monkeypatch.setattr(ad, "group_ids", no_sort)
+        rows, values = np.array([2, 5, 9]), np.ones((3, 4))
+        unique, summed = ad.RowGrad(rows, values).coalesce()
+        assert unique is rows and summed is values
+        with pytest.raises(AssertionError, match="sorted again"):
+            ad.RowGrad(np.array([2, 9, 5]), values).coalesce()  # unsorted
+        with pytest.raises(AssertionError, match="sorted again"):
+            ad.RowGrad(np.array([2, 5, 5]), values).coalesce()  # a repeat
+
 
 class TestGroups:
     @settings(max_examples=80, deadline=None)

@@ -1,17 +1,22 @@
+import contextlib
 import csv
+import io
 import json
+import math
 import os
 import shutil
 import subprocess
 import sys
 import warnings
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from lama import cli, text, training as tr
-from lama.model import forward_doc
+from lama import baseline, cli, text, training as tr
+from lama.model import forward_doc, param_shapes
 from lama.synthetic import keyword_pairs, write_tsv
 
 
@@ -398,6 +403,21 @@ class TestAttendAndTopwords:
         ranking = cli.top_attended_words(export, min_occurrences=10_000)
         assert ranking == []
 
+    @pytest.mark.parametrize("weight", ["NaN", "Infinity", "-Infinity", "-0.25", "1.5"])
+    def test_weight_outside_unit_interval_names_path_and_line(self, weight, tmp_path, capsys):
+        # the bad record is on line 2 and under another label: a corrupt
+        # export is rejected whichever documents --label selects
+        export = tmp_path / "attention.jsonl"
+        export.write_text('{"tokens": ["a", "b"], "label": "pos", "A": [[0.0, 1.0]]}\n'
+                          f'{{"tokens": ["a", "b"], "label": "neg", "A": [[{weight}, 0.5]]}}\n',
+                          encoding="utf-8")
+        capsys.readouterr()
+        code = run_cli("topwords", "--data", export, "--label", "pos",
+                       "--min-occurrences", "1", "--out", tmp_path / "out")
+        err = capsys.readouterr().err.strip().splitlines()
+        assert code == cli.EXIT_DATA
+        assert len(err) == 1 and err[0].startswith(f"error: {export}:2: attention weight"), err
+
 
 class TestAttendBatched:
     def test_records_equal_per_document_export(self, workspace, tmp_path):
@@ -501,20 +521,183 @@ OUT_OF_DOMAIN = {
     "topwords-top-k-0": (["topwords", "--data", "{jsonl}", "--top-k", "0"], cli.EXIT_USAGE),
     "topwords-top-k-negative": (["topwords", "--data", "{jsonl}", "--top-k", "-1"],
                                 cli.EXIT_USAGE),
+    "topwords-min-occurrences-0": (["topwords", "--data", "{jsonl}", "--min-occurrences", "0"],
+                                   cli.EXIT_USAGE),
+    "topwords-weight-nan": (["topwords", "--data", "{nan_weight}"], cli.EXIT_DATA),
+    "topwords-weight-inf": (["topwords", "--data", "{inf_weight}"], cli.EXIT_DATA),
 }
 
 
 @pytest.mark.parametrize("case", list(OUT_OF_DOMAIN))
 def test_out_of_domain_input_exits_with_one_error_line(case, workspace, tmp_path, capsys):
     argv, code = OUT_OF_DOMAIN[case]
-    jsonl = tmp_path / "attention.jsonl"
-    jsonl.write_text('["not", "an", "object"]\n', encoding="utf-8")
-    files = {"train": workspace["train"], "valid": workspace["valid"], "jsonl": jsonl}
+    files = {"train": workspace["train"], "valid": workspace["valid"]}
+    for name, line in (("jsonl", '["not", "an", "object"]'),
+                       ("nan_weight", '{"tokens": ["a", "b"], "A": [[NaN, 0.5]]}'),
+                       ("inf_weight", '{"tokens": ["a", "b"], "A": [[Infinity, 0.5]]}')):
+        files[name] = tmp_path / f"{name}.jsonl"
+        files[name].write_text(line + "\n", encoding="utf-8")
     capsys.readouterr()
     assert run_cli(*[a.format(**files) for a in argv], "--out", tmp_path / "out") == code
     out, err = capsys.readouterr()
     assert err.startswith("error:") and len(err.splitlines()) == 1
     assert "error:" not in out and "Traceback" not in out + err
+
+
+# Every numeric flag of params, bench, topwords and train draws its value
+# from these, and the property holds for each draw: an exit code in
+# {0, 2, 3, 4, 5}, at most one `error:` line, no traceback, and a nonzero
+# code whenever a value is outside the flag's domain. A domain is a range
+# (int or finite float) plus, for a model dimension, model.param_shapes'
+# budget, which allocates nothing; the in-domain draws run on tiny inputs.
+HUGE = 10**30
+DRAWS = ["nan", "inf", "-inf", "0", "-1", "1e300", str(HUGE)]
+UNBOUNDED = float("inf")
+
+
+def in_range(text, kind, lo, hi=UNBOUNDED, lo_open=False, hi_open=False):
+    """Whether argparse reads ``text`` as ``kind`` and it lies in [lo, hi]
+    (a bound left out when open)."""
+    try:
+        value = kind(text)
+    except ValueError:
+        return False
+    return (math.isfinite(value) and (value > lo if lo_open else value >= lo)
+            and (value < hi if hi_open else value <= hi))
+
+
+def fits_budget(**dims):
+    """A model dimension's value against param_shapes, shapes only."""
+    shape = dict(vocab_size=3, num_classes=2, d=4, h=3, m=1, ctx="learned",
+                 encoder="bigru", mlp_hidden=8)
+    shape.update({k: int(v) for k, v in dims.items()})
+    try:
+        param_shapes(**shape)
+    except ValueError:
+        return False
+    return True
+
+
+def run_captured(argv):
+    """Exit code, stdout and stderr of one in-process ``lama`` call."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main([str(a) for a in argv])
+        except SystemExit as exc:  # argparse rejected the value
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+def assert_exit_contract(argv, in_domain):
+    code, out, err = run_captured(argv)
+    assert code in (0, 2, 3, 4, 5), (argv, code, err)
+    assert sum("error:" in line for line in (out + err).splitlines()) <= 1, (argv, err)
+    assert "Traceback" not in out + err, (argv, err)
+    if not in_domain:
+        assert code != 0, (argv, out)
+
+
+def int_flag(lo=1, model_dim=None):
+    if model_dim is None:
+        return lambda text: in_range(text, int, lo)
+    return lambda text: in_range(text, int, lo) and fits_budget(**{model_dim: text})
+
+
+PARAMS_FLAGS = {
+    "--heads": int_flag(model_dim="m"),
+    "--d-ann": lambda text: (in_range(text, int, 1) and int(text) % 2 == 0
+                             and fits_budget(h=int(text) // 2)),
+    "--embed-dim": int_flag(model_dim="d"),
+    "--vocab-size": int_flag(model_dim="vocab_size"),
+    "--classes": int_flag(model_dim="num_classes"),
+    "--mlp-hidden": int_flag(model_dim="mlp_hidden"),
+    "--d-model": int_flag(),  # a count of the transformer's parameters only
+}
+BENCH_FLAGS = {
+    "--trials": lambda text: in_range(text, int, 5, baseline.MAX_TRIALS),
+    # HUGE is over the benchmark's size budget; the draws hold nothing near 10**6
+    "--dim": lambda text: in_range(text, int, 1, 10**6),
+    "--heads": lambda text: in_range(text, int, 1, 10**6),
+    "--batch": lambda text: in_range(text, int, 1, 10**6),
+    "--seed": int_flag(lo=0),
+    "--lengths": lambda text: in_range(text.split(",")[-1], int, 32, 10**6),  # 4,8,16,v
+}
+TOPWORDS_FLAGS = {
+    "--top-k": int_flag(),
+    "--min-occurrences": int_flag(),
+    "A": lambda text: in_range(text, float, 0, 1),  # one attention weight in the export
+}
+TRAIN_FLAGS_DOMAIN = {
+    **{flag: int_flag(model_dim=dim) for flag, dim in (
+        ("--heads", "m"), ("--hidden", "h"), ("--embed-dim", "d"),
+        ("--mlp-hidden", "mlp_hidden"))},
+    "--max-len": lambda text: in_range(text, int, 1, tr.MAX_LEN),
+    **{flag: int_flag() for flag in ("--epochs", "--batch", "--patience", "--min-count")},
+    "--seed": int_flag(lo=0),
+    "--lr": lambda text: in_range(text, float, 0, lo_open=True),
+    "--momentum": lambda text: in_range(text, float, 0, 1, hi_open=True),
+    "--dropout": lambda text: in_range(text, float, 0, 1, hi_open=True),
+    "--weight-decay": lambda text: in_range(text, float, 0),
+    "--lambda": lambda text: in_range(text, float, 0),
+}
+JSON_SPELLING = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+@pytest.fixture(scope="module")
+def flag_inputs(tmp_path_factory):
+    root = tmp_path_factory.mktemp("flags")
+    write_tsv(marker_pairs(24, seed=3), root / "train.tsv")
+    write_tsv(marker_pairs(9, seed=4), root / "valid.tsv")
+    return root
+
+
+# each property draws one flag and one value; its max_examples covers
+# every pair, which hypothesis then draws once each
+class TestFlagProperties:
+    @settings(max_examples=len(PARAMS_FLAGS) * len(DRAWS), deadline=None)
+    @given(flag=st.sampled_from(sorted(PARAMS_FLAGS)), value=st.sampled_from(DRAWS))
+    def test_params(self, flag, value, flag_inputs):
+        assert_exit_contract(["params", "--out", flag_inputs / "params", flag, value],
+                             PARAMS_FLAGS[flag](value))
+
+    @settings(max_examples=2 * len(BENCH_FLAGS) * len(DRAWS), deadline=None)
+    @given(flag=st.sampled_from(sorted(BENCH_FLAGS)), value=st.sampled_from(DRAWS),
+           kind=st.sampled_from(["le", "te"]))
+    def test_bench(self, flag, value, kind, flag_inputs):
+        argv = ["bench", "--kind", kind, "--lengths", "4,8,16,32", "--trials", "5",
+                "--dim", "8", "--heads", "2", "--batch", "1", "--out", flag_inputs / "bench"]
+        if flag == "--lengths":
+            value = f"4,8,16,{value}"
+        assert_exit_contract([*argv, flag, value], BENCH_FLAGS[flag](value))
+
+    @settings(max_examples=len(TOPWORDS_FLAGS) * len(DRAWS), deadline=None)
+    @given(flag=st.sampled_from(sorted(TOPWORDS_FLAGS)), value=st.sampled_from(DRAWS))
+    def test_topwords(self, flag, value, flag_inputs):
+        # a record under another label holds the drawn weight when flag is "A"
+        weight = JSON_SPELLING.get(value, value) if flag == "A" else "0.5"
+        export = flag_inputs / "attention.jsonl"
+        export.write_text('{"tokens": ["a", "b"], "label": "pos", "A": [[0.25, 0.75]]}\n'
+                          f'{{"tokens": ["a", "b"], "label": "neg", "A": [[{weight}, 0.5]]}}\n',
+                          encoding="utf-8")
+        argv = ["topwords", "--data", export, "--label", "pos", "--out", flag_inputs / "top"]
+        assert_exit_contract(argv + ([flag, value] if flag != "A" else []),
+                             TOPWORDS_FLAGS[flag](value))
+
+    @settings(max_examples=len(TRAIN_FLAGS_DOMAIN) * len(DRAWS), deadline=None)
+    @given(flag=st.sampled_from(sorted(TRAIN_FLAGS_DOMAIN)), value=st.sampled_from(DRAWS))
+    def test_train(self, flag, value, flag_inputs):
+        # the other flags are tiny; a huge --epochs runs until --patience 1 stops it
+        argv = ["train", "--data", flag_inputs / "train.tsv",
+                "--valid", flag_inputs / "valid.tsv", "--embed-dim", "4", "--hidden", "3",
+                "--mlp-hidden", "8", "--heads", "1", "--max-len", "16", "--batch", "16",
+                "--epochs", "1", "--patience", "1", "--min-count", "1",
+                "--out", flag_inputs / "train"]
+        in_domain = TRAIN_FLAGS_DOMAIN[flag](value)
+        with mock.patch.object(tr, "_backward_batch", wraps=tr._backward_batch) as step:
+            assert_exit_contract([*argv, flag, value], in_domain)
+        # an out-of-domain value is rejected before any training step
+        assert in_domain or not step.called, (flag, value)
 
 
 class TestHeadsSweep:

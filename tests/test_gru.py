@@ -189,6 +189,29 @@ class TestBigruEncode:
         report = self.gradient_report(8, seed=30, lengths=[4, 1, 3])
         assert report.passed, report.max_rel_errors
 
+    def test_fused_node_gradients_of_all_nineteen_parents(self):
+        # one gru_scan node: the input rows, then each direction's nine gate
+        # tensors; float64 finite differences over unsorted segments with a
+        # tie and a single row, d != h, and nonzero biases
+        rng = np.random.default_rng(31)
+        d, h, lengths = 4, 3, [2, 1, 5, 5, 3]
+        arrays = []
+        for _ in range(2):
+            a = init_gru_arrays(d, h, rng, dtype=np.float64)
+            for name in ("b_z", "b_r", "b_h"):
+                a[name] = rng.uniform(-0.5, 0.5, size=(h, 1))
+            arrays.append(a)
+        x = rng.standard_normal((sum(lengths), d)) * 0.5
+
+        def builder(leaves):
+            H = bigru_encode(leaves[0], leaves[1:10], leaves[10:], lengths)
+            assert H.op == "gru_scan" and [p for p, _ in H.parents] == leaves
+            return ad.frobenius_sq(ad.tanh(H))
+
+        params = [x] + [a[n] for a in arrays for n in GATE_NAMES]
+        report = ad.grad_check(builder, params, step=1e-5, tolerance=1e-6)
+        assert len(report.max_rel_errors) == 19 and report.passed, report.max_rel_errors
+
     def test_bad_lengths_rejected(self):
         rng = np.random.default_rng(4)
         fa = init_gru_arrays(4, 3, rng, dtype=np.float64)
@@ -231,7 +254,7 @@ class TestBigruEncode:
         np.testing.assert_allclose(annot, reference_bigru(x, fa, ba), rtol=1e-8, atol=1e-12)
 
     def test_graph_size_does_not_grow_with_length(self):
-        # one node per direction: the tape of a document is the same size
+        # one node for both directions: the tape of a document is the same size
         # whatever its length
         rng = np.random.default_rng(13)
         params = mdl.init_model(40, 2, rng, d=6, h=4, m=2, mlp_hidden=8)

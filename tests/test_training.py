@@ -464,7 +464,22 @@ class TestBatchGraph:
 
         assert objective(regularizer) == objective("none")
 
-    def test_one_backward_and_two_gru_scans_per_batch(self, keyword_task, monkeypatch):
+    def test_one_sort_per_embedding_only_batch(self, keyword_task, monkeypatch):
+        # the catch-up, the grouped lookup and W_e's step share one grouping
+        # of the batch's ids; each evaluation chunk and the validation ids
+        # are grouped once more
+        train_set, valid_set, vocab = keyword_task
+        sorts = []
+        group_ids = ad.group_ids
+        monkeypatch.setattr(ad, "group_ids", lambda ids: sorts.append(1) or group_ids(ids))
+        config = small_config(encoder="le", max_epochs=2, patience=2)
+        _, history = train(config, train_set, valid_set, vocab)
+        epochs = len(history.records)
+        batches = -(-len(train_set) // config.batch)
+        chunks = -(-len(valid_set) // tr.EVAL_CHUNK)
+        assert len(sorts) == epochs * (batches + chunks) + 1
+
+    def test_one_backward_and_one_gru_scan_per_batch(self, keyword_task, monkeypatch):
         train_set, valid_set, vocab = keyword_task
         scans = []
         backward = ad.backward
@@ -474,7 +489,7 @@ class TestBatchGraph:
             scans.clear()
             train(small_config(batch=batch, max_epochs=1), train_set, valid_set, vocab)
             assert len(scans) == -(-len(train_set) // batch)  # one call per batch
-            assert set(scans) == {2}
+            assert set(scans) == {1}  # both directions scan in one node
 
 
 def mixed_docs(rng, n, max_len=12, vocab_size=30, num_classes=3):
