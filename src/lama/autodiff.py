@@ -24,19 +24,18 @@ hand-written backpropagation through time, run on the first of them that
 ``backward`` calls. Its finiteness check runs once, on the whole
 pre-activation buffer and on the output, through ``check_finite``.
 
-The pullback of ``take_rows`` returns a ``RowGrad``. A leaf keeps it (or
-several, concatenated) as its ``.grad``, so an embedding's gradient is as
-sparse as its lookups; a dense contribution densifies it, and a non-leaf
-gets the coalesced rows added in. ``dense_grad`` reads any ``.grad``.
-
 ``group_ids`` sorts an id array once into its distinct ids, each
 position's group, the sort order and the group starts. ``expand`` is the
 gather that spreads one row per distinct id over the positions; its
 pullback sums each group's rows with ``np.add.reduceat`` over that
 presorted order, so it needs no sort and no scatter, and its gradient is
-dense. ``RowGrad.coalesce`` is the same grouping of a gradient's rows; rows
-that are already strictly increasing, as an embedding-only batch's
-distinct ids are, pass through without a second sort.
+dense. That sum is where every repeated index accumulates.
+
+``take_rows`` gathers strictly increasing rows only, such as a batch's
+distinct ids, so its pullback's ``RowGrad`` names each row once. A leaf
+that receives one keeps it as its ``.grad``, so an embedding's gradient
+is as sparse as its lookup; a second contribution densifies it, and a
+non-leaf gets the rows added in. ``dense_grad`` reads any ``.grad``.
 
 A minibatch's documents lie in one node as runs of ``lengths`` rows.
 ``softmax(lengths=)`` and ``segment_matmul`` work within each run; on one
@@ -284,29 +283,6 @@ def l2_normalize(a: Node, axis: int = 0) -> Node:
     return _make("l2_normalize", out, [(a, back)])
 
 
-def concat(nodes, axis: int = 0) -> Node:
-    """Join nodes along ``axis``."""
-    nodes = list(nodes)
-    if not nodes:
-        raise ShapeMismatchError("concat", ())
-    other = 1 - axis
-    base = nodes[0].shape[other]
-    for n in nodes[1:]:
-        if n.shape[other] != base:
-            raise ShapeMismatchError("concat", nodes[0].shape, n.shape)
-    sizes = [n.shape[axis] for n in nodes]
-    offsets = np.cumsum([0] + sizes)
-    out = np.concatenate([n.value for n in nodes], axis=axis)
-
-    def make_pull(i):
-        lo, hi = offsets[i], offsets[i + 1]
-        if axis == 0:
-            return lambda g: g[lo:hi, :]
-        return lambda g: g[:, lo:hi]
-
-    return _make("concat", out, [(n, make_pull(i)) for i, n in enumerate(nodes)])
-
-
 def segment_matmul(a: Node, b: Node, lengths=None) -> Node:
     """``a[:, seg] @ b[seg]`` for each run ``seg`` of ``lengths`` columns of
     ``a`` (rows of ``b``), stacked in run order; no ``lengths`` is ``a @ b``."""
@@ -369,32 +345,25 @@ def expand(a: Node, groups: Groups) -> Node:
 
 
 class RowGrad(NamedTuple):
-    """A gradient that is zero outside a few rows: ``values[k]`` adds into
-    row ``rows[k]``, repeated rows accumulating."""
+    """A gradient that is zero outside a few rows: ``values[k]`` is row
+    ``rows[k]``, and ``rows`` is strictly increasing."""
     rows: np.ndarray
     values: np.ndarray
 
-    def coalesce(self) -> tuple[np.ndarray, np.ndarray]:
-        """The sorted unique rows and the summed values of each (see
-        ``Groups.sum``); rows that are already strictly increasing come back
-        as they are, with their own values array, and are not sorted again."""
-        if (self.rows[1:] > self.rows[:-1]).all():
-            return self.rows, self.values
-        groups = group_ids(self.rows)
-        return groups.unique, groups.sum(self.values)
-
     def add_into(self, dense: np.ndarray) -> None:
-        rows, summed = self.coalesce()
-        dense[rows] += summed
+        dense[self.rows] += self.values  # correct only because no row repeats
 
 
 def take_rows(a: Node, indices) -> Node:
-    """Gather rows by index (embedding lookup); repeated rows accumulate."""
+    """Gather rows at strictly increasing indices (an embedding lookup at
+    distinct ids); ``expand`` spreads them over repeated positions."""
     idx = np.asarray(indices, dtype=np.int64)
     if idx.ndim != 1:
         raise ShapeMismatchError("take_rows", idx.shape)
-    if idx.size and (idx.min() < 0 or idx.max() >= a.shape[0]):
-        raise ShapeMismatchError("take_rows", a.shape, (int(idx.min()), int(idx.max())))
+    if not (idx[1:] > idx[:-1]).all():
+        raise AutodiffError("take_rows: indices must be strictly increasing")
+    if idx.size and (idx[0] < 0 or idx[-1] >= a.shape[0]):
+        raise ShapeMismatchError("take_rows", a.shape, (int(idx[0]), int(idx[-1])))
     return _make("take_rows", a.value[idx, :], [(a, lambda g: RowGrad(idx, g))])
 
 
@@ -448,7 +417,7 @@ def softmax_cross_entropy(logits: Node, onehot: Node) -> Node:
 def backward(root: Node) -> None:
     """Add d(root)/d(leaf) into ``.grad`` of every requires-grad leaf under
     ``root``; nothing is reset, so calls on roots that share leaves sum there.
-    A leaf reached only through ``take_rows`` holds a ``RowGrad``.
+    A leaf reached only through one ``take_rows`` holds a ``RowGrad``.
 
     Each non-leaf node's ``.grad`` is dropped once its pullbacks have run,
     so only leaves keep a gradient after the call, and the graph's inner
@@ -476,22 +445,19 @@ def backward(root: Node) -> None:
         for parent, pull in node.parents:
             if not parent.requires_grad:
                 continue
-            contrib, g = pull(node.grad), parent.grad
-            if not isinstance(contrib, RowGrad):
-                if g is None:
-                    # a copy: a pullback may hand the same array to two parents
-                    parent.grad = np.array(contrib, dtype=parent.value.dtype)
+            contrib = pull(node.grad)
+            sparse = isinstance(contrib, RowGrad)
+            if parent.grad is None and sparse and not parent.parents:
+                parent.grad = contrib  # a leaf's row gradient stays row-sparse
+            elif parent.grad is None and not sparse:
+                # a copy: a pullback may hand the same array to two parents
+                parent.grad = np.array(contrib, dtype=parent.value.dtype)
+            else:
+                g = parent.grad = dense_grad(parent)
+                if sparse:
+                    contrib.add_into(g)
                 else:
-                    parent.grad = dense_grad(parent)
-                    parent.grad += contrib
-            elif parent.parents or isinstance(g, np.ndarray):
-                if g is None:
-                    g = parent.grad = np.zeros_like(parent.value)
-                contrib.add_into(g)
-            else:  # a leaf's row gradient stays row-sparse
-                parent.grad = contrib if g is None else RowGrad(
-                    np.concatenate([g.rows, contrib.rows]),
-                    np.concatenate([g.values, contrib.values]))
+                    g += contrib
         if node.parents:
             node.grad = None
 

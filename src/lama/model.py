@@ -11,16 +11,17 @@ The trainer backpropagates it once per batch; evaluation and the
 attention export run it forward only, on leaves that track no gradient.
 ``forward_doc`` is the one-document case of the same path.
 
-With the embedding-only encoder a word's annotation depends on its token
-id alone, so the batch's ids are grouped once (``autodiff.group_ids``).
-The embedding lookup, the word transform tanh(W_w e + b_w) and the Q
-projection run once per distinct token, and ``autodiff.expand`` spreads
-the rows and the projected scores over the positions. Per position stay
-the (P^T c) Hadamard (with its per-word context in doc-mean mode), tanh,
-the L2 across heads, the softmax over each document's run, S = A H and
-the disagreement terms. ``W_e``'s gradient then holds one row per
-distinct token. The BiGRU's annotations depend on context, so it looks
-up and transforms every position.
+The batch's ids are grouped once (``autodiff.group_ids``). Both encoders
+look ``W_e`` up at the distinct ids and ``autodiff.expand`` spreads the
+rows over the positions, so ``W_e``'s gradient holds one row per distinct
+token. With the embedding-only encoder a word's annotation depends on
+its token id alone, so the word transform tanh(W_w e + b_w) and the Q
+projection also run once per distinct token, and ``expand`` spreads the
+projected scores. Per position stay the (P^T c) Hadamard (with its
+per-word context in doc-mean mode), tanh, the L2 across heads, the
+softmax over each document's run, S = A H and the disagreement terms.
+The BiGRU's annotations depend on context, so it encodes and transforms
+every position.
 
 Dropout in the classifier draws one mask column per document, in batch
 order, from one hidden x B draw; that is the stream B one-document passes
@@ -193,15 +194,15 @@ def _forward(params: ModelParams, nodes: dict, id_rows: list, train: bool,
     lengths = [len(ids) for ids in id_rows]
     ids = np.concatenate(id_rows)
 
+    groups = ad.group_ids(ids) if groups is None else groups
+    rows = ad.take_rows(nodes["W_e"], groups.unique)
+    X = ad.expand(rows, groups)
     if params.encoder == ENCODER_BIGRU:
-        X = ad.take_rows(nodes["W_e"], ids)
         H = gru.bigru_encode(X, [nodes["gru_f." + n] for n in gru.GATE_NAMES],
                              [nodes["gru_b." + n] for n in gru.GATE_NAMES], lengths)
         distinct = None
-    else:  # a word's annotation is its token's row: look each distinct id up once
-        groups = ad.group_ids(ids) if groups is None else groups
-        rows = ad.take_rows(nodes["W_e"], groups.unique)
-        X = H = ad.expand(rows, groups)
+    else:  # a word's annotation is its token's row: transform each distinct id once
+        H = X
         distinct = (rows, groups)
 
     c = nodes["attn.c"] if params.ctx == CTX_LEARNED else attention.doc_mean_context(X, lengths)
@@ -233,8 +234,7 @@ def forward_batch(params: ModelParams, nodes: dict, docs, train: bool = False,
     the masks of the documents one after another, in batch order, as
     ``forward_doc`` calls in that order would. ``groups`` is
     ``autodiff.group_ids`` of the documents' concatenated valid ids, when
-    the caller already has it; the embedding-only encoder then does not
-    sort them again, and the BiGRU does not use it.
+    the caller already has it; the lookup then does not sort them again.
     """
     return _forward(params, nodes, [_valid_ids(d.ids, d.true_length) for d in docs],
                     train, rng, groups)

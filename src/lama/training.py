@@ -16,17 +16,17 @@ that track no gradient, and draws nothing from the RNG.
 
 Every batch graph reaches every parameter. ``sgd_step`` updates each
 dense parameter and its velocity in place. ``W_e``'s gradient stays the
-``RowGrad`` of the batch's lookups and ``LazyRowSGD`` steps only those
-rows; the others owe whole steps of momentum and decay at g = 0, which
-they catch up when next read: a batch's ids before its forward pass, the
-validation ids before each ``evaluate``, every row before a best-epoch
-snapshot and before ``train`` returns. That equals the dense update in
-real arithmetic, not bit for bit. One sort of a batch's ids
-(``autodiff.group_ids``) serves its catch-up, the embedding-only
-encoder's lookup and the step of ``W_e``'s rows. No embedding row is
-special: the PAD row starts at zero with zero velocity, and since padding
-is trimmed before the lookup and no text encodes to ``PAD_ID``, it never
-gets a gradient and stays zero.
+``RowGrad`` of the batch's distinct ids and ``LazyRowSGD`` steps only
+those rows; the others owe whole steps of momentum and decay at g = 0,
+which they catch up when next read: a batch's ids before its forward
+pass, the validation ids before each ``evaluate``, every row before a
+best-epoch snapshot and before ``train`` returns. That equals the dense
+update in real arithmetic, not bit for bit. One sort of a batch's ids
+(``autodiff.group_ids``) serves, for either encoder, its catch-up, the
+lookup at its distinct ids and the step of ``W_e``'s rows. No embedding
+row is special: the PAD row starts at zero with zero velocity, and since
+padding is trimmed before the lookup and no text encodes to ``PAD_ID``,
+it never gets a gradient and stays zero.
 """
 
 from __future__ import annotations
@@ -186,10 +186,10 @@ class LazyRowSGD:
         self.last[rows] = self.steps
 
     def step(self, grad: ad.RowGrad) -> None:
-        """One step: the dense formula's ops on the touched rows, with the
-        gradient summed per row; every other row falls one step behind.
-        ``grad``'s values may be used as scratch."""
-        rows, g = grad.coalesce()
+        """One step: the dense formula's ops on the rows ``grad`` names;
+        every other row falls one step behind. ``grad``'s values may be
+        used as scratch."""
+        rows, g = grad.rows, grad.values
         self.catch_up(rows)
         p, v = self.value[rows], self.velocity[rows]
         sgd_step(p, g, v, *self.hyper)
@@ -375,8 +375,8 @@ def train(config: TrainConfig, train_set: Dataset, valid_set: Dataset,
         loss_sum = 0.0
         for batch_no, start in enumerate(range(0, len(order), config.batch)):
             batch = [docs[i] for i in order[start:start + config.batch]]
-            # one sort of the batch's ids: the catch-up, the embedding-only
-            # lookup and W_e's step (its rows come back sorted) share it
+            # one sort of the batch's ids: the catch-up, the lookup at the
+            # distinct ids and W_e's step (its rows come back sorted) share it
             groups = _group_ids(batch)
             rows_sgd.catch_up(groups.unique)
             nodes = params.store.nodes()

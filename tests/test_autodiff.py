@@ -73,9 +73,11 @@ class TestErrors:
         with pytest.raises(ad.NonScalarRootError):
             ad.backward(ad.tanh(x))
 
-    def test_concat_shape_error(self):
-        with pytest.raises(ad.ShapeMismatchError):
-            ad.concat([ad.leaf(np.ones((2, 3))), ad.leaf(np.ones((3, 4)))], axis=1)
+    @pytest.mark.parametrize("ids", [[1, 1, 2], [2, 1], [3, 0, 2]])
+    def test_take_rows_rejects_repeated_or_decreasing_ids(self, ids):
+        # its RowGrad names each row once; repeats go through expand
+        with pytest.raises(ad.AutodiffError, match="take_rows"):
+            ad.take_rows(ad.leaf(np.ones((4, 2))), ids)
 
     def test_dropout_rate_validation(self):
         with pytest.raises(ad.AutodiffError):
@@ -123,24 +125,13 @@ class TestBackward:
             ad.backward(ad.frobenius_sq(x2))
             np.testing.assert_allclose(combined, x1.grad + x2.grad, rtol=1e-10)
 
-    def test_take_rows_accumulates_repeats(self):
+    def test_second_lookup_densifies_a_leaf(self):
         w = ad.leaf(np.arange(12.0).reshape(4, 3), requires_grad=True)
-        out = ad.take_rows(w, [1, 1, 2])
-        ad.backward(total(out))
-        expected = np.zeros((4, 3))
-        expected[1] = 2.0
-        expected[2] = 1.0
-        assert isinstance(w.grad, ad.RowGrad)
-        np.testing.assert_array_equal(ad.dense_grad(w), expected)
-
-    def test_leaf_keeps_row_gradients_of_several_lookups(self):
-        w = ad.leaf(np.arange(12.0).reshape(4, 3), requires_grad=True)
-        ad.backward(ad.add(total(ad.take_rows(w, [3, 1])), total(ad.take_rows(w, [1]))))
-        ad.backward(total(ad.take_rows(w, [0])))
-        assert isinstance(w.grad, ad.RowGrad)
-        assert sorted(w.grad.rows.tolist()) == [0, 1, 1, 3]
-        np.testing.assert_array_equal(ad.dense_grad(w), [[1.0] * 3, [2.0] * 3, [0.0] * 3,
-                                                         [1.0] * 3])
+        ad.backward(total(ad.take_rows(w, [1, 3])))
+        assert isinstance(w.grad, ad.RowGrad) and w.grad.rows.tolist() == [1, 3]
+        ad.backward(ad.add(total(ad.take_rows(w, [0, 1])), total(ad.take_rows(w, [1]))))
+        assert isinstance(w.grad, np.ndarray)
+        np.testing.assert_array_equal(w.grad, [[1.0] * 3, [3.0] * 3, [0.0] * 3, [1.0] * 3])
 
     @pytest.mark.parametrize("lookup_first", [True, False])
     def test_dense_contribution_densifies_a_leaf(self, lookup_first):
@@ -148,12 +139,13 @@ class TestBackward:
         # decides whether the row or the dense gradient arrives first
         rng = np.random.default_rng(7)
         w = ad.leaf(rand(rng, 4, 3), requires_grad=True)
+        weights = ad.constant([[1.0], [2.0]])
         if lookup_first:
-            lookup = total(ad.take_rows(w, [2, 2, 0]))
+            lookup = total(ad.hadamard(ad.take_rows(w, [0, 2]), weights))
             square = ad.frobenius_sq(w)
         else:
             square = ad.frobenius_sq(w)
-            lookup = total(ad.take_rows(w, [2, 2, 0]))
+            lookup = total(ad.hadamard(ad.take_rows(w, [0, 2]), weights))
         ad.backward(ad.add(lookup, square))
         expected = 2 * w.value
         expected[[0, 2]] += [[1.0], [2.0]]
@@ -162,13 +154,17 @@ class TestBackward:
 
     def test_non_leaf_gets_a_dense_gradient(self):
         x = ad.leaf(np.ones((3, 2)), requires_grad=True)
-        ad.backward(total(ad.take_rows(ad.tanh(x), [0, 0, 2])))
+        ad.backward(total(ad.hadamard(ad.take_rows(ad.tanh(x), [0, 2]),
+                                      ad.constant([[2.0], [1.0]]))))
         assert isinstance(x.grad, np.ndarray)
         np.testing.assert_allclose(x.grad[:, 0], np.array([2.0, 0.0, 1.0]) *
                                    (1 - np.tanh(1.0) ** 2), rtol=1e-15)
 
 
 class TestRowGrad:
+    """A gradient's repeated rows are summed by ``Groups.sum``, the pullback
+    of ``expand``; ``take_rows`` only ever sees distinct rows."""
+
     @settings(max_examples=60, deadline=None)
     @given(rows=st.lists(st.integers(0, 9), min_size=1, max_size=40)
            | st.lists(st.sampled_from([3]), min_size=1, max_size=40),
@@ -181,7 +177,8 @@ class TestRowGrad:
         # (k - 1) eps sum|v|, in either dtype; up to two values agree exactly
         rows = np.array(rows)
         values = np.random.default_rng(seed).standard_normal((rows.size, 4)).astype(dtype)
-        unique, summed = ad.RowGrad(rows, values).coalesce()
+        groups = ad.group_ids(rows)
+        unique, summed = groups.unique, groups.sum(values)
         assert unique.tolist() == sorted(set(rows.tolist())) and summed.dtype == dtype
         expected, got, bound = (np.zeros((10, 4), dtype=dtype) for _ in range(3))
         np.add.at(expected, rows, values)
@@ -193,22 +190,9 @@ class TestRowGrad:
         assert (got[counts[:, 0] <= 2] == expected[counts[:, 0] <= 2]).all()
 
     def test_no_rows(self):
-        unique, summed = ad.RowGrad(np.zeros(0, dtype=np.int64), np.zeros((0, 3))).coalesce()
+        groups = ad.group_ids(np.zeros(0, dtype=np.int64))
+        unique, summed = groups.unique, groups.sum(np.zeros((0, 3)))
         assert unique.shape == (0,) and summed.shape == (0, 3)
-
-    def test_strictly_increasing_rows_are_not_sorted_again(self, monkeypatch):
-        # an embedding-only batch's row gradient holds its sorted distinct ids
-        def no_sort(ids):
-            raise AssertionError("sorted again")
-
-        monkeypatch.setattr(ad, "group_ids", no_sort)
-        rows, values = np.array([2, 5, 9]), np.ones((3, 4))
-        unique, summed = ad.RowGrad(rows, values).coalesce()
-        assert unique is rows and summed is values
-        with pytest.raises(AssertionError, match="sorted again"):
-            ad.RowGrad(np.array([2, 9, 5]), values).coalesce()  # unsorted
-        with pytest.raises(AssertionError, match="sorted again"):
-            ad.RowGrad(np.array([2, 5, 5]), values).coalesce()  # a repeat
 
 
 class TestGroups:
@@ -257,16 +241,15 @@ PRIMITIVE_BUILDERS = {
     "softmax_segments": lambda p: total(ad.hadamard(
         ad.softmax(p[0], axis=1, lengths=[2, 1, 2]), p[1])),
     "l2_normalize": lambda p: total(ad.hadamard(ad.l2_normalize(p[0], axis=0), p[1])),
-    "concat": lambda p: total(ad.tanh(ad.concat([p[0], p[1]], axis=0))),
     "scale": lambda p: total(ad.scale(p[0], -2.5)),
     "frobenius": lambda p: ad.frobenius_sq(p[0]),
     "transpose": lambda p: total(ad.hadamard(ad.transpose(p[0]), ad.transpose(p[1]))),
     "reshape": lambda p: total(ad.tanh(ad.reshape(p[0], (1, p[0].value.size)))),
-    "take_rows": lambda p: ad.frobenius_sq(ad.take_rows(p[0], [0, 2, 2, 1])),
+    "take_rows": lambda p: ad.frobenius_sq(ad.take_rows(p[0], [0, 2])),
     # three distinct ids, two of them repeated, spread over six rows
     "expand": lambda p: total(ad.hadamard(
         ad.tanh(ad.expand(p[0], ad.group_ids([9, 4, 9, 7, 4, 9]))),
-        ad.concat([p[1], p[1]]))),
+        ad.expand(p[1], ad.group_ids([0, 1, 2, 0, 1, 2])))),
     # a 3 x 3 product per run of 2 and 3 columns of p[0] (rows of p[1]^T)
     "segment_matmul": lambda p: total(ad.tanh(
         ad.segment_matmul(p[0], ad.transpose(p[1]), [2, 3]))),

@@ -164,7 +164,9 @@ class TestGroupedEmbeddingPath:
         nodes = params.store.nodes(requires_grad=False)
         docs = shared_token_docs()
         fw = mdl.forward_batch(params, nodes, docs)
-        assert sum(n.op == "expand" for n in graph_nodes(fw.logits)) == 2
+        # the lookup, the Q projection and, in doc-mean mode, the context
+        expands = sum(n.op == "expand" for n in graph_nodes(fw.logits))
+        assert expands == (2 if ctx == "learned" else 3)
         # attend without a grouping, over every position's own row
         lengths = [doc.true_length for doc in docs]
         X = ad.constant(params.store["W_e"].value[np.concatenate(
@@ -182,6 +184,18 @@ class TestGroupedEmbeddingPath:
     @pytest.mark.parametrize("ctx", ["learned", "doc-mean"])
     def test_embedding_gradient_has_one_row_per_distinct_token(self, ctx):
         params = tiny_model(encoder="le", ctx=ctx)
+        nodes = params.store.nodes()
+        docs = shared_token_docs()
+        fw = mdl.forward_batch(params, nodes, docs)
+        ad.backward(mdl.batch_objective(fw, [doc.label for doc in docs], 3,
+                                        ObjectiveConfig("positions", 0.2)))
+        assert isinstance(nodes["W_e"].grad, ad.RowGrad)
+        assert nodes["W_e"].grad.rows.tolist() == [2, 5, 7, 9]
+
+    @pytest.mark.parametrize("ctx", ["learned", "doc-mean"])
+    def test_bigru_looks_each_distinct_token_up_once(self, ctx):
+        # the BiGRU encodes every position, but from rows looked up once each
+        params = tiny_model(encoder="bigru", ctx=ctx)
         nodes = params.store.nodes()
         docs = shared_token_docs()
         fw = mdl.forward_batch(params, nodes, docs)

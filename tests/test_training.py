@@ -92,12 +92,13 @@ class TestLazyRowSGD:
             if rng.random() < 0.1:
                 lazy.catch_up()
                 np.testing.assert_allclose(lazy.value, p, rtol=1e-10)
-            rows = rng.integers(1, 30, size=int(rng.integers(1, 12)))
-            values = rng.standard_normal((rows.size, 5))
+            ids = rng.integers(1, 30, size=int(rng.integers(1, 12)))
+            values = rng.standard_normal((ids.size, 5))
             g = np.zeros_like(p)
-            np.add.at(g, rows, values)
+            np.add.at(g, ids, values)
             sgd_step(p, g, v, lr, mu, wd)
-            lazy.step(ad.RowGrad(rows, values))
+            groups = ad.group_ids(ids)
+            lazy.step(ad.RowGrad(groups.unique, groups.sum(values)))
         lazy.catch_up()
         np.testing.assert_allclose(lazy.value, p, rtol=1e-10)
         np.testing.assert_allclose(lazy.velocity, v, rtol=1e-10)
@@ -110,11 +111,12 @@ class TestLazyRowSGD:
         v = rng.standard_normal((6, 3)).astype(np.float32)
         lazy = LazyRowSGD(p.copy(), 0.05, 0.9, 1e-4)
         lazy.velocity[:] = v
-        rows = np.array([4, 1, 4])
+        ids = np.array([4, 1, 4])
         values = rng.standard_normal((3, 3)).astype(np.float32)
-        lazy.step(ad.RowGrad(rows, values))
+        groups = ad.group_ids(ids)
+        lazy.step(ad.RowGrad(groups.unique, groups.sum(values)))
         g = np.zeros_like(p)
-        np.add.at(g, rows, values)
+        np.add.at(g, ids, values)
         sgd_step(p, g, v, 0.05, 0.9, 1e-4)
         assert lazy.value[[1, 4]].tobytes() == p[[1, 4]].tobytes()
         assert lazy.velocity[[1, 4]].tobytes() == v[[1, 4]].tobytes()
@@ -445,9 +447,12 @@ class TestBatchGraph:
                 counts.append(len(graph_nodes(j)))
                 expands.append(sum(n.op == "expand" for n in graph_nodes(j)))
             assert counts[0] == counts[1] == counts[2], encoder
-            # only the embedding-only encoder groups its tokens; the BiGRU's
-            # annotations are contextual, so its graph is the per-position one
-            assert set(expands) == ({0} if encoder == "bigru" else {2}), encoder
+            # both encoders spread the rows looked up at the distinct ids, and in
+            # doc-mean mode the document means; only the embedding-only
+            # encoder also spreads its projected scores, as the BiGRU's
+            # annotations are contextual
+            spread = (1 if encoder == "bigru" else 2) + (ctx == "doc-mean")
+            assert set(expands) == {spread}, encoder
 
     @pytest.mark.parametrize("regularizer", ["positions", "embeddings"])
     def test_zero_lambda_builds_no_disagreement_term(self, regularizer):
@@ -465,19 +470,12 @@ class TestBatchGraph:
         assert objective(regularizer) == objective("none")
 
     def test_one_sort_per_embedding_only_batch(self, keyword_task, monkeypatch):
-        # the catch-up, the grouped lookup and W_e's step share one grouping
-        # of the batch's ids; each evaluation chunk and the validation ids
-        # are grouped once more
-        train_set, valid_set, vocab = keyword_task
-        sorts = []
-        group_ids = ad.group_ids
-        monkeypatch.setattr(ad, "group_ids", lambda ids: sorts.append(1) or group_ids(ids))
-        config = small_config(encoder="le", max_epochs=2, patience=2)
-        _, history = train(config, train_set, valid_set, vocab)
-        epochs = len(history.records)
-        batches = -(-len(train_set) // config.batch)
-        chunks = -(-len(valid_set) // tr.EVAL_CHUNK)
-        assert len(sorts) == epochs * (batches + chunks) + 1
+        sorts, expected = count_sorts("le", keyword_task, monkeypatch)
+        assert sorts == expected
+
+    def test_one_sort_per_bigru_batch(self, keyword_task, monkeypatch):
+        sorts, expected = count_sorts("bigru", keyword_task, monkeypatch)
+        assert sorts == expected
 
     def test_one_backward_and_one_gru_scan_per_batch(self, keyword_task, monkeypatch):
         train_set, valid_set, vocab = keyword_task
@@ -490,6 +488,23 @@ class TestBatchGraph:
             train(small_config(batch=batch, max_epochs=1), train_set, valid_set, vocab)
             assert len(scans) == -(-len(train_set) // batch)  # one call per batch
             assert set(scans) == {1}  # both directions scan in one node
+
+
+def count_sorts(encoder, keyword_task, monkeypatch):
+    """The ``group_ids`` calls of a learned-context ``train`` run, and the
+    count if the catch-up, the lookup at the distinct ids and W_e's step
+    share one grouping of each batch's ids; each evaluation chunk and the
+    validation ids are grouped once more."""
+    train_set, valid_set, vocab = keyword_task
+    sorts = []
+    group_ids = ad.group_ids
+    monkeypatch.setattr(ad, "group_ids", lambda ids: sorts.append(1) or group_ids(ids))
+    config = small_config(encoder=encoder, max_epochs=2, patience=2)
+    _, history = train(config, train_set, valid_set, vocab)
+    epochs = len(history.records)
+    batches = -(-len(train_set) // config.batch)
+    chunks = -(-len(valid_set) // tr.EVAL_CHUNK)
+    return len(sorts), epochs * (batches + chunks) + 1
 
 
 def mixed_docs(rng, n, max_len=12, vocab_size=30, num_classes=3):
