@@ -66,8 +66,11 @@ def doc_mean_context(X: Node, lengths=None) -> Node:
     counts = np.asarray([X.shape[0]] if lengths is None else lengths)
     weights = np.repeat(1.0 / counts, counts).astype(X.value.dtype)[None, :]
     means = ad.segment_matmul(ad.constant(weights), X, lengths)
-    doc_of_each_word = np.repeat(np.arange(counts.size), counts)
-    return ad.transpose(ad.expand(means, ad.group_ids(doc_of_each_word)))
+    # the words' documents are already sorted, so they group with no sort
+    docs = np.arange(counts.size)
+    runs = ad.Groups(docs, np.repeat(docs, counts), np.arange(counts.sum()),
+                     np.cumsum(counts) - counts)
+    return ad.transpose(ad.expand(means, runs))
 
 
 def word_transform(H: Node, W_w: Node, b_w: Node) -> Node:

@@ -32,10 +32,10 @@ presorted order, so it needs no sort and no scatter, and its gradient is
 dense. That sum is where every repeated index accumulates.
 
 ``take_rows`` gathers strictly increasing rows only, such as a batch's
-distinct ids, so its pullback's ``RowGrad`` names each row once. A leaf
-that receives one keeps it as its ``.grad``, so an embedding's gradient
-is as sparse as its lookup; a second contribution densifies it, and a
-non-leaf gets the rows added in. ``dense_grad`` reads any ``.grad``.
+distinct ids, so its pullback scatters each row once into a dense
+gradient of the whole table. Every gradient is dense; the trainer avoids
+a |V| x d one for the embedding by making a batch's distinct rows a leaf
+of their own.
 
 A minibatch's documents lie in one node as runs of ``lengths`` rows.
 ``softmax(lengths=)`` and ``segment_matmul`` work within each run; on one
@@ -344,16 +344,6 @@ def expand(a: Node, groups: Groups) -> Node:
     return _make("expand", a.value[groups.inverse], [(a, groups.sum)])
 
 
-class RowGrad(NamedTuple):
-    """A gradient that is zero outside a few rows: ``values[k]`` is row
-    ``rows[k]``, and ``rows`` is strictly increasing."""
-    rows: np.ndarray
-    values: np.ndarray
-
-    def add_into(self, dense: np.ndarray) -> None:
-        dense[self.rows] += self.values  # correct only because no row repeats
-
-
 def take_rows(a: Node, indices) -> Node:
     """Gather rows at strictly increasing indices (an embedding lookup at
     distinct ids); ``expand`` spreads them over repeated positions."""
@@ -364,7 +354,13 @@ def take_rows(a: Node, indices) -> Node:
         raise AutodiffError("take_rows: indices must be strictly increasing")
     if idx.size and (idx[0] < 0 or idx[-1] >= a.shape[0]):
         raise ShapeMismatchError("take_rows", a.shape, (int(idx[0]), int(idx[-1])))
-    return _make("take_rows", a.value[idx, :], [(a, lambda g: RowGrad(idx, g))])
+
+    def scatter(g):
+        out = np.zeros_like(a.value)
+        out[idx] = g  # correct only because no row repeats
+        return out
+
+    return _make("take_rows", a.value[idx, :], [(a, scatter)])
 
 
 def frobenius_sq(a: Node) -> Node:
@@ -417,7 +413,6 @@ def softmax_cross_entropy(logits: Node, onehot: Node) -> Node:
 def backward(root: Node) -> None:
     """Add d(root)/d(leaf) into ``.grad`` of every requires-grad leaf under
     ``root``; nothing is reset, so calls on roots that share leaves sum there.
-    A leaf reached only through one ``take_rows`` holds a ``RowGrad``.
 
     Each non-leaf node's ``.grad`` is dropped once its pullbacks have run,
     so only leaves keep a gradient after the call, and the graph's inner
@@ -446,30 +441,18 @@ def backward(root: Node) -> None:
             if not parent.requires_grad:
                 continue
             contrib = pull(node.grad)
-            sparse = isinstance(contrib, RowGrad)
-            if parent.grad is None and sparse and not parent.parents:
-                parent.grad = contrib  # a leaf's row gradient stays row-sparse
-            elif parent.grad is None and not sparse:
+            if parent.grad is None:
                 # a copy: a pullback may hand the same array to two parents
                 parent.grad = np.array(contrib, dtype=parent.value.dtype)
             else:
-                g = parent.grad = dense_grad(parent)
-                if sparse:
-                    contrib.add_into(g)
-                else:
-                    g += contrib
+                parent.grad += contrib
         if node.parents:
             node.grad = None
 
 
 def dense_grad(node: Node) -> np.ndarray:
-    """``node.grad`` as a dense array; zeros when there is none."""
-    if isinstance(node.grad, np.ndarray):
-        return node.grad
-    out = np.zeros_like(node.value)
-    if node.grad is not None:
-        node.grad.add_into(out)
-    return out
+    """``node.grad``; zeros when there is none."""
+    return np.zeros_like(node.value) if node.grad is None else node.grad
 
 
 # ---------------------------------------------------------------------------

@@ -249,6 +249,8 @@ def cmd_attend(args):
     dataset = rows_to_dataset(rows, checkpoint.vocab, checkpoint.config.max_len,
                               label_names=checkpoint.label_names, split="attend",
                               source=args.data)
+    if len(dataset) == 0:
+        raise CliError(f"attend set is empty: {args.data}", EXIT_DATA)
     # one forward-only graph per chunk of documents, its A split by document
     predicted, A_docs = [], []
     for chunk, fw in forward_chunks(checkpoint.params, dataset.documents):
@@ -279,14 +281,15 @@ def top_attended_words(jsonl_path, label=None, top_k=20, min_occurrences=3):
     sums = {}
     counts = {}
     try:
-        fh = open(jsonl_path, encoding="utf-8")
+        fh = open(jsonl_path, "rb")
     except OSError as exc:
         raise CliError(f"cannot open attention export {jsonl_path}: {exc}", EXIT_IO)
     with fh:
         for line_no, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
             try:
+                line = line.decode("utf-8")  # line by line, so an error names its line
+                if not line.strip():
+                    continue
                 record = json.loads(line)
                 if not isinstance(record, dict):
                     raise ValueError(f"expected a JSON object, got {type(record).__name__}")

@@ -12,9 +12,11 @@ attention export run it forward only, on leaves that track no gradient.
 ``forward_doc`` is the one-document case of the same path.
 
 The batch's ids are grouped once (``autodiff.group_ids``). Both encoders
-look ``W_e`` up at the distinct ids and ``autodiff.expand`` spreads the
-rows over the positions, so ``W_e``'s gradient holds one row per distinct
-token. With the embedding-only encoder a word's annotation depends on
+read ``W_e``'s rows at the distinct ids and ``autodiff.expand`` spreads
+them over the positions. In training those rows are the trainer's own
+leaf, so their gradient is one dense row per distinct token and ``W_e``
+gets none; otherwise ``autodiff.take_rows`` gathers them from ``W_e``.
+With the embedding-only encoder a word's annotation depends on
 its token id alone, so the word transform tanh(W_w e + b_w) and the Q
 projection also run once per distinct token, and ``expand`` spreads the
 projected scores. Per position stay the (P^T c) Hadamard (with its
@@ -188,14 +190,16 @@ def _valid_ids(ids, true_length: int | None) -> np.ndarray:
 
 
 def _forward(params: ModelParams, nodes: dict, id_rows: list, train: bool,
-             rng: np.random.Generator | None, groups: ad.Groups | None = None) -> ForwardPass:
+             rng: np.random.Generator | None,
+             lookup: tuple[ad.Groups, Node] | None = None) -> ForwardPass:
     """One graph over the valid ids of each document: one embedding lookup,
     BiGRU scan, attention pass and classifier pass for all."""
     lengths = [len(ids) for ids in id_rows]
-    ids = np.concatenate(id_rows)
-
-    groups = ad.group_ids(ids) if groups is None else groups
-    rows = ad.take_rows(nodes["W_e"], groups.unique)
+    if lookup is None:
+        groups = ad.group_ids(np.concatenate(id_rows))
+        rows = ad.take_rows(nodes["W_e"], groups.unique)
+    else:
+        groups, rows = lookup
     X = ad.expand(rows, groups)
     if params.encoder == ENCODER_BIGRU:
         H = gru.bigru_encode(X, [nodes["gru_f." + n] for n in gru.GATE_NAMES],
@@ -227,17 +231,18 @@ def forward_doc(params: ModelParams, nodes: dict, ids, true_length: int | None =
 
 def forward_batch(params: ModelParams, nodes: dict, docs, train: bool = False,
                   rng: np.random.Generator | None = None,
-                  groups: ad.Groups | None = None) -> ForwardPass:
+                  lookup: tuple[ad.Groups, Node] | None = None) -> ForwardPass:
     """Run a minibatch of ``text.Document``s through the model as one graph.
 
     Each document is trimmed to its ``true_length`` first. Dropout draws
     the masks of the documents one after another, in batch order, as
-    ``forward_doc`` calls in that order would. ``groups`` is
-    ``autodiff.group_ids`` of the documents' concatenated valid ids, when
-    the caller already has it; the lookup then does not sort them again.
+    ``forward_doc`` calls in that order would. ``lookup=(groups, rows)``
+    replaces the lookup in ``W_e``: ``groups`` is ``autodiff.group_ids`` of
+    the documents' concatenated valid ids and ``rows`` a node holding
+    ``W_e``'s rows at ``groups.unique``, so the gradient goes to ``rows``.
     """
     return _forward(params, nodes, [_valid_ids(d.ids, d.true_length) for d in docs],
-                    train, rng, groups)
+                    train, rng, lookup)
 
 
 def batch_objective(fw: ForwardPass, labels, num_classes: int,

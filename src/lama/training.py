@@ -15,18 +15,20 @@ batch order, the stream per-document passes would draw. Evaluation runs
 that track no gradient, and draws nothing from the RNG.
 
 Every batch graph reaches every parameter. ``sgd_step`` updates each
-dense parameter and its velocity in place. ``W_e``'s gradient stays the
-``RowGrad`` of the batch's distinct ids and ``LazyRowSGD`` steps only
-those rows; the others owe whole steps of momentum and decay at g = 0,
-which they catch up when next read: a batch's ids before its forward
-pass, the validation ids before each ``evaluate``, every row before a
+dense parameter and its velocity in place. ``W_e`` is stepped a batch's
+rows at a time: ``LazyRowSGD.gather`` copies out the rows of the batch's
+distinct ids, the graph reads them as one dense leaf, and
+``LazyRowSGD.step`` steps that block with the leaf's gradient and writes
+it back once. The other rows owe whole steps of momentum and decay at
+g = 0, which they catch up when next read: a batch's ids when gathered,
+the validation ids before each ``evaluate``, every row before a
 best-epoch snapshot and before ``train`` returns. That equals the dense
 update in real arithmetic, not bit for bit. One sort of a batch's ids
-(``autodiff.group_ids``) serves, for either encoder, its catch-up, the
-lookup at its distinct ids and the step of ``W_e``'s rows. No embedding
+(``autodiff.group_ids``) serves, for either encoder, its gather, the
+spreading of its rows over the positions and their step. No embedding
 row is special: the PAD row starts at zero with zero velocity, and since
 padding is trimmed before the lookup and no text encodes to ``PAD_ID``,
-it never gets a gradient and stays zero.
+it is never gathered and stays zero.
 """
 
 from __future__ import annotations
@@ -154,7 +156,7 @@ def sgd_step(param: np.ndarray, grad: np.ndarray, velocity: np.ndarray,
 
 
 class LazyRowSGD:
-    """``sgd_step`` on the rows a ``RowGrad`` names. A row with no gradient
+    """``sgd_step`` on a few rows of a table. A row with no gradient
     for k steps moves by one linear map, (v, p) <- M^k (v, p) with
     M = [[mu, wd], [-lr mu, 1 - lr wd]], the dense step at g = 0.
     ``catch_up`` applies it, M^k computed in float64 and cast, to rows about
@@ -185,13 +187,16 @@ class LazyRowSGD:
         self.value[rows] = c[:, 1, 0] * v + c[:, 1, 1] * p
         self.last[rows] = self.steps
 
-    def step(self, grad: ad.RowGrad) -> None:
-        """One step: the dense formula's ops on the rows ``grad`` names;
-        every other row falls one step behind. ``grad``'s values may be
-        used as scratch."""
-        rows, g = grad.rows, grad.values
+    def gather(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Copies of the values and velocities of the distinct ``rows``,
+        caught up."""
         self.catch_up(rows)
-        p, v = self.value[rows], self.velocity[rows]
+        return self.value[rows], self.velocity[rows]
+
+    def step(self, rows: np.ndarray, p: np.ndarray, v: np.ndarray, g: np.ndarray) -> None:
+        """One step: the dense formula's ops on ``p`` and ``v``, what
+        ``gather(rows)`` returned, with their gradient ``g`` (used as
+        scratch), written back; every other row falls one step behind."""
         sgd_step(p, g, v, *self.hyper)
         self.value[rows], self.velocity[rows] = p, v
         self.steps += 1
@@ -310,12 +315,11 @@ def _fresh_model(config: TrainConfig, vocab_size: int, num_classes: int,
 
 def _backward_batch(params: ModelParams, nodes: dict, batch: list,
                     objective: ObjectiveConfig, rng: np.random.Generator,
-                    groups: ad.Groups | None = None) -> float:
+                    lookup: tuple[ad.Groups, ad.Node] | None = None) -> float:
     """Add the gradient of the batch's mean objective into the leaves in
-    ``nodes`` and return the summed objective; ``groups``, the batch's
-    ``_group_ids`` if the caller has them, goes to ``forward_batch``.
-    Nothing of the graph outlives the call."""
-    out = forward_batch(params, nodes, batch, train=True, rng=rng, groups=groups)
+    ``nodes`` (and ``lookup``'s rows, see ``forward_batch``) and return
+    the summed objective. Nothing of the graph outlives the call."""
+    out = forward_batch(params, nodes, batch, train=True, rng=rng, lookup=lookup)
     j = batch_objective(out, [doc.label for doc in batch], params.num_classes, objective)
     ad.backward(ad.scale(j, 1.0 / len(batch)))
     return j.value.item()
@@ -375,23 +379,24 @@ def train(config: TrainConfig, train_set: Dataset, valid_set: Dataset,
         loss_sum = 0.0
         for batch_no, start in enumerate(range(0, len(order), config.batch)):
             batch = [docs[i] for i in order[start:start + config.batch]]
-            # one sort of the batch's ids: the catch-up, the lookup at the
-            # distinct ids and W_e's step (its rows come back sorted) share it
+            # one sort of the batch's ids: the gather, the spreading of the
+            # rows over the positions and their step share it
             groups = _group_ids(batch)
-            rows_sgd.catch_up(groups.unique)
+            block, velocity = rows_sgd.gather(groups.unique)
+            rows = ad.leaf(block, requires_grad=True)
             nodes = params.store.nodes()
             try:
                 # overflow is detected (and raised) by the primitives, so
                 # numpy's warnings would only duplicate the signal
                 with np.errstate(over="ignore", invalid="ignore"):
                     batch_loss = _backward_batch(params, nodes, batch, objective, rng,
-                                                 groups)
+                                                 (groups, rows))
             except ad.NonFiniteError as exc:
                 raise DivergenceError(epoch, batch_no, str(exc)) from exc
             if not np.isfinite(batch_loss):
                 raise DivergenceError(epoch, batch_no, f"loss={batch_loss}")
             loss_sum += batch_loss
-            rows_sgd.step(nodes["W_e"].grad)
+            rows_sgd.step(groups.unique, block, velocity, rows.grad)
             for p in dense:
                 sgd_step(p.value, nodes[p.name].grad, velocities[p.name], config.lr,
                          config.momentum, config.weight_decay)

@@ -75,7 +75,7 @@ class TestErrors:
 
     @pytest.mark.parametrize("ids", [[1, 1, 2], [2, 1], [3, 0, 2]])
     def test_take_rows_rejects_repeated_or_decreasing_ids(self, ids):
-        # its RowGrad names each row once; repeats go through expand
+        # its pullback scatters each row once; repeats go through expand
         with pytest.raises(ad.AutodiffError, match="take_rows"):
             ad.take_rows(ad.leaf(np.ones((4, 2))), ids)
 
@@ -125,18 +125,20 @@ class TestBackward:
             ad.backward(ad.frobenius_sq(x2))
             np.testing.assert_allclose(combined, x1.grad + x2.grad, rtol=1e-10)
 
-    def test_second_lookup_densifies_a_leaf(self):
+    def test_two_lookups_sum_into_a_dense_gradient(self):
+        # one lookup scatters its rows into zeros; a second backward and a
+        # second lookup in the same graph add into that dense gradient
         w = ad.leaf(np.arange(12.0).reshape(4, 3), requires_grad=True)
         ad.backward(total(ad.take_rows(w, [1, 3])))
-        assert isinstance(w.grad, ad.RowGrad) and w.grad.rows.tolist() == [1, 3]
-        ad.backward(ad.add(total(ad.take_rows(w, [0, 1])), total(ad.take_rows(w, [1]))))
         assert isinstance(w.grad, np.ndarray)
+        np.testing.assert_array_equal(w.grad, [[0.0] * 3, [1.0] * 3, [0.0] * 3, [1.0] * 3])
+        ad.backward(ad.add(total(ad.take_rows(w, [0, 1])), total(ad.take_rows(w, [1]))))
         np.testing.assert_array_equal(w.grad, [[1.0] * 3, [3.0] * 3, [0.0] * 3, [1.0] * 3])
 
     @pytest.mark.parametrize("lookup_first", [True, False])
-    def test_dense_contribution_densifies_a_leaf(self, lookup_first):
+    def test_lookup_and_dense_contribution_sum(self, lookup_first):
         # backward runs the node created last first, so the order of creation
-        # decides whether the row or the dense gradient arrives first
+        # decides whether the rows or the dense gradient arrive first
         rng = np.random.default_rng(7)
         w = ad.leaf(rand(rng, 4, 3), requires_grad=True)
         weights = ad.constant([[1.0], [2.0]])
@@ -159,40 +161,6 @@ class TestBackward:
         assert isinstance(x.grad, np.ndarray)
         np.testing.assert_allclose(x.grad[:, 0], np.array([2.0, 0.0, 1.0]) *
                                    (1 - np.tanh(1.0) ** 2), rtol=1e-15)
-
-
-class TestRowGrad:
-    """A gradient's repeated rows are summed by ``Groups.sum``, the pullback
-    of ``expand``; ``take_rows`` only ever sees distinct rows."""
-
-    @settings(max_examples=60, deadline=None)
-    @given(rows=st.lists(st.integers(0, 9), min_size=1, max_size=40)
-           | st.lists(st.sampled_from([3]), min_size=1, max_size=40),
-           seed=st.integers(0, 2**32 - 1),
-           dtype=st.sampled_from([np.float32, np.float64]))
-    def test_coalesce_equals_add_at(self, rows, seed, dtype):
-        # many repeats, a single row and unsorted rows, against np.add.at.
-        # reduceat sums a run pairwise and np.add.at one value at a time, so
-        # a row of k values may differ by the bound on reordering a sum,
-        # (k - 1) eps sum|v|, in either dtype; up to two values agree exactly
-        rows = np.array(rows)
-        values = np.random.default_rng(seed).standard_normal((rows.size, 4)).astype(dtype)
-        groups = ad.group_ids(rows)
-        unique, summed = groups.unique, groups.sum(values)
-        assert unique.tolist() == sorted(set(rows.tolist())) and summed.dtype == dtype
-        expected, got, bound = (np.zeros((10, 4), dtype=dtype) for _ in range(3))
-        np.add.at(expected, rows, values)
-        got[unique] = summed
-        np.add.at(bound, rows, np.abs(values))
-        counts = np.bincount(rows, minlength=10)[:, None]
-        bound *= np.maximum(counts - 1, 0) * np.finfo(dtype).eps
-        assert (np.abs(got - expected) <= bound).all()
-        assert (got[counts[:, 0] <= 2] == expected[counts[:, 0] <= 2]).all()
-
-    def test_no_rows(self):
-        groups = ad.group_ids(np.zeros(0, dtype=np.int64))
-        unique, summed = groups.unique, groups.sum(np.zeros((0, 3)))
-        assert unique.shape == (0,) and summed.shape == (0, 3)
 
 
 class TestGroups:
@@ -222,6 +190,30 @@ class TestGroups:
         groups = ad.group_ids(np.zeros(0, dtype=np.int64))
         assert all(part.shape == (0,) for part in groups)
         assert groups.sum(np.zeros((0, 3))).shape == (0, 3)
+
+    @settings(max_examples=60, deadline=None)
+    @given(rows=st.lists(st.integers(0, 9), min_size=1, max_size=40)
+           | st.lists(st.sampled_from([3]), min_size=1, max_size=40),
+           seed=st.integers(0, 2**32 - 1),
+           dtype=st.sampled_from([np.float32, np.float64]))
+    def test_sum_equals_add_at(self, rows, seed, dtype):
+        # many repeats, a single row and unsorted rows, against np.add.at.
+        # reduceat sums a run pairwise and np.add.at one value at a time, so
+        # a row of k values may differ by the bound on reordering a sum,
+        # (k - 1) eps sum|v|, in either dtype; up to two values agree exactly
+        rows = np.array(rows)
+        values = np.random.default_rng(seed).standard_normal((rows.size, 4)).astype(dtype)
+        groups = ad.group_ids(rows)
+        unique, summed = groups.unique, groups.sum(values)
+        assert unique.tolist() == sorted(set(rows.tolist())) and summed.dtype == dtype
+        expected, got, bound = (np.zeros((10, 4), dtype=dtype) for _ in range(3))
+        np.add.at(expected, rows, values)
+        got[unique] = summed
+        np.add.at(bound, rows, np.abs(values))
+        counts = np.bincount(rows, minlength=10)[:, None]
+        bound *= np.maximum(counts - 1, 0) * np.finfo(dtype).eps
+        assert (np.abs(got - expected) <= bound).all()
+        assert (got[counts[:, 0] <= 2] == expected[counts[:, 0] <= 2]).all()
 
     def test_expand_rejects_a_row_count_other_than_the_groups(self):
         with pytest.raises(ad.ShapeMismatchError, match="expand"):

@@ -280,11 +280,12 @@ class TestEval:
                        "--data", workspace["valid"], "--out", tmp_path / "out")
         assert code == cli.EXIT_IO
 
-    def test_empty_dataset_is_data_error(self, workspace, tmp_path, capsys):
+    @pytest.mark.parametrize("command", ["eval", "attend"])
+    def test_empty_dataset_is_data_error(self, workspace, tmp_path, capsys, command):
         empty = tmp_path / "empty.tsv"
         empty.write_text("\n", encoding="utf-8")
         capsys.readouterr()
-        code = run_cli("eval", "--checkpoint", workspace["ckpt"], "--data", empty,
+        code = run_cli(command, "--checkpoint", workspace["ckpt"], "--data", empty,
                        "--out", tmp_path / "out")
         err = capsys.readouterr().err.strip().splitlines()
         assert code == cli.EXIT_DATA
@@ -518,6 +519,7 @@ OUT_OF_DOMAIN = {
     "bench-batch-0": (["bench", "--kind", "le", "--batch", "0"], cli.EXIT_USAGE),
     "bench-dim-0": (["bench", "--kind", "le", "--dim", "0"], cli.EXIT_USAGE),
     "topwords-array-record": (["topwords", "--data", "{jsonl}"], cli.EXIT_DATA),
+    "topwords-non-utf8": (["topwords", "--data", "{non_utf8}"], cli.EXIT_DATA),
     "topwords-top-k-0": (["topwords", "--data", "{jsonl}", "--top-k", "0"], cli.EXIT_USAGE),
     "topwords-top-k-negative": (["topwords", "--data", "{jsonl}", "--top-k", "-1"],
                                 cli.EXIT_USAGE),
@@ -537,6 +539,9 @@ def test_out_of_domain_input_exits_with_one_error_line(case, workspace, tmp_path
                        ("inf_weight", '{"tokens": ["a", "b"], "A": [[Infinity, 0.5]]}')):
         files[name] = tmp_path / f"{name}.jsonl"
         files[name].write_text(line + "\n", encoding="utf-8")
+    # a good record, then a line that starts with a UTF-16 byte-order mark
+    files["non_utf8"] = tmp_path / "non_utf8.jsonl"
+    files["non_utf8"].write_bytes(b'{"tokens": ["a"], "A": [[1.0]]}\n\xff\xfe{}\n')
     capsys.readouterr()
     assert run_cli(*[a.format(**files) for a in argv], "--out", tmp_path / "out") == code
     out, err = capsys.readouterr()

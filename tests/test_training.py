@@ -98,7 +98,7 @@ class TestLazyRowSGD:
             np.add.at(g, ids, values)
             sgd_step(p, g, v, lr, mu, wd)
             groups = ad.group_ids(ids)
-            lazy.step(ad.RowGrad(groups.unique, groups.sum(values)))
+            lazy.step(groups.unique, *lazy.gather(groups.unique), groups.sum(values))
         lazy.catch_up()
         np.testing.assert_allclose(lazy.value, p, rtol=1e-10)
         np.testing.assert_allclose(lazy.velocity, v, rtol=1e-10)
@@ -114,7 +114,7 @@ class TestLazyRowSGD:
         ids = np.array([4, 1, 4])
         values = rng.standard_normal((3, 3)).astype(np.float32)
         groups = ad.group_ids(ids)
-        lazy.step(ad.RowGrad(groups.unique, groups.sum(values)))
+        lazy.step(groups.unique, *lazy.gather(groups.unique), groups.sum(values))
         g = np.zeros_like(p)
         np.add.at(g, ids, values)
         sgd_step(p, g, v, 0.05, 0.9, 1e-4)
@@ -188,20 +188,24 @@ class TestTrainLoop:
         np.testing.assert_allclose(ckpt.params.store["W_e"].value[row], p, rtol=1e-5)
 
     @pytest.mark.parametrize("snapshot", ["best", "final"])
+    @pytest.mark.parametrize(("encoder", "ctx"), [
+        pytest.param("bigru", "learned", id="bigru"), pytest.param("le", "learned", id="le"),
+        pytest.param("le", "doc-mean", id="le-doc-mean")])
     def test_lazy_embedding_update_equals_dense_update(self, keyword_task, monkeypatch,
-                                                       snapshot):
-        # the same run with W_e stepped densely, every row every step
+                                                       encoder, ctx, snapshot):
+        # the same run with W_e stepped densely, every row every step: the
+        # gathered rows need no catch-up, and the others take g = 0
         class DenseRows(LazyRowSGD):
             def catch_up(self, rows=None):
                 pass
 
-            def step(self, grad):
-                g = np.zeros_like(self.value)
-                grad.add_into(g)
-                sgd_step(self.value, g, self.velocity, *self.hyper)
+            def step(self, rows, p, v, g):
+                dense = np.zeros_like(self.value)
+                dense[rows] = g
+                sgd_step(self.value, dense, self.velocity, *self.hyper)
 
         train_set, valid_set, vocab = keyword_task
-        cfg = small_config(encoder="le", weight_decay=0.01, max_epochs=4)
+        cfg = small_config(encoder=encoder, ctx=ctx, weight_decay=0.01, max_epochs=4)
         lazy, lazy_hist = train(cfg, train_set, valid_set, vocab, snapshot=snapshot)
         monkeypatch.setattr(tr, "LazyRowSGD", DenseRows)
         dense, dense_hist = train(cfg, train_set, valid_set, vocab, snapshot=snapshot)
@@ -397,20 +401,34 @@ class TestBatchGraph:
     @pytest.mark.parametrize("encoder", ["bigru", "le"])
     @pytest.mark.parametrize("ctx", ["learned", "doc-mean"])
     @pytest.mark.parametrize("regularizer", REGULARIZERS)
-    def test_every_parameter_gets_a_gradient(self, encoder, ctx, regularizer):
+    def test_every_parameter_gets_a_gradient(self, encoder, ctx, regularizer, monkeypatch):
         # train steps every parameter with its gradient, so each batch
-        # graph must reach all of them; the PAD row's gradient is exactly 0
+        # graph must reach all of them; W_e's through the leaf of the batch's
+        # distinct rows, which train gathers, and never through a lookup in
+        # W_e itself. The padding is trimmed, so the PAD row is not gathered
         rng = np.random.default_rng(8)
         params = init_model(vocab_size=12, num_classes=3, rng=rng, d=6, h=3, m=2,
                             mlp_hidden=8, ctx=ctx, encoder=encoder)
+        docs = ragged_docs(rng, [3, 1, 6], 12, 3)
+        groups = tr._group_ids(docs)
+        rows = ad.leaf(params.store["W_e"].value[groups.unique], requires_grad=True)
+        graphs = []
+
+        def recorded_forward_batch(*args, **kw):
+            graphs.append(forward_batch(*args, **kw))
+            return graphs[-1]
+
+        monkeypatch.setattr(tr, "forward_batch", recorded_forward_batch)
         nodes = params.store.nodes()
-        tr._backward_batch(params, nodes, ragged_docs(rng, [3, 1, 6], 12, 3),
-                           ObjectiveConfig(regularizer, 0.2), rng)
+        tr._backward_batch(params, nodes, docs, ObjectiveConfig(regularizer, 0.2), rng,
+                           (groups, rows))
         for p in params.store:
-            assert nodes[p.name].grad is not None, p.name
-            assert ad.dense_grad(nodes[p.name]).shape == p.value.shape, p.name
-        assert isinstance(nodes["W_e"].grad, ad.RowGrad)
-        assert not ad.dense_grad(nodes["W_e"])[PAD_ID].any()
+            if p.name != "W_e":
+                assert nodes[p.name].grad.shape == p.value.shape, p.name
+        assert nodes["W_e"].grad is None and PAD_ID not in groups.unique
+        assert rows.grad.shape == (groups.unique.size, 6)
+        assert np.abs(rows.grad).sum(axis=1).min() > 0
+        assert not any(n.op == "take_rows" for n in graph_nodes(graphs[0].logits))
 
     def test_dropout_masks_are_drawn_in_document_order(self):
         rng = np.random.default_rng(6)
@@ -470,12 +488,14 @@ class TestBatchGraph:
         assert objective(regularizer) == objective("none")
 
     def test_one_sort_per_embedding_only_batch(self, keyword_task, monkeypatch):
-        sorts, expected = count_sorts("le", keyword_task, monkeypatch)
-        assert sorts == expected
+        for ctx in ("learned", "doc-mean"):
+            sorts, expected = count_sorts("le", ctx, keyword_task, monkeypatch)
+            assert sorts == expected, ctx
 
     def test_one_sort_per_bigru_batch(self, keyword_task, monkeypatch):
-        sorts, expected = count_sorts("bigru", keyword_task, monkeypatch)
-        assert sorts == expected
+        for ctx in ("learned", "doc-mean"):
+            sorts, expected = count_sorts("bigru", ctx, keyword_task, monkeypatch)
+            assert sorts == expected, ctx
 
     def test_one_backward_and_one_gru_scan_per_batch(self, keyword_task, monkeypatch):
         train_set, valid_set, vocab = keyword_task
@@ -490,17 +510,18 @@ class TestBatchGraph:
             assert set(scans) == {1}  # both directions scan in one node
 
 
-def count_sorts(encoder, keyword_task, monkeypatch):
-    """The ``group_ids`` calls of a learned-context ``train`` run, and the
-    count if the catch-up, the lookup at the distinct ids and W_e's step
-    share one grouping of each batch's ids; each evaluation chunk and the
-    validation ids are grouped once more."""
+def count_sorts(encoder, ctx, keyword_task, monkeypatch):
+    """The ``group_ids`` calls of a ``train`` run, and the count if the
+    gather, the spreading of the rows and their step share one grouping of
+    each batch's ids, which the doc-mean context needs none of; each
+    evaluation chunk and the validation ids are grouped once more."""
     train_set, valid_set, vocab = keyword_task
     sorts = []
     group_ids = ad.group_ids
-    monkeypatch.setattr(ad, "group_ids", lambda ids: sorts.append(1) or group_ids(ids))
-    config = small_config(encoder=encoder, max_epochs=2, patience=2)
-    _, history = train(config, train_set, valid_set, vocab)
+    config = small_config(encoder=encoder, ctx=ctx, max_epochs=2, patience=2)
+    with monkeypatch.context() as patched:
+        patched.setattr(ad, "group_ids", lambda ids: sorts.append(1) or group_ids(ids))
+        _, history = train(config, train_set, valid_set, vocab)
     epochs = len(history.records)
     batches = -(-len(train_set) // config.batch)
     chunks = -(-len(valid_set) // tr.EVAL_CHUNK)
