@@ -163,6 +163,40 @@ class TestBackward:
                                    (1 - np.tanh(1.0) ** 2), rtol=1e-15)
 
 
+class TestRowGrad:
+    """A gradient's repeated rows are summed by ``Groups.sum``, the pullback
+    of ``expand``; ``take_rows`` only ever sees distinct rows."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(rows=st.lists(st.integers(0, 9), min_size=1, max_size=40)
+           | st.lists(st.sampled_from([3]), min_size=1, max_size=40),
+           seed=st.integers(0, 2**32 - 1),
+           dtype=st.sampled_from([np.float32, np.float64]))
+    def test_sum_equals_add_at(self, rows, seed, dtype):
+        # many repeats, a single row and unsorted rows, against np.add.at.
+        # reduceat sums a run pairwise and np.add.at one value at a time, so
+        # a row of k values may differ by the bound on reordering a sum,
+        # (k - 1) eps sum|v|, in either dtype; up to two values agree exactly
+        rows = np.array(rows)
+        values = np.random.default_rng(seed).standard_normal((rows.size, 4)).astype(dtype)
+        groups = ad.group_ids(rows)
+        unique, summed = groups.unique, groups.sum(values)
+        assert unique.tolist() == sorted(set(rows.tolist())) and summed.dtype == dtype
+        expected, got, bound = (np.zeros((10, 4), dtype=dtype) for _ in range(3))
+        np.add.at(expected, rows, values)
+        got[unique] = summed
+        np.add.at(bound, rows, np.abs(values))
+        counts = np.bincount(rows, minlength=10)[:, None]
+        bound *= np.maximum(counts - 1, 0) * np.finfo(dtype).eps
+        assert (np.abs(got - expected) <= bound).all()
+        assert (got[counts[:, 0] <= 2] == expected[counts[:, 0] <= 2]).all()
+
+    def test_no_rows(self):
+        groups = ad.group_ids(np.zeros(0, dtype=np.int64))
+        unique, summed = groups.unique, groups.sum(np.zeros((0, 3)))
+        assert unique.shape == (0,) and summed.shape == (0, 3)
+
+
 class TestGroups:
     @settings(max_examples=80, deadline=None)
     @given(ids=st.lists(st.integers(-3, 12), min_size=1, max_size=50)
@@ -190,30 +224,6 @@ class TestGroups:
         groups = ad.group_ids(np.zeros(0, dtype=np.int64))
         assert all(part.shape == (0,) for part in groups)
         assert groups.sum(np.zeros((0, 3))).shape == (0, 3)
-
-    @settings(max_examples=60, deadline=None)
-    @given(rows=st.lists(st.integers(0, 9), min_size=1, max_size=40)
-           | st.lists(st.sampled_from([3]), min_size=1, max_size=40),
-           seed=st.integers(0, 2**32 - 1),
-           dtype=st.sampled_from([np.float32, np.float64]))
-    def test_sum_equals_add_at(self, rows, seed, dtype):
-        # many repeats, a single row and unsorted rows, against np.add.at.
-        # reduceat sums a run pairwise and np.add.at one value at a time, so
-        # a row of k values may differ by the bound on reordering a sum,
-        # (k - 1) eps sum|v|, in either dtype; up to two values agree exactly
-        rows = np.array(rows)
-        values = np.random.default_rng(seed).standard_normal((rows.size, 4)).astype(dtype)
-        groups = ad.group_ids(rows)
-        unique, summed = groups.unique, groups.sum(values)
-        assert unique.tolist() == sorted(set(rows.tolist())) and summed.dtype == dtype
-        expected, got, bound = (np.zeros((10, 4), dtype=dtype) for _ in range(3))
-        np.add.at(expected, rows, values)
-        got[unique] = summed
-        np.add.at(bound, rows, np.abs(values))
-        counts = np.bincount(rows, minlength=10)[:, None]
-        bound *= np.maximum(counts - 1, 0) * np.finfo(dtype).eps
-        assert (np.abs(got - expected) <= bound).all()
-        assert (got[counts[:, 0] <= 2] == expected[counts[:, 0] <= 2]).all()
 
     def test_expand_rejects_a_row_count_other_than_the_groups(self):
         with pytest.raises(ad.ShapeMismatchError, match="expand"):
