@@ -14,6 +14,7 @@ from __future__ import annotations
 import unicodedata
 from collections import Counter
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
@@ -51,9 +52,13 @@ def tokenize(text: str) -> list[str]:
 
     ``str.split`` splits where ``str.isspace`` holds, and an alphanumeric
     word has no character of Unicode category P, so only other words are
-    scanned character by character."""
+    scanned character by character. When every word is alphanumeric there
+    is nothing to break out, and the split words are the tokens."""
+    words = text.lower().split()
+    if "".join(words).isalnum():
+        return words
     tokens = []
-    for word in text.lower().split():
+    for word in words:
         if word.isalnum():
             tokens.append(word)
             continue
@@ -87,11 +92,14 @@ class Vocab:
 
     @classmethod
     def load(cls, path):
+        # universal newlines make this the lines that iteration reads
         with open(path, encoding="utf-8") as fh:
-            tokens = [line.rstrip("\n") for line in fh]
+            tokens = fh.read().split("\n")
+        if tokens[-1] == "":
+            tokens.pop()
         if len(tokens) < 2 or tokens[0] != PAD_TOKEN or tokens[1] != UNK_TOKEN:
             raise TextError(f"{path}: not a vocab file (missing reserved tokens)")
-        token_to_id = {t: i for i, t in enumerate(tokens)}
+        token_to_id = dict(zip(tokens, range(len(tokens))))
         if len(token_to_id) != len(tokens):
             raise TextError(f"{path}: not a vocab file (repeated tokens)")
         return cls(token_to_id, tokens)
@@ -148,13 +156,17 @@ class Dataset:
 
 
 def encode(tokens, vocab: Vocab, max_len: int) -> tuple[np.ndarray, int]:
-    """Map tokens to ids, truncate to ``max_len`` and pad with PAD."""
+    """Map tokens to ids as ``Vocab.lookup`` does, truncate to ``max_len``
+    and pad with PAD."""
     if max_len < 1:
         raise TextError(f"max_len must be >= 1, got {max_len}")
-    ids = [vocab.lookup(t) for t in tokens[:max_len]]
-    true_length = len(ids)
+    tokens = tokens[:max_len]
+    true_length = len(tokens)
     padded = np.full(max_len, PAD_ID, dtype=np.int64)
-    padded[:true_length] = ids
+    valid = padded[:true_length]
+    valid[:] = np.fromiter(map(vocab.token_to_id.get, tokens, repeat(UNK_ID)),
+                           dtype=np.int64, count=true_length)
+    valid[valid == PAD_ID] = UNK_ID  # a literal <pad> in the text
     return padded, true_length
 
 

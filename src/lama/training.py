@@ -255,14 +255,16 @@ class Checkpoint:
         """Read a saved checkpoint. The manifest must list exactly the
         model's tensors, in order and with their shapes, laid out back to
         back over the whole of weights.bin, and every weight must be
-        finite; anything else is a CheckpointError."""
+        finite; anything else is a CheckpointError.
+
+        weights.bin's size is checked against the manifest before it is
+        read, so an oversized file costs nothing; it is then read once, and
+        every tensor is a float32 view of that one buffer."""
         ckpt_dir = str(ckpt_dir)
         try:
             with open(os.path.join(ckpt_dir, "config.json"), encoding="utf-8") as fh:
                 meta = json.load(fh)
             vocab = Vocab.load(os.path.join(ckpt_dir, "vocab.txt"))
-            with open(os.path.join(ckpt_dir, "weights.bin"), "rb") as fh:
-                blob = fh.read()
             config = TrainConfig(**meta["config"])
             labels = list(meta["labels"])
             entries = [(str(e["name"]), tuple(int(n) for n in e["shape"]), int(e["offset"]))
@@ -286,17 +288,29 @@ class Checkpoint:
             if got != want:
                 raise CheckpointError(f"corrupt checkpoint {ckpt_dir}: manifest entry "
                                       f"{got} where the model needs {want}")
-        if len(blob) != offset:
+        try:
+            with open(os.path.join(ckpt_dir, "weights.bin"), "rb") as fh:
+                size = os.fstat(fh.fileno()).st_size
+                if size == offset:
+                    blob = np.fromfile(fh, np.uint8, offset)
+                    size = len(blob)  # the file may shrink while it is read
+        except OSError as exc:
+            raise CheckpointError(f"cannot read checkpoint {ckpt_dir}: {exc}") from exc
+        if size != offset:
             raise CheckpointError(f"corrupt checkpoint {ckpt_dir}: weights.bin holds "
-                                  f"{len(blob)} bytes, the manifest {offset}")
+                                  f"{size} bytes, the manifest {offset}")
         store = ParamStore()
         for name, shape, start in entries:
             arr = np.frombuffer(blob, dtype=WEIGHTS_DTYPE, count=math.prod(shape),
-                                offset=start).reshape(shape)
-            if not np.isfinite(arr).all():
+                                offset=start).reshape(shape).astype(np.float32, copy=False)
+            # the sum screens for NaN/Inf; the exact check rules out overflow,
+            # which is no fault here, so numpy need not warn of it
+            with np.errstate(over="ignore", invalid="ignore"):
+                finite = np.isfinite(arr.sum())
+            if not finite and not np.isfinite(arr).all():
                 raise CheckpointError(f"corrupt checkpoint {ckpt_dir}: tensor {name} "
                                       f"holds a non-finite value")
-            store.add(name, np.array(arr, dtype=np.float32))
+            store.add(name, arr)
         params = ModelParams(store=store, ctx=config.ctx, encoder=config.encoder,
                              num_classes=len(labels), dropout=config.dropout)
         return cls(config, vocab, labels, params)

@@ -94,6 +94,7 @@ CORRUPTIONS = {
     "weights-truncated": _edit_file("weights.bin", lambda b: b[:len(b) // 2]),
     "weights-too-long": _edit_file("weights.bin", lambda b: b + b"\0" * 4),
     "weights-nan": _write_weights("attn.W_w", np.nan),
+    "weights-inf": _write_weights("W_e", np.inf),
     "config-not-json": _edit_file("config.json", lambda b: b"{not json"),
     "config-unknown-key": _edit_config(lambda meta: meta["config"].update(frobnicate=1)),
     "config-no-labels": _edit_config(lambda meta: meta.pop("labels")),

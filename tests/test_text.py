@@ -33,10 +33,13 @@ class TestTokenize:
         assert tokenize(s) == tokenize(s)
 
     @settings(max_examples=300, deadline=None)
-    @given(st.lists(st.one_of(
-        st.sampled_from(["\r\n", *"aZ09 \t\r\n.,!?'\"-()\x1c\x1d\x1e\x1f\xa0\x00"
-                                   "\x85\u2028\u3000éßİΣ中٣…—、¿"]),
-        st.characters()), max_size=40).map("".join))
+    @given(st.one_of(
+        st.lists(st.one_of(
+            st.sampled_from(["\r\n", *"aZ09 \t\r\n.,!?'\"-()\x1c\x1d\x1e\x1f\xa0\x00"
+                                       "\x85\u2028\u3000éßİΣ中٣…—、¿"]),
+            st.characters()), max_size=40).map("".join),
+        # no punctuation: mostly the path that returns the split words
+        st.text(st.characters(categories=["L", "N", "Zs"]), max_size=40)))
     def test_equals_per_character_reference(self, s):
         assert tokenize(s) == per_character_tokenize(s)
 
@@ -110,6 +113,21 @@ class TestBuildVocab:
         vocab.save(path)
         loaded = text.Vocab.load(path)
         assert loaded.id_to_token == vocab.id_to_token
+
+    @pytest.mark.parametrize("raw", [
+        b"<pad>\r\n<unk>\r\na\r\nb\r\n",   # CRLF endings
+        b"<pad>\n<unk>\na\nb",               # no trailing newline
+        b"<pad>\n<unk>\na\n\n",              # a blank last line
+        b"<pad>\n<unk>\ra\nb\r",             # lone CRs
+    ], ids=["crlf", "no-final-newline", "blank-last-line", "lone-cr"])
+    def test_load_reads_the_lines_iteration_reads(self, tmp_path, raw):
+        path = tmp_path / "vocab.txt"
+        path.write_bytes(raw)
+        with open(path, encoding="utf-8") as fh:
+            lines = [line.rstrip("\n") for line in fh]
+        vocab = text.Vocab.load(path)
+        assert vocab.id_to_token == lines
+        assert vocab.token_to_id == {t: i for i, t in enumerate(lines)}
 
 
 class TestEncode:

@@ -1,4 +1,6 @@
 import json
+import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,7 +12,7 @@ from lama.classifier import REGULARIZERS, ObjectiveConfig
 from lama.model import batch_objective, doc_objective, forward_batch, forward_doc, init_model
 from lama.synthetic import keyword_pairs, make_task, pairs_to_dataset
 from lama.text import PAD_ID, UNK_ID, Document, build_vocab, tokenize
-from lama.training import (Checkpoint, DivergenceError, EvalMetrics,
+from lama.training import (Checkpoint, CheckpointError, DivergenceError, EvalMetrics,
                            LabelMismatchError, LazyRowSGD, TrainConfig, evaluate,
                            heads_sweep, sgd_step, train)
 
@@ -655,6 +657,42 @@ class TestCheckpointIO:
             assert entry["offset"] == offset
             offset += int(np.prod(entry["shape"])) * 4
         assert offset == blob_len
+
+    @staticmethod
+    def saved_untrained(tmp_path, keyword_task):
+        train_set, _, vocab = keyword_task
+        cfg = small_config()
+        out = tmp_path / "ckpt"
+        Checkpoint(cfg, vocab, list(train_set.label_names),
+                   tr._fresh_model(cfg, len(vocab), 2, np.random.default_rng(0))).save(out)
+        return out
+
+    def test_oversized_weights_rejected_before_read(self, tmp_path, keyword_task):
+        out = self.saved_untrained(tmp_path, keyword_task)
+        weights = out / "weights.bin"
+        size = weights.stat().st_size
+        os.truncate(weights, size + 64 * 2**20)  # a sparse 64 MiB tail
+        tracemalloc.start()
+        try:
+            with pytest.raises(CheckpointError, match=f"weights.bin holds {size + 64 * 2**20} "
+                                                      f"bytes, the manifest {size}$"):
+                Checkpoint.load(out)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
+
+    def test_finite_weights_whose_sum_overflows_load(self, tmp_path, keyword_task):
+        # 3e38 + 3e38 is inf in float32: the sum alone would reject this tensor
+        out = self.saved_untrained(tmp_path, keyword_task)
+        entry = next(e for e in json.loads((out / "config.json").read_text())["tensors"]
+                     if e["name"] == "cls.W1")
+        blob = np.fromfile(out / "weights.bin", dtype="<f4")
+        start = entry["offset"] // 4
+        blob[start:start + int(np.prod(entry["shape"]))] = 3e38
+        blob.tofile(out / "weights.bin")
+        W1 = Checkpoint.load(out).params.store["cls.W1"].value
+        assert W1.size > 1 and (W1 == np.float32(3e38)).all()
 
     def test_save_over_existing_checkpoint_never_deletes_it_first(
             self, tmp_path, keyword_task, monkeypatch):
