@@ -132,10 +132,19 @@ def constant(value) -> Node:
     return leaf(value, requires_grad=False, op="const")
 
 
+def all_finite(arr: np.ndarray) -> bool:
+    """Whether every element of ``arr`` is finite.
+
+    A single-pass screen: any NaN/Inf makes the sum non-finite. The exact
+    check then rules out accumulation overflow of finite values, which is
+    no fault, so numpy need not warn of it."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        total = arr.sum()
+    return bool(np.isfinite(total)) or bool(np.isfinite(arr).all())
+
+
 def check_finite(out: np.ndarray, op: str) -> np.ndarray:
-    # single-pass screen: any NaN/Inf makes the sum non-finite; the exact
-    # check then rules out (vanishingly unlikely) accumulation overflow
-    if not np.isfinite(out.sum()) and not np.isfinite(out).all():
+    if not all_finite(out):
         raise NonFiniteError(op)
     return out
 

@@ -52,13 +52,9 @@ def tokenize(text: str) -> list[str]:
 
     ``str.split`` splits where ``str.isspace`` holds, and an alphanumeric
     word has no character of Unicode category P, so only other words are
-    scanned character by character. When every word is alphanumeric there
-    is nothing to break out, and the split words are the tokens."""
-    words = text.lower().split()
-    if "".join(words).isalnum():
-        return words
+    scanned character by character."""
     tokens = []
-    for word in words:
+    for word in text.lower().split():
         if word.isalnum():
             tokens.append(word)
             continue
@@ -157,7 +153,11 @@ class Dataset:
 
 def encode(tokens, vocab: Vocab, max_len: int) -> tuple[np.ndarray, int]:
     """Map tokens to ids as ``Vocab.lookup`` does, truncate to ``max_len``
-    and pad with PAD."""
+    and pad with PAD.
+
+    Unknown tokens become UNK_ID through ``token_to_id``; a literal
+    ``<pad>`` is then remapped by id, which relies on id 0 belonging only
+    to ``<pad>``, as ``Vocab.load`` and ``build_vocab`` guarantee."""
     if max_len < 1:
         raise TextError(f"max_len must be >= 1, got {max_len}")
     tokens = tokens[:max_len]

@@ -303,11 +303,7 @@ class Checkpoint:
         for name, shape, start in entries:
             arr = np.frombuffer(blob, dtype=WEIGHTS_DTYPE, count=math.prod(shape),
                                 offset=start).reshape(shape).astype(np.float32, copy=False)
-            # the sum screens for NaN/Inf; the exact check rules out overflow,
-            # which is no fault here, so numpy need not warn of it
-            with np.errstate(over="ignore", invalid="ignore"):
-                finite = np.isfinite(arr.sum())
-            if not finite and not np.isfinite(arr).all():
+            if not ad.all_finite(arr):
                 raise CheckpointError(f"corrupt checkpoint {ckpt_dir}: tensor {name} "
                                       f"holds a non-finite value")
             store.add(name, arr)

@@ -38,7 +38,7 @@ class TestTokenize:
             st.sampled_from(["\r\n", *"aZ09 \t\r\n.,!?'\"-()\x1c\x1d\x1e\x1f\xa0\x00"
                                        "\x85\u2028\u3000éßİΣ中٣…—、¿"]),
             st.characters()), max_size=40).map("".join),
-        # no punctuation: mostly the path that returns the split words
+        # no punctuation: every word takes the alphanumeric shortcut
         st.text(st.characters(categories=["L", "N", "Zs"]), max_size=40)))
     def test_equals_per_character_reference(self, s):
         assert tokenize(s) == per_character_tokenize(s)
