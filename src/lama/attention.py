@@ -9,18 +9,18 @@ words. A dense (unfactorized) single-head scorer is kept as the exactness
 oracle for the factorized path.
 
 Every function here works on the valid positions of a minibatch's
-documents, packed back to back as runs of ``lengths`` rows; one document
-is the one-run case. ``model`` trims the padding before the encoder, so no
-mask reaches the normalizations and padding a document further cannot
-perturb the attended output. The softmax over words, S = A H, the doc-mean
-context and the disagreement terms look at the runs; the word transform
-and the Q projection look only at a word's own row. So when the
-annotations depend on the token alone (the embedding-only encoder),
-``attend`` runs those two once per distinct token of the batch and
-spreads the m projected scores over the words with ``autodiff.expand``;
-everything from the (P^T c) Hadamard on stays per word. ``attend`` can lay
-one document's attention out over the padded width for export, padded
-columns exactly 0.
+documents, packed back to back as the runs of the one ``autodiff.runs``
+layout ``model`` builds per batch; one document is one run. ``model``
+trims the padding before the encoder, so no mask reaches the
+normalizations and padding a document further cannot perturb the attended
+output. The softmax over words, S = A H, the doc-mean context and the
+disagreement terms look at the runs; the word transform and the Q
+projection look only at a word's own row. So when the annotations depend
+on the token alone (the embedding-only encoder), ``attend`` runs those two
+once per distinct token of the batch and spreads the m projected scores
+over the words with ``autodiff.expand``; everything from the
+(P^T c) Hadamard on stays per word. ``attend`` can lay one document's
+attention out over the padded width for export, padded columns exactly 0.
 
 With a single head (m = 1) the L2 step normalizes each word's column of
 one score by its own magnitude, so every word scores exactly +1 or -1
@@ -60,16 +60,13 @@ def init_attention_arrays(d_ann: int, m: int, rng: np.random.Generator,
     return out
 
 
-def doc_mean_context(X: Node, lengths=None) -> Node:
+def doc_mean_context(X: Node, runs=None) -> Node:
     """Each word's context column: the mean embedding of its document's
     valid tokens, as a d x N Node over the N packed rows of ``X``."""
-    counts = np.asarray([X.shape[0]] if lengths is None else lengths)
+    runs = ad.runs([X.shape[0]]) if runs is None else runs
+    _, counts = ad.run_spans(runs, X.shape[0], "doc_mean_context")
     weights = np.repeat(1.0 / counts, counts).astype(X.value.dtype)[None, :]
-    means = ad.segment_matmul(ad.constant(weights), X, lengths)
-    # the words' documents are already sorted, so they group with no sort
-    docs = np.arange(counts.size)
-    runs = ad.Groups(docs, np.repeat(docs, counts), np.arange(counts.sum()),
-                     np.cumsum(counts) - counts)
+    means = ad.segment_matmul(ad.constant(weights), X, runs)
     return ad.transpose(ad.expand(means, runs))
 
 
@@ -109,25 +106,25 @@ def lama_scores(U: Node, c: Node, P: Node, Q: Node, groups: ad.Groups | None = N
     return ad.hadamard(ctx_proj, word_proj)
 
 
-def attention_matrix(F: Node, lengths=None) -> Node:
+def attention_matrix(F: Node, runs=None) -> Node:
     """tanh -> per-word L2 across heads -> softmax of each head over each
     document's run of the m x N scores."""
-    return ad.softmax(ad.l2_normalize(ad.tanh(F), axis=0), axis=1, lengths=lengths)
+    return ad.softmax(ad.l2_normalize(ad.tanh(F), axis=0), axis=1, runs=runs)
 
 
-def sentence_embedding(A: Node, H: Node, lengths=None) -> tuple[Node, Node]:
+def sentence_embedding(A: Node, H: Node, runs=None) -> tuple[Node, Node]:
     """S, the documents' m x d blocks A H stacked, and d_doc, whose column
     b is block b flattened row-major."""
     if A.shape[1] != H.shape[0]:
         raise ad.ShapeMismatchError("sentence_embedding", A.shape, H.shape)
-    S = ad.segment_matmul(A, H, lengths)
+    S = ad.segment_matmul(A, H, runs)
     m = A.shape[0]
     return S, ad.transpose(ad.reshape(S, (S.shape[0] // m, m * H.shape[1])))
 
 
 @dataclass
 class AttentionOutput:
-    """Attention and sentence embeddings of the documents of ``lengths``.
+    """Attention and sentence embeddings of the documents of ``runs``.
 
     ``A_valid``/``S``/``d_doc`` are the graph nodes the model trains
     through, built from the valid positions (see ``sentence_embedding``);
@@ -137,7 +134,7 @@ class AttentionOutput:
     S: Node
     d_doc: Node
     total_length: int
-    lengths: list | None = None
+    runs: ad.Groups | None = None
 
     @property
     def A(self) -> np.ndarray:
@@ -150,10 +147,10 @@ class AttentionOutput:
 
 
 def attend(H_valid: Node, c: Node, W_w: Node, b_w: Node, P: Node, Q: Node,
-           total_length: int | None = None, lengths=None,
+           total_length: int | None = None, runs=None,
            distinct: tuple[Node, ad.Groups] | None = None) -> AttentionOutput:
     """Full pipeline over the valid annotation rows of the documents of
-    ``lengths`` (one document when None).
+    ``runs`` (one document when None), ``A`` padded to ``total_length``.
 
     With the embedding-only encoder ``H_valid`` is the embedded rows
     themselves, so the attention dimension equals the embedding dimension.
@@ -161,14 +158,15 @@ def attend(H_valid: Node, c: Node, W_w: Node, b_w: Node, P: Node, Q: Node,
     ``ad.expand(rows, groups)``, runs the word transform and the Q
     projection on the distinct ``rows`` only.
     """
+    T = H_valid.shape[0] if total_length is None else total_length
+    if T < H_valid.shape[0]:
+        raise ad.ShapeMismatchError("attend", H_valid.shape, (T,))
     if distinct is None:
         F = lama_scores(word_transform(H_valid, W_w, b_w), c, P, Q)
     else:
         rows, groups = distinct
         F = lama_scores(word_transform(rows, W_w, b_w), c, P, Q, groups)
-    A_valid = attention_matrix(F, lengths=lengths)
-    S, d_doc = sentence_embedding(A_valid, H_valid, lengths)
-    T = total_length if total_length is not None else A_valid.shape[1]
-    return AttentionOutput(A_valid=A_valid, S=S, d_doc=d_doc, total_length=T,
-                           lengths=lengths)
+    A_valid = attention_matrix(F, runs)
+    S, d_doc = sentence_embedding(A_valid, H_valid, runs)
+    return AttentionOutput(A_valid=A_valid, S=S, d_doc=d_doc, total_length=T, runs=runs)
 

@@ -37,10 +37,10 @@ gradient of the whole table. Every gradient is dense; the trainer avoids
 a |V| x d one for the embedding by making a batch's distinct rows a leaf
 of their own.
 
-A minibatch's documents lie in one node as runs of ``lengths`` rows.
-``softmax(lengths=)`` and ``segment_matmul`` work within each run; on one
-run they do exactly what the plain op does, so a one-document graph keeps
-its bits.
+A minibatch's documents lie in one node as back-to-back runs of rows, laid
+out once by ``runs`` as the ``Groups`` of the rows by document. ``softmax``
+and ``segment_matmul`` take that layout; on one run they do exactly what
+the plain op does, so a one-document graph keeps its bits.
 
 ``dropout`` draws its mask one column after another, so a batch of
 column vectors draws the masks those columns would draw one at a time.
@@ -248,27 +248,25 @@ def stable_sigmoid(x: np.ndarray) -> np.ndarray:
     return out
 
 
-def segment_runs(lengths, n: int, op: str) -> np.ndarray | None:
-    """``lengths``, the run lengths of ``n`` packed rows (or entries), as an
-    array checked to tile ``n``; None for a single run or no ``lengths``."""
-    if lengths is None or len(lengths) == 1 and lengths[0] == n:
-        return None
-    runs = np.asarray(lengths, dtype=np.int64)
-    if runs.ndim != 1 or runs.size == 0 or runs.min() < 1 or runs.sum() != n:
-        raise ShapeMismatchError(op, (n,), tuple(runs.tolist()))
-    return runs
+def run_spans(runs, n: int, op: str) -> tuple[np.ndarray, np.ndarray]:
+    """The first row and the size of each run of ``runs`` (None: one run),
+    a layout that must cover ``n`` rows; a ShapeMismatchError names ``op``."""
+    if runs is not None and runs.inverse.size != n:
+        raise ShapeMismatchError(op, (n,), (runs.inverse.size,))
+    starts = np.zeros(1, dtype=np.int64) if runs is None else runs.starts
+    return starts, np.diff(starts, append=n)
 
 
-def softmax(a: Node, axis: int = 1, lengths=None) -> Node:
+def softmax(a: Node, axis: int = 1, runs=None) -> Node:
     """Softmax along ``axis`` with the max subtracted for stability; with
-    ``lengths``, separately within each run of that many entries."""
+    the layout ``runs``, separately within each run of entries."""
     x = a.value
-    runs = segment_runs(lengths, x.shape[axis], "softmax")
+    starts, sizes = run_spans(runs, x.shape[axis], "softmax")
 
     def per_run(ufunc, v):
-        if runs is None:  # keeps the bits of the unsegmented reduction
+        if starts.size == 1:  # keeps the bits of the unsegmented reduction
             return ufunc.reduce(v, axis=axis, keepdims=True)
-        return np.repeat(ufunc.reduceat(v, np.cumsum(runs) - runs, axis=axis), runs, axis=axis)
+        return np.repeat(ufunc.reduceat(v, starts, axis=axis), sizes, axis=axis)
 
     e = np.exp(x - per_run(np.maximum, x))
     out = e / per_run(np.add, e)
@@ -292,15 +290,14 @@ def l2_normalize(a: Node, axis: int = 0) -> Node:
     return _make("l2_normalize", out, [(a, back)])
 
 
-def segment_matmul(a: Node, b: Node, lengths=None) -> Node:
-    """``a[:, seg] @ b[seg]`` for each run ``seg`` of ``lengths`` columns of
-    ``a`` (rows of ``b``), stacked in run order; no ``lengths`` is ``a @ b``."""
+def segment_matmul(a: Node, b: Node, runs=None) -> Node:
+    """``a[:, seg] @ b[seg]`` for each run ``seg`` of ``runs`` (columns of
+    ``a``, rows of ``b``), stacked in run order; no ``runs`` is ``a @ b``."""
     av, bv = a.value, b.value
     if av.shape[1] != bv.shape[0]:
         raise ShapeMismatchError("segment_matmul", av.shape, bv.shape)
-    runs = segment_runs(lengths, av.shape[1], "segment_matmul")
-    segs = [slice(None)] if runs is None else [
-        slice(hi - n, hi) for hi, n in zip(np.cumsum(runs), runs)]
+    starts, sizes = run_spans(runs, av.shape[1], "segment_matmul")
+    segs = [slice(lo, lo + k) for lo, k in zip(starts.tolist(), sizes.tolist())]
 
     def blocks(g):
         return zip(np.split(g, len(segs)), segs)
@@ -342,6 +339,16 @@ def group_ids(ids) -> Groups:
     inverse[order] = np.cumsum(first) - 1
     starts = np.flatnonzero(first)
     return Groups(ordered[starts], inverse, order, starts)
+
+
+def runs(lengths) -> Groups:
+    """The layout of back-to-back runs of ``lengths`` (each >= 1) rows:
+    ``group_ids(np.repeat(arange(B), lengths))``, built with no sort."""
+    sizes = np.asarray(lengths, dtype=np.int64)
+    if sizes.ndim != 1 or sizes.size == 0 or sizes.min() < 1:
+        raise ShapeMismatchError("runs", sizes.shape, tuple(sizes.ravel().tolist()))
+    docs = np.arange(sizes.size)
+    return Groups(docs, np.repeat(docs, sizes), np.arange(sizes.sum()), np.cumsum(sizes) - sizes)
 
 
 def expand(a: Node, groups: Groups) -> Node:

@@ -184,7 +184,7 @@ def _le_forward_batch(embedded_docs, arrays):
     nodes = {k: ad.leaf(v) for k, v in arrays.items()}
     attention.attend(ad.leaf(np.concatenate(embedded_docs)), nodes["c"], nodes["W_w"],
                      nodes["b_w"], nodes["P"], nodes["Q"],
-                     lengths=[len(X) for X in embedded_docs])
+                     runs=ad.runs([len(X) for X in embedded_docs]))
 
 
 def _te_forward_batch(docs, params, heads):

@@ -79,11 +79,11 @@ def cross_entropy(probs: Node, onehot: Node) -> Node:
     return ad.Node(out, "cross_entropy", ((probs, back_p), (onehot, back_y)))
 
 
-def disagreement_positions(A: Node, lengths=None) -> Node:
+def disagreement_positions(A: Node, runs=None) -> Node:
     """D_penal = -||A A^T - I||_F^2 over each document's run of columns,
     summed (0 exactly when every document's rows are orthonormal)."""
     m = A.shape[0]
-    gram = ad.segment_matmul(A, ad.transpose(A), lengths)  # one m x m block each
+    gram = ad.segment_matmul(A, ad.transpose(A), runs)  # one m x m block each
     minus_eye = np.tile(-np.eye(m, dtype=A.value.dtype), (gram.shape[0] // m, 1))
     return ad.scale(ad.frobenius_sq(ad.add(gram, ad.constant(minus_eye))), -1.0)
 
@@ -95,7 +95,7 @@ def disagreement_embeddings(S: Node, m: int | None = None) -> Node:
     m = S.shape[0] if m is None else m
     unit = ad.l2_normalize(S, axis=1)
     ones = ad.constant(np.ones((1, S.shape[0]), dtype=S.value.dtype))
-    sums = ad.segment_matmul(ones, unit, [m] * (S.shape[0] // m))
+    sums = ad.segment_matmul(ones, unit, ad.runs([m] * (S.shape[0] // m)))
     return ad.scale(ad.frobenius_sq(sums), -1.0 / (m * m))
 
 
@@ -118,9 +118,9 @@ class ObjectiveConfig:
             raise ValueError("lambda must be >= 0")
 
 
-def disagreement(config: ObjectiveConfig, A: Node, S: Node, lengths=None) -> Node | None:
+def disagreement(config: ObjectiveConfig, A: Node, S: Node, runs=None) -> Node | None:
     if config.regularizer == "positions":
-        return disagreement_positions(A, lengths)
+        return disagreement_positions(A, runs)
     if config.regularizer == "embeddings":
         return disagreement_embeddings(S, A.shape[0])
     return None

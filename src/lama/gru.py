@@ -6,7 +6,8 @@ arrays.
 
 The BiGRU is one fused autodiff node, ``gru_scan``, rather than a tape of
 small ops per step: one node for both directions of a whole minibatch.
-Its input holds the documents' rows back to back with their lengths; the
+Its input holds the documents' rows back to back, as ``autodiff.runs``
+lays them out (one document is one run, with no branch of its own); the
 documents run in lockstep, longest first, so the documents still running
 at step t are a prefix of those running at step t - 1, and the widths n_t
 are the same in both directions, whose row orders differ only in where
@@ -38,10 +39,9 @@ weight, bias and input gradients are whole-batch GEMMs after the loop.
 
 The finiteness check runs once, after the loop, on the pre-activation
 buffer and on the output states; a non-finite value anywhere in a step
-reaches one of those two arrays. A single document is the one-segment case
-of the same scan. The encoder never sees padding: ``model`` passes only
-the rows of the documents' real tokens, and gets back one annotation per
-token.
+reaches one of those two arrays. The encoder never sees padding:
+``model`` passes only the rows of the documents' real tokens, and gets
+back one annotation per token.
 """
 
 from __future__ import annotations
@@ -71,10 +71,9 @@ def init_gru_arrays(d: int, h: int, rng: np.random.Generator, dtype=np.float32) 
     return out
 
 
-def _packed_schedule(lengths, rows: int):
-    """Order in which a lockstep scan visits the rows of back-to-back
-    segments of ``lengths`` rows each (one segment when it is None),
-    longest segment first.
+def _packed_schedule(runs, rows: int):
+    """Order in which a lockstep scan visits the ``rows`` rows of the
+    segments of the layout ``runs`` (one when None), longest first.
 
     Returns ``(perm, widths)``: step t visits the next ``widths[t]``
     entries of ``perm[0]`` (forward, each segment from its first row) and
@@ -82,25 +81,22 @@ def _packed_schedule(lengths, rows: int):
     segment still running, in the same segment order at every step, so
     the active segments always form a prefix of the previous step's.
     """
-    lengths = ad.segment_runs(lengths, rows, "gru_scan")
-    if lengths is None:
-        forward = np.arange(rows)
-        return np.stack([forward, forward[::-1]]), [1] * rows
+    starts, lengths = ad.run_spans(runs, rows, "gru_scan")
     by_length = np.argsort(-lengths, kind="stable")
     sorted_lengths = lengths[by_length]
     # row-major nonzero lists step 0's segments first, then step 1's, ...
     step, k = np.nonzero(np.arange(sorted_lengths[0])[:, None] < sorted_lengths)
-    first = (np.cumsum(lengths) - lengths)[by_length][k]
+    first = starts[by_length][k]
     return (np.stack([first + step, first + sorted_lengths[k] - 1 - step]),
             np.bincount(step).tolist())
 
 
-def bigru_encode(embedded: Node, forward_gates, backward_gates, lengths=None) -> Node:
+def bigru_encode(embedded: Node, forward_gates, backward_gates, runs=None) -> Node:
     """Encode embedded rows into annotations, row t holding [forward
     state; backward state] at position t, as one ``gru_scan`` node.
 
-    ``embedded`` holds documents of ``lengths`` rows back to back (one
-    document when it is None), each scanned from a zero state in both
+    ``embedded`` holds the documents of the layout ``runs`` back to back
+    (one document when it is None), each scanned from a zero state in both
     directions; each direction's gates are its nine parameter Nodes in
     ``GATE_NAMES`` order. Every row is a real token: the caller trims
     padding first, so each document's backward direction starts at its
@@ -116,7 +112,7 @@ def bigru_encode(embedded: Node, forward_gates, backward_gates, lengths=None) ->
         if x.shape[1] != gates[0].shape[1]:
             raise ad.ShapeMismatchError("gru_scan", x.shape, gates[0].shape)
     N, h = x.shape[0], h_f
-    perm, widths = _packed_schedule(lengths, N)
+    perm, widths = _packed_schedule(runs, N)
     values = [[node.value for node in gates] for gates in (forward_gates, backward_gates)]
 
     def stack(k):  # gate-major, direction-stacked: [gate][direction]

@@ -11,19 +11,19 @@ The trainer backpropagates it once per batch; evaluation and the
 attention export run it forward only, on leaves that track no gradient.
 ``forward_doc`` is the one-document case of the same path.
 
-The batch's ids are grouped once (``autodiff.group_ids``). Both encoders
-read ``W_e``'s rows at the distinct ids and ``autodiff.expand`` spreads
-them over the positions. In training those rows are the trainer's own
-leaf, so their gradient is one dense row per distinct token and ``W_e``
-gets none; otherwise ``autodiff.take_rows`` gathers them from ``W_e``.
-With the embedding-only encoder a word's annotation depends on
+The batch's ids are grouped once (``autodiff.group_ids``) and its documents
+laid out once (``autodiff.runs``), the one layout of the graph's segment
+ops. Both encoders read ``W_e``'s rows at the distinct ids and
+``autodiff.expand`` spreads them over the positions. In training those rows
+are the trainer's own leaf, so their gradient is one dense row per distinct
+token and ``W_e`` gets none; otherwise ``autodiff.take_rows`` gathers them
+from ``W_e``. With the embedding-only encoder a word's annotation depends on
 its token id alone, so the word transform tanh(W_w e + b_w) and the Q
 projection also run once per distinct token, and ``expand`` spreads the
-projected scores. Per position stay the (P^T c) Hadamard (with its
-per-word context in doc-mean mode), tanh, the L2 across heads, the
-softmax over each document's run, S = A H and the disagreement terms.
-The BiGRU's annotations depend on context, so it encodes and transforms
-every position.
+projected scores. Per position stay the (P^T c) Hadamard (with its per-word
+context in doc-mean mode), tanh, the L2 across heads, the softmax over each
+document's run, S = A H and the disagreement terms. The BiGRU's annotations
+depend on context, so it encodes and transforms every position.
 
 Dropout in the classifier draws one mask column per document, in batch
 order, from one hidden x B draw; that is the stream B one-document passes
@@ -194,7 +194,7 @@ def _forward(params: ModelParams, nodes: dict, id_rows: list, train: bool,
              lookup: tuple[ad.Groups, Node] | None = None) -> ForwardPass:
     """One graph over the valid ids of each document: one embedding lookup,
     BiGRU scan, attention pass and classifier pass for all."""
-    lengths = [len(ids) for ids in id_rows]
+    runs = ad.runs([len(ids) for ids in id_rows])
     if lookup is None:
         groups = ad.group_ids(np.concatenate(id_rows))
         rows = ad.take_rows(nodes["W_e"], groups.unique)
@@ -203,15 +203,15 @@ def _forward(params: ModelParams, nodes: dict, id_rows: list, train: bool,
     X = ad.expand(rows, groups)
     if params.encoder == ENCODER_BIGRU:
         H = gru.bigru_encode(X, [nodes["gru_f." + n] for n in gru.GATE_NAMES],
-                             [nodes["gru_b." + n] for n in gru.GATE_NAMES], lengths)
+                             [nodes["gru_b." + n] for n in gru.GATE_NAMES], runs)
         distinct = None
     else:  # a word's annotation is its token's row: transform each distinct id once
         H = X
         distinct = (rows, groups)
 
-    c = nodes["attn.c"] if params.ctx == CTX_LEARNED else attention.doc_mean_context(X, lengths)
+    c = nodes["attn.c"] if params.ctx == CTX_LEARNED else attention.doc_mean_context(X, runs)
     attn = attention.attend(H, c, nodes["attn.W_w"], nodes["attn.b_w"], nodes["attn.P"],
-                            nodes["attn.Q"], lengths=lengths, distinct=distinct)
+                            nodes["attn.Q"], runs=runs, distinct=distinct)
     probs, logits = classifier.classify(attn.d_doc, nodes["cls.W1"], nodes["cls.b1"],
                                         nodes["cls.W_c"], nodes["cls.b_c"],
                                         params.dropout, train=train, rng=rng)
@@ -253,7 +253,7 @@ def batch_objective(fw: ForwardPass, labels, num_classes: int,
     y = np.zeros((num_classes, len(labels)), dtype=fw.logits.value.dtype)
     y[labels, np.arange(len(labels))] = 1.0
     loss = ad.softmax_cross_entropy(fw.logits, ad.constant(y))
-    d = (classifier.disagreement(objective, fw.attn.A_valid, fw.attn.S, fw.attn.lengths)
+    d = (classifier.disagreement(objective, fw.attn.A_valid, fw.attn.S, fw.attn.runs)
          if objective.lam > 0 else None)
     return classifier.total_objective(loss, d, objective.lam)
 

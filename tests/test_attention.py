@@ -4,6 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from lama import attention as att
 from lama import autodiff as ad
+from lama import gru
 from lama import model as mdl
 from lama.attention import (attend, attention_matrix, doc_mean_context, lama_scores,
                             sentence_embedding, single_head_scores, word_transform)
@@ -238,6 +239,12 @@ class TestFullPipeline:
         np.testing.assert_array_equal(out_short.S.value, out_long.S.value)
         np.testing.assert_array_equal(out_short.d_doc.value, out_long.d_doc.value)
 
+    def test_total_length_below_the_valid_width_rejected(self):
+        # a padded width narrower than the document cannot hold its attention
+        rng = np.random.default_rng(19)
+        with pytest.raises(ad.ShapeMismatchError, match="attend"):
+            self.run_attend(rng, T=6, d_ann=4, m=2, total_length=3)
+
     def test_gradients_through_whole_pipeline(self):
         rng = np.random.default_rng(18)
         T, d_ann, m = 4, 4, 3
@@ -313,8 +320,9 @@ class TestPackedDocuments:
         weights = [ad.leaf(rng.standard_normal(shape) * 0.5)
                    for shape in ((d_ann, 1), (d_ann, d_ann), (d_ann, 1), (d_ann, m), (d_ann, m))]
         c, W_w, b_w, P, Q = weights
-        packed = attend(ad.leaf(H), doc_mean_context(ad.leaf(H), lengths) if doc_mean else c,
-                        W_w, b_w, P, Q, lengths=lengths)
+        runs = ad.runs(lengths)
+        packed = attend(ad.leaf(H), doc_mean_context(ad.leaf(H), runs) if doc_mean else c,
+                        W_w, b_w, P, Q, runs=runs)
         assert packed.S.shape == (len(lengths) * m, d_ann)
         assert packed.d_doc.shape == (m * d_ann, len(lengths))
         for b, hi in enumerate(np.cumsum(lengths)):
@@ -330,15 +338,29 @@ class TestPackedDocuments:
         rng = np.random.default_rng(22)
         H, c, P, Q = nodes_for(rng, 5, 4, 3)
         W_w, b_w = ad.leaf(np.eye(4)), ad.leaf(np.zeros((4, 1)))
-        plain, one_run = attend(H, c, W_w, b_w, P, Q), attend(H, c, W_w, b_w, P, Q, lengths=[5])
+        plain = attend(H, c, W_w, b_w, P, Q)
+        one_run = attend(H, c, W_w, b_w, P, Q, runs=ad.runs([5]))
         for attr in ("A_valid", "S", "d_doc"):
             np.testing.assert_array_equal(getattr(one_run, attr).value,
                                           getattr(plain, attr).value)
+        # the BiGRU and segment_matmul have no one-run branch: one run takes
+        # the general path, whose schedule is the plain scan order
+        arrays = [gru.init_gru_arrays(4, 3, rng) for _ in range(2)]
+        f, b = ([ad.leaf(a[name]) for name in gru.GATE_NAMES] for a in arrays)
+        np.testing.assert_array_equal(gru.bigru_encode(H, f, b, ad.runs([5])).value,
+                                      gru.bigru_encode(H, f, b).value)
+        a = ad.leaf(rng.standard_normal((3, 5)))
+        np.testing.assert_array_equal(ad.segment_matmul(a, H, ad.runs([5])).value,
+                                      ad.segment_matmul(a, H).value)
+        perm, widths = gru._packed_schedule(ad.runs([5]), 5)
+        np.testing.assert_array_equal(perm, [np.arange(5), np.arange(5)[::-1]])
+        assert widths == [1] * 5
 
     def test_lengths_must_tile_the_rows(self):
         rng = np.random.default_rng(23)
         H, c, P, Q = nodes_for(rng, 5, 4, 3)
-        for lengths in ([2, 2], [5, 0], [3, 3]):
+        # the lengths themselves are checked by ad.runs (tests/test_autodiff.py)
+        for lengths in ([2, 2], [3, 3], [6]):
             with pytest.raises(ad.ShapeMismatchError, match="softmax"):
                 attend(H, c, ad.leaf(np.eye(4)), ad.leaf(np.zeros((4, 1))), P, Q,
-                       lengths=lengths)
+                       runs=ad.runs(lengths))

@@ -225,6 +225,20 @@ class TestGroups:
         assert all(part.shape == (0,) for part in groups)
         assert groups.sum(np.zeros((0, 3))).shape == (0, 3)
 
+    @settings(max_examples=60, deadline=None)
+    @given(lengths=st.lists(st.integers(1, 9), min_size=1, max_size=12))
+    def test_runs_is_the_grouping_of_the_rows_by_run(self, lengths):
+        runs = ad.runs(lengths)
+        grouped = ad.group_ids(np.repeat(np.arange(len(lengths)), lengths))
+        for name, got, want in zip(ad.Groups._fields, runs, grouped):
+            assert got.dtype == want.dtype and np.array_equal(got, want), name
+
+    @pytest.mark.parametrize("lengths", [[], [5, 0], [6, -1], [[2, 3], [1, 4]]])
+    def test_runs_rejects_lengths_that_tile_no_rows(self, lengths):
+        # no run, an empty run, a negative one, a 2-D list
+        with pytest.raises(ad.ShapeMismatchError, match="runs"):
+            ad.runs(lengths)
+
     def test_expand_rejects_a_row_count_other_than_the_groups(self):
         with pytest.raises(ad.ShapeMismatchError, match="expand"):
             ad.expand(ad.leaf(np.ones((3, 2))), ad.group_ids([4, 4, 1]))
@@ -241,7 +255,7 @@ PRIMITIVE_BUILDERS = {
     "softmax": lambda p: total(ad.hadamard(ad.softmax(p[0], axis=1), p[1])),
     # one softmax per run of columns, a one-column run included
     "softmax_segments": lambda p: total(ad.hadamard(
-        ad.softmax(p[0], axis=1, lengths=[2, 1, 2]), p[1])),
+        ad.softmax(p[0], axis=1, runs=ad.runs([2, 1, 2])), p[1])),
     "l2_normalize": lambda p: total(ad.hadamard(ad.l2_normalize(p[0], axis=0), p[1])),
     "scale": lambda p: total(ad.scale(p[0], -2.5)),
     "frobenius": lambda p: ad.frobenius_sq(p[0]),
@@ -254,7 +268,7 @@ PRIMITIVE_BUILDERS = {
         ad.expand(p[1], ad.group_ids([0, 1, 2, 0, 1, 2])))),
     # a 3 x 3 product per run of 2 and 3 columns of p[0] (rows of p[1]^T)
     "segment_matmul": lambda p: total(ad.tanh(
-        ad.segment_matmul(p[0], ad.transpose(p[1]), [2, 3]))),
+        ad.segment_matmul(p[0], ad.transpose(p[1]), ad.runs([2, 3])))),
     "softmax_xent": lambda p: ad.softmax_cross_entropy(
         ad.reshape(p[0], (p[0].value.size, 1)),
         ad.constant(np.eye(p[0].value.size)[2].reshape(-1, 1))),

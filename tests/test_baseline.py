@@ -135,13 +135,14 @@ class TestBenchRuntime:
         calls = []
         attend = bl.attention.attend
 
-        def counted(H, *args, lengths=None, **kwargs):
-            calls.append((H.shape, lengths, H.requires_grad))
-            return attend(H, *args, lengths=lengths, **kwargs)
+        def counted(H, *args, runs=None, **kwargs):
+            calls.append((H.shape, runs.starts.tolist(), H.requires_grad))
+            return attend(H, *args, runs=runs, **kwargs)
 
         monkeypatch.setattr(bl.attention, "attend", counted)
         bench_runtime("le", [8, 16, 32, 64], trials=5, d=16, heads=2, batch=3)
-        expected = [((3 * L, 16), [L] * 3, False) for L in (8, 16, 32, 64) for _ in range(6)]
+        expected = [((3 * L, 16), [0, L, 2 * L], False) for L in (8, 16, 32, 64)
+                    for _ in range(6)]
         assert calls == expected  # one warm-up and five timed batches per length
 
     def test_smoke_rows_and_csv(self, tmp_path):

@@ -176,12 +176,12 @@ class TestGroupedEmbeddingPath:
         expands = sum(n.op == "expand" for n in graph_nodes(fw.logits))
         assert expands == (2 if ctx == "learned" else 3)
         # attend without a grouping, over every position's own row
-        lengths = [doc.true_length for doc in docs]
+        runs = ad.runs([doc.true_length for doc in docs])
         X = ad.constant(params.store["W_e"].value[np.concatenate(
             [doc.valid_ids() for doc in docs])])
-        c = nodes["attn.c"] if ctx == "learned" else attention.doc_mean_context(X, lengths)
+        c = nodes["attn.c"] if ctx == "learned" else attention.doc_mean_context(X, runs)
         oracle = attention.attend(X, c, nodes["attn.W_w"], nodes["attn.b_w"],
-                                  nodes["attn.P"], nodes["attn.Q"], lengths=lengths)
+                                  nodes["attn.P"], nodes["attn.Q"], runs=runs)
         _, logits = classifier.classify(oracle.d_doc, nodes["cls.W1"], nodes["cls.b1"],
                                         nodes["cls.W_c"], nodes["cls.b_c"], 0.0, train=False)
         for got, want in ((fw.attn.A_valid, oracle.A_valid), (fw.attn.S, oracle.S),

@@ -512,6 +512,26 @@ class TestBatchGraph:
             assert set(scans) == {1}  # both directions scan in one node
 
 
+    @pytest.mark.parametrize("encoder,ctx,regularizer", [
+        ("bigru", "learned", "none"), ("bigru", "doc-mean", "positions"),
+        ("le", "doc-mean", "embeddings")])
+    def test_one_run_layout_per_graph(self, encoder, ctx, regularizer, keyword_task,
+                                      monkeypatch):
+        # each graph lays its documents out once and its segment ops share
+        # that layout; D_emb lays out its m-row blocks of S once more
+        train_set, valid_set, vocab = keyword_task
+        layouts = []
+        runs = ad.runs
+        monkeypatch.setattr(ad, "runs", lambda lengths: layouts.append(1) or runs(lengths))
+        config = small_config(encoder=encoder, ctx=ctx, regularizer=regularizer, lam=0.5,
+                              max_epochs=1)
+        train(config, train_set, valid_set, vocab)
+        batches = -(-len(train_set) // config.batch)
+        chunks = -(-len(valid_set) // tr.EVAL_CHUNK)
+        per_batch = 2 if regularizer == "embeddings" else 1
+        assert len(layouts) == per_batch * batches + chunks
+
+
 def count_sorts(encoder, ctx, keyword_task, monkeypatch):
     """The ``group_ids`` calls of a ``train`` run, and the count if the
     gather, the spreading of the rows and their step share one grouping of
