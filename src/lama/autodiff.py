@@ -26,7 +26,8 @@ pre-activation buffer and on the output, through ``check_finite``.
 
 ``group_ids`` sorts an id array once into its distinct ids, each
 position's group, the sort order and the group starts. ``expand`` is the
-gather that spreads one row per distinct id over the positions; its
+gather that spreads one row per distinct id over the positions (it screens
+its source rows for finiteness, since each one appears in the output); its
 pullback sums each group's rows with ``np.add.reduceat`` over that
 presorted order, so it needs no sort and no scatter, and its gradient is
 dense. That sum is where every repeated index accumulates.
@@ -41,6 +42,9 @@ A minibatch's documents lie in one node as back-to-back runs of rows, laid
 out once by ``runs`` as the ``Groups`` of the rows by document. ``softmax``
 and ``segment_matmul`` take that layout; on one run they do exactly what
 the plain op does, so a one-document graph keeps its bits.
+``segment_matmul`` and its two pullbacks preallocate their result and write
+each run's GEMM into its block of it through ``out=``, so they neither split
+the gradient nor concatenate the blocks.
 
 ``dropout`` draws its mask one column after another, so a batch of
 column vectors draws the masks those columns would draw one at a time.
@@ -297,15 +301,27 @@ def segment_matmul(a: Node, b: Node, runs=None) -> Node:
     if av.shape[1] != bv.shape[0]:
         raise ShapeMismatchError("segment_matmul", av.shape, bv.shape)
     starts, sizes = run_spans(runs, av.shape[1], "segment_matmul")
-    segs = [slice(lo, lo + k) for lo, k in zip(starts.tolist(), sizes.tolist())]
+    r = av.shape[0]
+    # each run's columns s of a and rows s of b, and its r rows of the output
+    segs = [(slice(lo, lo + k), slice(i * r, i * r + r))
+            for i, (lo, k) in enumerate(zip(starts.tolist(), sizes.tolist()))]
+    out = np.empty((len(segs) * r, bv.shape[1]), np.result_type(av, bv))
+    for s, rows in segs:
+        np.matmul(av[:, s], bv[s], out=out[rows])
 
-    def blocks(g):
-        return zip(np.split(g, len(segs)), segs)
+    def grad_a(g):
+        ga = np.empty(av.shape, np.result_type(g, bv))
+        for s, rows in segs:
+            np.matmul(g[rows], bv[s].T, out=ga[:, s])
+        return ga
 
-    return _make("segment_matmul", np.concatenate([av[:, s] @ bv[s] for s in segs]), (
-        (a, lambda g: np.concatenate([gk @ bv[s].T for gk, s in blocks(g)], axis=1)),
-        (b, lambda g: np.concatenate([av[:, s].T @ gk for gk, s in blocks(g)])),
-    ))
+    def grad_b(g):
+        gb = np.empty(bv.shape, np.result_type(av, g))
+        for s, rows in segs:
+            np.matmul(av[:, s].T, g[rows], out=gb[s])
+        return gb
+
+    return _make("segment_matmul", out, ((a, grad_a), (b, grad_b)))
 
 
 class Groups(NamedTuple):
@@ -344,9 +360,11 @@ def group_ids(ids) -> Groups:
 def runs(lengths) -> Groups:
     """The layout of back-to-back runs of ``lengths`` (each >= 1) rows:
     ``group_ids(np.repeat(arange(B), lengths))``, built with no sort."""
-    sizes = np.asarray(lengths, dtype=np.int64)
-    if sizes.ndim != 1 or sizes.size == 0 or sizes.min() < 1:
+    sizes = np.asarray(lengths)
+    if (not np.issubdtype(sizes.dtype, np.integer) or sizes.ndim != 1 or sizes.size == 0
+            or sizes.min() < 1):
         raise ShapeMismatchError("runs", sizes.shape, tuple(sizes.ravel().tolist()))
+    sizes = sizes.astype(np.int64, copy=False)
     docs = np.arange(sizes.size)
     return Groups(docs, np.repeat(docs, sizes), np.arange(sizes.sum()), np.cumsum(sizes) - sizes)
 
@@ -357,7 +375,10 @@ def expand(a: Node, groups: Groups) -> Node:
     rows over the presorted order, with no sort and no scatter."""
     if a.shape[0] != groups.unique.size:
         raise ShapeMismatchError("expand", a.shape, groups.unique.shape)
-    return _make("expand", a.value[groups.inverse], [(a, groups.sum)])
+    # every row of a appears in the output, so its U rows give the verdict
+    # of the output's N rows
+    check_finite(a.value, "expand")
+    return Node(a.value[groups.inverse], "expand", ((a, groups.sum),))
 
 
 def take_rows(a: Node, indices) -> Node:

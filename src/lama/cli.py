@@ -4,6 +4,11 @@ heads-sweep.
 Every command resolves its flags into a RunManifest (written before any
 long computation) and drops its artifacts under --out. Exit codes: 2 usage,
 3 io, 4 data, 5 divergence or a non-finite value in a forward pass.
+
+The parser is built once per process, on the first ``main`` call, and every
+later call parses with it. Its defaults are shared by those calls, so they
+are immutable (the list flags default to tuples) and a handler must not
+mutate ``args``.
 """
 
 from __future__ import annotations
@@ -16,6 +21,7 @@ for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(_var, "1")
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import asdict, dataclass
@@ -93,6 +99,7 @@ def _add_train_flags(p):
                         "tokens' initial rows; other tokens' values are only counted")
 
 
+@functools.cache
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="lama",
@@ -127,7 +134,7 @@ def build_parser():
     p.add_argument("--out", default=os.path.join("lama-out", "topwords"))
 
     p = sub.add_parser("params", help="parameter accounting vs the TE baseline")
-    p.add_argument("--heads", type=_int_list, default=[2, 4, 8, 16, 32, 64])
+    p.add_argument("--heads", type=_int_list, default=(2, 4, 8, 16, 32, 64))
     p.add_argument("--d-ann", type=int, default=512, help="annotation dim (= 2h)")
     p.add_argument("--embed-dim", type=int, default=100)
     p.add_argument("--vocab-size", type=int, default=50000)
@@ -138,7 +145,7 @@ def build_parser():
 
     p = sub.add_parser("bench", help="forward-pass runtime vs sequence length")
     p.add_argument("--kind", choices=["le", "te"], required=True)
-    p.add_argument("--lengths", type=_int_list, default=[64, 128, 256, 512, 1024])
+    p.add_argument("--lengths", type=_int_list, default=(64, 128, 256, 512, 1024))
     p.add_argument("--trials", type=int, default=5)
     p.add_argument("--dim", type=int, help="embedding dim (le) or d_model (te)")
     p.add_argument("--heads", "-m", type=int)
@@ -149,7 +156,7 @@ def build_parser():
     p = sub.add_parser("heads-sweep", help="best validation accuracy per head count")
     p.add_argument("--data", required=True)
     p.add_argument("--valid", required=True)
-    p.add_argument("--grid", type=_int_list, default=[1, 2, 4, 8])
+    p.add_argument("--grid", type=_int_list, default=(1, 2, 4, 8))
     _add_train_flags(p)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=os.path.join("lama-out", "heads-sweep"))
@@ -233,11 +240,10 @@ def cmd_eval(args):
     dataset = load_dataset(args.data, checkpoint.vocab, checkpoint.config.max_len,
                            label_names=checkpoint.label_names, split="eval")
     metrics = evaluate(checkpoint, dataset)
-    payload = {"labels": checkpoint.label_names, **metrics.to_dict()}
+    report = json.dumps({"labels": checkpoint.label_names, **metrics.to_dict()}, indent=2)
     with open(metrics_path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2)
-        fh.write("\n")
-    print(json.dumps(payload, indent=2))
+        fh.write(report + "\n")
+    print(report)
     return 0
 
 

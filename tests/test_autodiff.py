@@ -233,15 +233,45 @@ class TestGroups:
         for name, got, want in zip(ad.Groups._fields, runs, grouped):
             assert got.dtype == want.dtype and np.array_equal(got, want), name
 
-    @pytest.mark.parametrize("lengths", [[], [5, 0], [6, -1], [[2, 3], [1, 4]]])
+    @pytest.mark.parametrize("lengths", [[], [5, 0], [6, -1], [[2, 3], [1, 4]],
+                                         [2.5, 2.7], [2.0, 3.0], [True, True]])
     def test_runs_rejects_lengths_that_tile_no_rows(self, lengths):
-        # no run, an empty run, a negative one, a 2-D list
+        # no run, an empty run, a negative one, a 2-D list, and lengths that
+        # are not integers, which a cast would truncate to another layout
         with pytest.raises(ad.ShapeMismatchError, match="runs"):
             ad.runs(lengths)
 
     def test_expand_rejects_a_row_count_other_than_the_groups(self):
         with pytest.raises(ad.ShapeMismatchError, match="expand"):
             ad.expand(ad.leaf(np.ones((3, 2))), ad.group_ids([4, 4, 1]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_expand_of_a_non_finite_row_names_expand(self, bad):
+        # leaves are not screened, so the expand itself must catch the row
+        rows = np.ones((3, 2))
+        rows[1, 0] = bad
+        with pytest.raises(ad.NonFiniteError, match="expand"):
+            ad.expand(ad.leaf(rows), ad.group_ids([4, 4, 1, 9, 1]))
+
+    @pytest.mark.parametrize("r, lengths, c", [(1, [3, 1, 4], 5), (4, [7, 2, 9, 1], 6),
+                                               (2, [5], 1), (3, [1, 1], 2)])
+    def test_segment_matmul_is_one_gemm_per_run(self, r, lengths, c):
+        # the output and both pullbacks equal each run's own products,
+        # stacked, bit for bit
+        rng = np.random.default_rng(r * 100 + c)
+        n = sum(lengths)
+        av = rng.standard_normal((r, n)).astype(np.float32)
+        bv = rng.standard_normal((n, c)).astype(np.float32)
+        g = rng.standard_normal((len(lengths) * r, c)).astype(np.float32)
+        out = ad.segment_matmul(ad.leaf(av, True), ad.leaf(bv, True), ad.runs(lengths))
+        (_, grad_a), (_, grad_b) = out.parents
+        cuts = np.cumsum(lengths)[:-1]
+        pairs = list(zip(np.split(av, cuts, axis=1), np.split(bv, cuts),
+                         np.split(g, len(lengths))))
+        np.testing.assert_array_equal(out.value, np.concatenate([a @ b for a, b, _ in pairs]))
+        np.testing.assert_array_equal(
+            grad_a(g), np.concatenate([gk @ b.T for _, b, gk in pairs], axis=1))
+        np.testing.assert_array_equal(grad_b(g), np.concatenate([a.T @ gk for a, _, gk in pairs]))
 
 
 PRIMITIVE_BUILDERS = {

@@ -247,6 +247,21 @@ class TestEval:
         assert payload["accuracy"] >= 0.95
         assert len(payload["confusion"]) == 3
 
+    def test_metrics_file_and_stdout_are_the_indented_json(self, workspace, tmp_path, capsys):
+        ckpt = tr.Checkpoint.load(workspace["ckpt"])
+        dataset = text.load_dataset(workspace["valid"], ckpt.vocab, ckpt.config.max_len,
+                                    label_names=ckpt.label_names)
+        payload = {"labels": ckpt.label_names, **tr.evaluate(ckpt, dataset).to_dict()}
+        expected = io.StringIO()
+        json.dump(payload, expected, indent=2)
+        expected.write("\n")
+        capsys.readouterr()
+        code = run_cli("eval", "--checkpoint", workspace["ckpt"], "--data", workspace["valid"],
+                       "--out", tmp_path)
+        assert code == 0
+        assert (tmp_path / "metrics.json").read_bytes() == expected.getvalue().encode()
+        assert capsys.readouterr().out == expected.getvalue()
+
     def test_reserved_tokens_in_text_round_trip(self, tmp_path):
         # a reserved token kept from the text would be listed twice in
         # vocab.txt, and eval could not load the checkpoint train wrote
@@ -757,6 +772,65 @@ class TestErrorSurface:
         assert run_cli(*argv) == 0
         for name, blob in first.items():
             assert (out / name).read_bytes() == blob
+
+
+# the shortest argv each command parses; parsing opens no file
+MINIMAL_ARGV = {
+    "train": ["train", "--data", "t.tsv", "--valid", "v.tsv"],
+    "eval": ["eval", "--checkpoint", "ckpt", "--data", "d.tsv"],
+    "attend": ["attend", "--checkpoint", "ckpt", "--data", "d.tsv"],
+    "topwords": ["topwords", "--data", "a.jsonl"],
+    "params": ["params"],
+    "bench": ["bench", "--kind", "le"],
+    "heads-sweep": ["heads-sweep", "--data", "t.tsv", "--valid", "v.tsv"],
+}
+
+
+class TestParserBuiltOnce:
+    def test_build_parser_returns_one_parser(self):
+        assert cli.build_parser() is cli.build_parser()
+
+    def test_three_calls_build_one_parser_tree(self, tmp_path, monkeypatch):
+        built = []
+        init = cli.argparse.ArgumentParser.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(self)
+            init(self, *args, **kwargs)
+
+        cli.build_parser.cache_clear()
+        monkeypatch.setattr(cli.argparse.ArgumentParser, "__init__", counting_init)
+        for k in range(3):
+            assert run_cli("params", "--heads", "2,4", "--out", tmp_path / str(k)) == 0
+        # the top-level parser and one subparser per command
+        assert len(built) == 1 + len(cli.HANDLERS)
+
+    def test_default_runs_write_identical_outputs(self, tmp_path):
+        # the second run sees the same default objects the first one did
+        names = ("params.csv", "manifest.json")
+        assert run_cli("params", "--out", tmp_path) == 0
+        first = {name: (tmp_path / name).read_bytes() for name in names}
+        assert json.loads(first["manifest.json"])["config"]["heads"] == [2, 4, 8, 16, 32, 64]
+        assert run_cli("params", "--out", tmp_path) == 0
+        assert {name: (tmp_path / name).read_bytes() for name in names} == first
+
+    def test_usage_error_leaves_the_parser_usable(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run_cli("params", "--heads", "two")
+        assert exc.value.code == cli.EXIT_USAGE
+        assert "expected comma-separated ints" in capsys.readouterr().err
+        assert run_cli("params", "--heads", "2,4", "--out", tmp_path) == 0
+        assert (tmp_path / "params.csv").read_text().startswith("heads,")
+
+    @pytest.mark.parametrize("command", sorted(MINIMAL_ARGV))
+    def test_every_default_is_immutable(self, command):
+        assert set(MINIMAL_ARGV) == set(cli.HANDLERS)
+        args = cli.build_parser().parse_args(MINIMAL_ARGV[command])
+        for name, value in vars(args).items():
+            try:
+                hash(value)
+            except TypeError:
+                pytest.fail(f"{command} {name} defaults to a mutable {type(value).__name__}")
 
 
 def test_import_defaults_blas_to_one_thread_and_keeps_a_set_value():
