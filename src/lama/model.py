@@ -1,7 +1,10 @@
 """Full model assembly: embedding lookup, encoder, attention, classifier.
 
-Parameters live in a ``ParamStore`` (ordered name -> array registry). A
-forward pass builds a fresh graph over leaf Nodes wrapping those arrays.
+Parameters live in a ``ParamStore``: one flat buffer holding every tensor
+back to back in ``param_shapes`` order (``W_e`` first), each tensor a
+C-order view of its slice. ``param_layout`` gives the names, shapes and
+offsets without allocating, and ``weights.bin`` is the buffer's bytes. A
+forward pass builds a fresh graph over leaf Nodes wrapping those views.
 ``forward_batch`` builds one graph for a whole minibatch: one embedding
 lookup over the documents' concatenated ids, one packed BiGRU scan of
 both directions (see ``gru``), one ``attention.attend`` over the packed
@@ -31,8 +34,8 @@ in the same order would consume, so a seed gives the same masks whichever
 way the documents are run.
 
 RNG draws during initialization happen in a fixed, documented order
-(embeddings, forward GRU, backward GRU, attention, classifier) so a seed
-pins every weight.
+(embeddings, forward GRU, backward GRU, attention, classifier), the
+buffer's order, so a seed pins every weight.
 
 Padding is decided here and nowhere else: every document is trimmed to
 its first ``true_length`` ids before the embedding lookup, so the
@@ -53,47 +56,36 @@ from .text import PAD_ID
 
 ENCODER_BIGRU = "bigru"
 ENCODER_LE = "le"
-# 1 GiB of float32 weights; training holds as much again in velocities and
-# in gradients, so a larger model cannot train on a small host anyway
+# 1 GiB of float32 weights in the one buffer; training holds as much again
+# in velocities and in gradients, so a larger model cannot train on a small
+# host anyway
 MAX_PARAMS = 2**28
 
 
-@dataclass
-class Parameter:
-    name: str
-    value: np.ndarray
-
-
 class ParamStore:
-    """Ordered registry of named parameter arrays."""
+    """Every tensor of a model as a C-order view of one flat ``buffer`` of
+    zeros, laid out by ``param_layout``; ``store[name]`` is the view, so a
+    write through it is a write to the buffer and no tensor can be rebound."""
 
-    def __init__(self):
-        self._params: dict[str, Parameter] = {}
+    def __init__(self, shapes: dict[str, tuple], dtype=np.float32):
+        self.layout, size = param_layout(shapes)
+        self.buffer = np.zeros(size, dtype=dtype)
+        self._views = {name: self.buffer[start:start + math.prod(shape)].reshape(shape)
+                       for name, shape, start in self.layout}
 
-    def add(self, name, value):
-        if name in self._params:
-            raise ValueError(f"duplicate parameter {name}")
-        self._params[name] = Parameter(name, value)
+    def __getitem__(self, name) -> np.ndarray:
+        return self._views[name]
 
-    def __getitem__(self, name) -> Parameter:
-        return self._params[name]
+    def names(self) -> list[str]:
+        return list(self._views)
 
-    def __iter__(self):
-        return iter(self._params.values())
-
-    def names(self):
-        return list(self._params)
+    def items(self):
+        return self._views.items()
 
     def nodes(self, requires_grad: bool = True) -> dict[str, Node]:
-        """Fresh leaf Nodes over the stored arrays (no copies)."""
-        return {p.name: ad.leaf(p.value, requires_grad=requires_grad) for p in self}
-
-    def copy_values(self) -> dict[str, np.ndarray]:
-        return {p.name: p.value.copy() for p in self}
-
-    def load_values(self, values: dict):
-        for p in self:
-            p.value = values[p.name].copy()
+        """Fresh leaf Nodes over the views (no copies)."""
+        return {name: ad.leaf(value, requires_grad=requires_grad)
+                for name, value in self.items()}
 
 
 @dataclass
@@ -129,40 +121,46 @@ def param_shapes(vocab_size: int, num_classes: int, *, d: int, h: int, m: int,
         shapes["attn.c"] = (d_ann, 1)
     shapes.update({"cls.W1": (mlp_hidden, m * d_ann), "cls.b1": (mlp_hidden, 1),
                    "cls.W_c": (num_classes, mlp_hidden), "cls.b_c": (num_classes, 1)})
-    total = sum(math.prod(shape) for shape in shapes.values())
+    _, total = param_layout(shapes)
     if total > MAX_PARAMS:
         raise ValueError(f"the model would have {total:,} parameters, more than the "
                          f"{MAX_PARAMS:,} allowed")
     return shapes
 
 
+def param_layout(shapes: dict[str, tuple]) -> tuple[list[tuple[str, tuple, int]], int]:
+    """The flat buffer's layout, allocating nothing: (name, shape, offset) of
+    each tensor, back to back in ``shapes`` order, and the total. Offsets
+    and total count values, not bytes."""
+    layout, offset = [], 0
+    for name, shape in shapes.items():
+        layout.append((name, tuple(shape), offset))
+        offset += math.prod(shape)
+    return layout, offset
+
+
 def init_model(vocab_size: int, num_classes: int, rng: np.random.Generator, *,
                d: int = 100, h: int = 50, m: int = 1, ctx: str = CTX_LEARNED,
                encoder: str = ENCODER_BIGRU, mlp_hidden: int = 512,
                dropout: float = 0.4, dtype=np.float32) -> ModelParams:
-    """Allocate and initialize every trainable tensor."""
+    """Allocate the flat buffer and fill every tensor's view, drawing in
+    buffer order."""
     shapes = param_shapes(vocab_size, num_classes, d=d, h=h, m=m, ctx=ctx, encoder=encoder,
                           mlp_hidden=mlp_hidden)  # rejects an invalid combination
     d_ann = shapes["attn.W_w"][0]
-
-    store = ParamStore()
-    weights = rng.uniform(-0.1, 0.1, size=(vocab_size, d)).astype(dtype)
-    weights[PAD_ID] = 0.0
-    store.add("W_e", weights)
-
+    store = ParamStore(shapes, dtype=dtype)
+    store["W_e"][...] = rng.uniform(-0.1, 0.1, size=(vocab_size, d))
+    store["W_e"][PAD_ID] = 0.0
+    parts = []
     if encoder == ENCODER_BIGRU:
-        for prefix in ("gru_f.", "gru_b."):
-            for name, arr in gru.init_gru_arrays(d, h, rng, dtype).items():
-                store.add(prefix + name, arr)
-
-    for name, arr in attention.init_attention_arrays(d_ann, m, rng, ctx, dtype).items():
-        store.add("attn." + name, arr)
-
-    cls_arrays = classifier.init_classifier_arrays(d_ann * m, mlp_hidden,
-                                                   num_classes, rng, dtype)
-    for name, arr in cls_arrays.items():
-        store.add("cls." + name, arr)
-
+        parts += [(prefix, gru.init_gru_arrays(d, h, rng, dtype))
+                  for prefix in ("gru_f.", "gru_b.")]
+    parts.append(("attn.", attention.init_attention_arrays(d_ann, m, rng, ctx, dtype)))
+    parts.append(("cls.", classifier.init_classifier_arrays(d_ann * m, mlp_hidden,
+                                                             num_classes, rng, dtype)))
+    for prefix, arrays in parts:
+        for name, arr in arrays.items():
+            store[prefix + name][...] = arr
     return ModelParams(store=store, ctx=ctx, encoder=encoder, num_classes=num_classes,
                        dropout=dropout)
 

@@ -14,8 +14,11 @@ batch order, the stream per-document passes would draw. Evaluation runs
 ``forward_batch`` forward only, EVAL_CHUNK documents per graph on leaves
 that track no gradient, and draws nothing from the RNG.
 
-Every batch graph reaches every parameter. ``sgd_step`` updates each
-dense parameter and its velocity in place. ``W_e`` is stepped a batch's
+Every batch graph reaches every parameter. The parameters are views of
+one flat buffer (``model.ParamStore``) with ``W_e`` first, so the dense
+ones are the buffer's tail: each batch copies their leaf gradients into
+one preallocated array in buffer order, and one ``sgd_step`` updates that
+tail and its one velocity array in place. ``W_e`` is stepped a batch's
 rows at a time: ``LazyRowSGD.gather`` copies out the rows of the batch's
 distinct ids, the graph reads them as one dense leaf, and
 ``LazyRowSGD.step`` steps that block with the leaf's gradient and writes
@@ -28,7 +31,8 @@ update in real arithmetic, not bit for bit. One sort of a batch's ids
 spreading of its rows over the positions and their step. No embedding
 row is special: the PAD row starts at zero with zero velocity, and since
 padding is trimmed before the lookup and no text encodes to ``PAD_ID``,
-it is never gathered and stays zero.
+it is never gathered and stays zero. A best-epoch snapshot is one copy
+of the buffer, and restoring it copies it back in place.
 """
 
 from __future__ import annotations
@@ -47,12 +51,12 @@ from . import __version__
 from . import autodiff as ad
 from .classifier import ObjectiveConfig, REGULARIZERS
 from .model import (ENCODER_BIGRU, ModelParams, ParamStore, batch_objective, forward_batch,
-                    init_model, param_shapes)
+                    init_model, param_layout, param_shapes)
 # test_perfbench.py::test_install_patches_callers_namespaces_and_uninstall_restores reads this
 from .model import forward_doc  # noqa: F401
 from .text import Dataset, TextError, Vocab
 
-WEIGHTS_DTYPE = "<f4"  # little-endian IEEE-754 32-bit
+WEIGHTS_DTYPE = np.dtype("<f4")  # little-endian IEEE-754 32-bit
 EVAL_CHUNK = 64  # documents per forward-only graph in evaluation and the attention export
 MAX_LEN = 2**16  # every document is padded to max_len ids, so it is bounded
 
@@ -100,8 +104,12 @@ class TrainConfig:
     def __post_init__(self):
         if self.regularizer not in REGULARIZERS:
             raise ValueError(f"regularizer must be one of {REGULARIZERS}")
-        for name in ("d", "h", "m", "max_len", "batch", "patience", "mlp_hidden",
-                     "max_epochs"):
+        sizes = ("d", "h", "m", "max_len", "batch", "patience", "mlp_hidden", "max_epochs")
+        for name in sizes + ("seed",):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ValueError(f"{name} must be an int, got {value!r}")
+        for name in sizes:
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
         for name in ("lr", "momentum", "weight_decay", "dropout", "lam"):
@@ -221,15 +229,10 @@ class Checkpoint:
             if os.path.exists(stale):
                 shutil.rmtree(stale)
         os.makedirs(tmp)
-        manifest = []
-        offset = 0
-        blobs = []
-        for p in self.params.store:
-            raw = np.ascontiguousarray(p.value, dtype=WEIGHTS_DTYPE).tobytes()
-            manifest.append({"name": p.name, "shape": list(p.value.shape),
-                             "offset": offset})
-            offset += len(raw)
-            blobs.append(raw)
+        store = self.params.store
+        manifest = [{"name": name, "shape": list(shape),
+                     "offset": start * WEIGHTS_DTYPE.itemsize}
+                    for name, shape, start in store.layout]
         config = {
             "config": asdict(self.config),
             "labels": list(self.label_names),
@@ -241,8 +244,7 @@ class Checkpoint:
             fh.write("\n")
         self.vocab.save(os.path.join(tmp, "vocab.txt"))
         with open(os.path.join(tmp, "weights.bin"), "wb") as fh:
-            for raw in blobs:
-                fh.write(raw)
+            np.asarray(store.buffer, dtype=WEIGHTS_DTYPE).tofile(fh)
         replacing = os.path.exists(out_dir)
         if replacing:
             os.replace(out_dir, old)
@@ -258,8 +260,8 @@ class Checkpoint:
         finite; anything else is a CheckpointError.
 
         weights.bin's size is checked against the manifest before it is
-        read, so an oversized file costs nothing; it is then read once, and
-        every tensor is a float32 view of that one buffer."""
+        read, so an oversized file costs nothing; it is then read once into
+        the store's flat buffer and screened once."""
         ckpt_dir = str(ckpt_dir)
         try:
             with open(os.path.join(ckpt_dir, "config.json"), encoding="utf-8") as fh:
@@ -267,8 +269,8 @@ class Checkpoint:
             vocab = Vocab.load(os.path.join(ckpt_dir, "vocab.txt"))
             config = TrainConfig(**meta["config"])
             labels = list(meta["labels"])
-            entries = [(str(e["name"]), tuple(int(n) for n in e["shape"]), int(e["offset"]))
-                       for e in meta["tensors"]]
+            # compared as read: a fractional or quoted number matches nothing
+            entries = [(e["name"], tuple(e["shape"]), e["offset"]) for e in meta["tensors"]]
             shapes = param_shapes(len(vocab), len(labels), d=config.d, h=config.h,
                                   m=config.m, ctx=config.ctx, encoder=config.encoder,
                                   mlp_hidden=config.mlp_hidden)
@@ -278,12 +280,12 @@ class Checkpoint:
             raise CheckpointError(
                 f"corrupt checkpoint {ckpt_dir}: {type(exc).__name__}: {exc}") from exc
 
-        # everything is checked against the config's shapes before any
+        # everything is checked against the config's layout before any
         # tensor is allocated, so a config with huge dims costs nothing
-        expected, offset = [], 0
-        for name, shape in shapes.items():
-            expected.append((name, shape, offset))
-            offset += math.prod(shape) * np.dtype(WEIGHTS_DTYPE).itemsize
+        layout, total = param_layout(shapes)
+        nbytes = total * WEIGHTS_DTYPE.itemsize
+        expected = [(name, shape, start * WEIGHTS_DTYPE.itemsize)
+                    for name, shape, start in layout]
         for got, want in zip_longest(entries, expected):
             if got != want:
                 raise CheckpointError(f"corrupt checkpoint {ckpt_dir}: manifest entry "
@@ -291,22 +293,18 @@ class Checkpoint:
         try:
             with open(os.path.join(ckpt_dir, "weights.bin"), "rb") as fh:
                 size = os.fstat(fh.fileno()).st_size
-                if size == offset:
-                    blob = np.fromfile(fh, np.uint8, offset)
-                    size = len(blob)  # the file may shrink while it is read
+                if size == nbytes:
+                    store = ParamStore(shapes, dtype=WEIGHTS_DTYPE)
+                    size = fh.readinto(store.buffer)  # the file may shrink while it is read
         except OSError as exc:
             raise CheckpointError(f"cannot read checkpoint {ckpt_dir}: {exc}") from exc
-        if size != offset:
+        if size != nbytes:
             raise CheckpointError(f"corrupt checkpoint {ckpt_dir}: weights.bin holds "
-                                  f"{size} bytes, the manifest {offset}")
-        store = ParamStore()
-        for name, shape, start in entries:
-            arr = np.frombuffer(blob, dtype=WEIGHTS_DTYPE, count=math.prod(shape),
-                                offset=start).reshape(shape).astype(np.float32, copy=False)
-            if not ad.all_finite(arr):
-                raise CheckpointError(f"corrupt checkpoint {ckpt_dir}: tensor {name} "
-                                      f"holds a non-finite value")
-            store.add(name, arr)
+                                  f"{size} bytes, the manifest {nbytes}")
+        if not ad.all_finite(store.buffer):
+            name = next(name for name, value in store.items() if not ad.all_finite(value))
+            raise CheckpointError(f"corrupt checkpoint {ckpt_dir}: tensor {name} "
+                                  f"holds a non-finite value")
         params = ModelParams(store=store, ctx=config.ctx, encoder=config.encoder,
                              num_classes=len(labels), dropout=config.dropout)
         return cls(config, vocab, labels, params)
@@ -319,7 +317,7 @@ def _fresh_model(config: TrainConfig, vocab_size: int, num_classes: int,
                         mlp_hidden=config.mlp_hidden, dropout=config.dropout)
     if pretrained is not None:
         ids, rows = pretrained
-        params.store["W_e"].value[ids] = rows
+        params.store["W_e"][ids] = rows
     return params
 
 
@@ -372,14 +370,16 @@ def train(config: TrainConfig, train_set: Dataset, valid_set: Dataset,
     params = _fresh_model(config, len(vocab), train_set.num_classes, rng, pretrained)
     objective = ObjectiveConfig(config.regularizer, config.lam)
 
-    rows_sgd = LazyRowSGD(params.store["W_e"].value, config.lr, config.momentum,
-                          config.weight_decay)
-    dense = [p for p in params.store if p.name != "W_e"]
-    velocities = {p.name: np.zeros_like(p.value) for p in dense}
+    store = params.store
+    rows_sgd = LazyRowSGD(store["W_e"], config.lr, config.momentum, config.weight_decay)
+    # the dense parameters are the buffer's tail, after W_e
+    dense_names = store.names()[1:]
+    dense = store.buffer[store["W_e"].size:]
+    velocity, grad = np.zeros_like(dense), np.empty_like(dense)
     valid_rows = _group_ids(valid_set.documents).unique
     history = TrainHistory()
     best_acc = -1.0
-    best_values = None
+    best_buffer = None
     bad_epochs = 0
     docs = train_set.documents
 
@@ -392,9 +392,9 @@ def train(config: TrainConfig, train_set: Dataset, valid_set: Dataset,
             # one sort of the batch's ids: the gather, the spreading of the
             # rows over the positions and their step share it
             groups = _group_ids(batch)
-            block, velocity = rows_sgd.gather(groups.unique)
+            block, block_velocity = rows_sgd.gather(groups.unique)
             rows = ad.leaf(block, requires_grad=True)
-            nodes = params.store.nodes()
+            nodes = store.nodes()
             try:
                 # overflow is detected (and raised) by the primitives, so
                 # numpy's warnings would only duplicate the signal
@@ -406,10 +406,9 @@ def train(config: TrainConfig, train_set: Dataset, valid_set: Dataset,
             if not np.isfinite(batch_loss):
                 raise DivergenceError(epoch, batch_no, f"loss={batch_loss}")
             loss_sum += batch_loss
-            rows_sgd.step(groups.unique, block, velocity, rows.grad)
-            for p in dense:
-                sgd_step(p.value, nodes[p.name].grad, velocities[p.name], config.lr,
-                         config.momentum, config.weight_decay)
+            rows_sgd.step(groups.unique, block, block_velocity, rows.grad)
+            np.concatenate([nodes[name].grad for name in dense_names], axis=None, out=grad)
+            sgd_step(dense, grad, velocity, config.lr, config.momentum, config.weight_decay)
 
         rows_sgd.catch_up(valid_rows)
         valid_acc = evaluate(params, valid_set).accuracy
@@ -423,7 +422,7 @@ def train(config: TrainConfig, train_set: Dataset, valid_set: Dataset,
             best_acc = valid_acc
             history.best_epoch = epoch
             rows_sgd.catch_up()
-            best_values = params.store.copy_values()
+            best_buffer = store.buffer.copy()
             bad_epochs = 0
         else:
             bad_epochs += 1
@@ -431,7 +430,7 @@ def train(config: TrainConfig, train_set: Dataset, valid_set: Dataset,
                 break
 
     if snapshot == "best":
-        params.store.load_values(best_values)
+        store.buffer[...] = best_buffer
     else:
         rows_sgd.catch_up()
     checkpoint = Checkpoint(config, vocab, list(train_set.label_names), params)

@@ -11,6 +11,18 @@ import os
 for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(_var, "1")
 
+import numpy as np  # noqa: E402  (numpy reads the thread pins when it is imported)
+
+
+def assert_views_of_one_buffer(store):
+    """Every tensor is the C-order view of its slice of ``store.buffer``."""
+    for name, shape, start in store.layout:
+        view = store[name]
+        assert view.shape == shape and view.flags.c_contiguous, name
+        assert np.shares_memory(view, store.buffer), name
+        assert view.ctypes.data == store.buffer[start:].ctypes.data, name
+    assert sum(store[name].size for name in store.names()) == store.buffer.size
+
 
 def count_nodes(root):
     """Nodes of the autodiff graph reachable from ``root``, root included."""

@@ -62,11 +62,10 @@ def test_criterion_2_end_to_end_gradient_check():
     started = time.perf_counter()
     rng = np.random.default_rng(102)
     params = mdl.init_model(vocab_size=12, num_classes=3, rng=rng, d=6, h=3,
-                            m=3, mlp_hidden=8, dropout=0.0)
+                            m=3, mlp_hidden=8, dropout=0.0, dtype=np.float64)
     # a generic random point: the symmetric init leaves gate gradients small
     # enough to drown in finite-difference noise
-    for p in params.store:
-        p.value = rng.uniform(-0.6, 0.6, size=p.value.shape)
+    params.store.buffer[...] = rng.uniform(-0.6, 0.6, size=params.store.buffer.size)
     ids = np.array([2, 5, 7, 3, 9, 4])
     names = params.store.names()
     worst = 0.0
@@ -78,7 +77,7 @@ def test_criterion_2_end_to_end_gradient_check():
             fw = forward_doc(params, nodes, ids)
             return mdl.doc_objective(fw, 2, 3, obj)
 
-        report = ad.grad_check(builder, [p.value for p in params.store],
+        report = ad.grad_check(builder, [params.store[n] for n in names],
                                step=1e-5, tolerance=1e-5)
         worst = max(worst, report.worst())
         assert report.passed, (kind, report.max_rel_errors)

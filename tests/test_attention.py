@@ -299,7 +299,7 @@ class TestLamaEncoder:
         nodes = params.store.nodes()
         ids = [3, 7, 2, 9, 5]
         fw = mdl.forward_doc(params, nodes, ids)
-        out = attend(ad.leaf(params.store["W_e"].value[ids]), nodes["attn.c"],
+        out = attend(ad.leaf(params.store["W_e"][ids]), nodes["attn.c"],
                      nodes["attn.W_w"], nodes["attn.b_w"], nodes["attn.P"],
                      nodes["attn.Q"])
         np.testing.assert_array_equal(fw.attn.A, out.A)

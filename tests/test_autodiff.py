@@ -268,10 +268,17 @@ class TestGroups:
         cuts = np.cumsum(lengths)[:-1]
         pairs = list(zip(np.split(av, cuts, axis=1), np.split(bv, cuts),
                          np.split(g, len(lengths))))
-        np.testing.assert_array_equal(out.value, np.concatenate([a @ b for a, b, _ in pairs]))
-        np.testing.assert_array_equal(
-            grad_a(g), np.concatenate([gk @ b.T for _, b, gk in pairs], axis=1))
-        np.testing.assert_array_equal(grad_b(g), np.concatenate([a.T @ gk for a, _, gk in pairs]))
+        # numpy reports the floating-point flags a BLAS call leaves set, and
+        # these small products of finite operands have raised a spurious
+        # "invalid value" in about one full tier-1 run in twelve; the
+        # references ignore that flag, and a NaN in one still fails below
+        with np.errstate(invalid="ignore"):
+            out_ref = np.concatenate([a @ b for a, b, _ in pairs])
+            grad_a_ref = np.concatenate([gk @ b.T for _, b, gk in pairs], axis=1)
+            grad_b_ref = np.concatenate([a.T @ gk for a, _, gk in pairs])
+        np.testing.assert_array_equal(out.value, out_ref)
+        np.testing.assert_array_equal(grad_a(g), grad_a_ref)
+        np.testing.assert_array_equal(grad_b(g), grad_b_ref)
 
 
 PRIMITIVE_BUILDERS = {

@@ -42,7 +42,7 @@ class TestLamaCount:
                 rep = lama_param_count(20, 10, m, 77, 32, 4, ctx=ctx)
                 params = init_model(77, 4, np.random.default_rng(0), d=20, h=10,
                                     m=m, ctx=ctx, mlp_hidden=32)
-                assert rep.total == sum(p.value.size for p in params.store)
+                assert rep.total == params.store.buffer.size
 
     @pytest.mark.parametrize("ctx,total", [("learned", 6044), ("doc-mean", 6024)])
     def test_full_count_matches_param_shapes(self, ctx, total):

@@ -91,6 +91,9 @@ CORRUPTIONS = {
         tensors=[e for e in meta["tensors"] if e["name"] != "cls.b_c"])),
     "tensor-wrong-shape": _edit_config(_set_tensor("cls.b_c", "shape", [1, 1])),
     "tensor-wrong-offset": _edit_config(_set_tensor("cls.b_c", "offset", 0)),
+    "tensor-fractional-shape": _edit_config(lambda meta: meta["tensors"][0].update(
+        shape=[meta["tensors"][0]["shape"][0] + 0.5, meta["tensors"][0]["shape"][1]])),
+    "tensor-quoted-offset": _edit_config(_set_tensor("W_e", "offset", "0")),
     "weights-truncated": _edit_file("weights.bin", lambda b: b[:len(b) // 2]),
     "weights-too-long": _edit_file("weights.bin", lambda b: b + b"\0" * 4),
     "weights-nan": _write_weights("attn.W_w", np.nan),
@@ -98,6 +101,8 @@ CORRUPTIONS = {
     "config-not-json": _edit_file("config.json", lambda b: b"{not json"),
     "config-unknown-key": _edit_config(lambda meta: meta["config"].update(frobnicate=1)),
     "config-no-labels": _edit_config(lambda meta: meta.pop("labels")),
+    "config-float-dim": _edit_config(lambda meta: meta["config"].update(m=2.0)),
+    "config-bool-dim": _edit_config(lambda meta: meta["config"].update(d=True)),
     "vocab-no-reserved-tokens": _edit_file("vocab.txt", lambda b: b"hello\nworld\n"),
     "vocab-repeated-token": _edit_file("vocab.txt", _repeat_first_token),
     "vocab-not-utf8": _edit_file("vocab.txt", lambda b: b + b"\xff\n"),
@@ -212,7 +217,7 @@ class TestTrain:
         assert run_cli("train", *argv, "--out", tmp_path / "plain") == 0
         plain = tr.Checkpoint.load(tmp_path / "plain" / "checkpoint")
         W_e = tr._fresh_model(plain.config, len(plain.vocab), len(plain.label_names),
-                              np.random.Generator(np.random.PCG64(3))).store["W_e"].value
+                              np.random.Generator(np.random.PCG64(3))).store["W_e"]
         vecs = tmp_path / "vectors.txt"
         vecs.write_text("".join(
             f"{t} " + " ".join(repr(float(x)) for x in W_e[plain.vocab.lookup(t)]) + "\n"
@@ -329,8 +334,8 @@ class TestEval:
         # 129 documents run as chunks of 64, 64 and 1; only the last holds
         # an unknown word, whose 3e38 embedding row overflows W_w h
         ckpt = tr.Checkpoint.load(workspace["ckpt"])
-        ckpt.params.store["W_e"].value[text.UNK_ID] = 3e38
-        ckpt.params.store["attn.W_w"].value[:] = 1.0
+        ckpt.params.store["W_e"][text.UNK_ID] = 3e38
+        ckpt.params.store["attn.W_w"][:] = 1.0
         ckpt.save(tmp_path / "ckpt")
         lines = (workspace["train"].read_text() + workspace["valid"].read_text()).splitlines()
         data = tmp_path / "eval.tsv"
@@ -356,6 +361,20 @@ class TestEval:
         err = capsys.readouterr().err.strip().splitlines()
         assert code == cli.EXIT_IO
         assert len(err) == 1 and err[0].startswith("error: "), err
+
+    @pytest.mark.parametrize("corruption,tensor", [("weights-nan", "attn.W_w"),
+                                                   ("weights-inf", "W_e")])
+    def test_non_finite_weights_name_their_tensor(self, workspace, tmp_path, capsys,
+                                                  corruption, tensor):
+        ckpt = tmp_path / "ckpt"
+        shutil.copytree(workspace["ckpt"], ckpt)
+        CORRUPTIONS[corruption](ckpt)
+        capsys.readouterr()
+        code = run_cli("eval", "--checkpoint", ckpt, "--data", workspace["valid"],
+                       "--out", tmp_path / "out")
+        err = capsys.readouterr().err.strip()
+        assert code == cli.EXIT_IO
+        assert err.endswith(f": tensor {tensor} holds a non-finite value"), err
 
 
 @pytest.fixture(scope="module")

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from conftest import graph_nodes
+from conftest import assert_views_of_one_buffer, graph_nodes
 
 from lama import attention, classifier
 from lama import autodiff as ad
@@ -28,7 +28,7 @@ class TestInit:
     def test_le_model_has_no_gru(self):
         params = tiny_model(encoder="le")
         assert not any(n.startswith("gru") for n in params.store.names())
-        assert params.store["attn.W_w"].value.shape == (6, 6)
+        assert params.store["attn.W_w"].shape == (6, 6)
 
     def test_doc_mean_model_has_no_context_vector(self):
         params = tiny_model(ctx="doc-mean")
@@ -39,14 +39,14 @@ class TestInit:
             tiny_model(ctx="doc-mean", d=5)  # d != 2h
 
     def test_embedding_init_shape_bound_and_zero_pad_row(self):
-        W_e = tiny_model().store["W_e"].value
+        W_e = tiny_model().store["W_e"]
         assert W_e.shape == (12, 6) and W_e.dtype == np.float32
         assert np.abs(W_e).max() <= 0.1 and np.abs(W_e[1:]).min() > 0
         np.testing.assert_array_equal(W_e[PAD_ID], 0.0)
 
     def test_pad_row_zeroed(self):
         params = tiny_model()
-        np.testing.assert_array_equal(params.store["W_e"].value[PAD_ID], 0.0)
+        np.testing.assert_array_equal(params.store["W_e"][PAD_ID], 0.0)
 
     @pytest.mark.parametrize("encoder,ctx", [("bigru", "learned"), ("bigru", "doc-mean"),
                                              ("le", "learned"), ("le", "doc-mean")])
@@ -54,7 +54,7 @@ class TestInit:
         dims = dict(d=6, h=3, m=2, mlp_hidden=8, ctx=ctx, encoder=encoder)
         params = tiny_model(**dims)
         assert mdl.param_shapes(12, 3, **dims) == \
-            {p.name: p.value.shape for p in params.store}
+            {name: value.shape for name, value in params.store.items()}
         assert list(mdl.param_shapes(12, 3, **dims)) == params.store.names()
 
     def test_param_shapes_rejects_a_model_over_the_budget(self, monkeypatch):
@@ -71,11 +71,21 @@ class TestInit:
             with pytest.raises(ValueError, match="parameters, more than"):
                 mdl.param_shapes(12, 3, **{**dims, **huge})
 
+    @pytest.mark.parametrize("encoder,ctx", [("bigru", "learned"), ("le", "doc-mean")])
+    def test_every_tensor_is_a_view_of_one_buffer(self, encoder, ctx):
+        store = tiny_model(encoder=encoder, ctx=ctx).store
+        layout, total = mdl.param_layout(mdl.param_shapes(
+            12, 3, d=6, h=3, m=2, mlp_hidden=8, ctx=ctx, encoder=encoder))
+        assert store.layout == layout and store.buffer.shape == (total,)
+        assert layout[0][:2] == ("W_e", (12, 6))
+        assert_views_of_one_buffer(store)
+        with pytest.raises(TypeError):
+            store["W_e"] = np.zeros((12, 6), dtype=np.float32)  # no tensor can be rebound
+
     def test_same_seed_same_weights(self):
         a = tiny_model(np.random.default_rng(5))
         b = tiny_model(np.random.default_rng(5))
-        for pa, pb in zip(a.store, b.store):
-            np.testing.assert_array_equal(pa.value, pb.value)
+        np.testing.assert_array_equal(a.store.buffer, b.store.buffer)
 
 
 class TestForward:
@@ -105,7 +115,7 @@ class TestForward:
         params = tiny_model(encoder="le")
         nodes = params.store.nodes()
         fw = mdl.forward_doc(params, nodes, [4, 9])
-        E = params.store["W_e"].value[[4, 9]]
+        E = params.store["W_e"][[4, 9]]
         np.testing.assert_allclose(fw.attn.S.value, fw.attn.A_valid.value @ E,
                                    rtol=1e-6, atol=1e-7)
 
@@ -130,9 +140,8 @@ class TestForward:
         # runs at a generic random point because the symmetric init (zero
         # biases) leaves gate gradients tiny enough to drown in FD noise
         rng = np.random.default_rng(3)
-        params = tiny_model(rng, dropout=0.0)
-        for p in params.store:
-            p.value = rng.uniform(-0.6, 0.6, size=p.value.shape)
+        params = tiny_model(rng, dropout=0.0, dtype=np.float64)
+        params.store.buffer[...] = rng.uniform(-0.6, 0.6, size=params.store.buffer.size)
         ids = np.array([2, 5, 7, 3, 9, 4])
         names = params.store.names()
         for kind in ("none", "positions", "embeddings"):
@@ -143,7 +152,7 @@ class TestForward:
                 fw = mdl.forward_doc(params, nodes, ids)
                 return mdl.doc_objective(fw, 2, 3, obj)
 
-            report = ad.grad_check(builder, [p.value for p in params.store],
+            report = ad.grad_check(builder, [params.store[n] for n in names],
                                    step=1e-5, tolerance=1e-5)
             assert report.passed, (kind, report.max_rel_errors)
 
@@ -177,7 +186,7 @@ class TestGroupedEmbeddingPath:
         assert expands == (2 if ctx == "learned" else 3)
         # attend without a grouping, over every position's own row
         runs = ad.runs([doc.true_length for doc in docs])
-        X = ad.constant(params.store["W_e"].value[np.concatenate(
+        X = ad.constant(params.store["W_e"][np.concatenate(
             [doc.valid_ids() for doc in docs])])
         c = nodes["attn.c"] if ctx == "learned" else attention.doc_mean_context(X, runs)
         oracle = attention.attend(X, c, nodes["attn.W_w"], nodes["attn.b_w"],
@@ -214,9 +223,8 @@ class TestGroupedEmbeddingPath:
                                                  ("doc-mean", "positions")])
     def test_full_model_gradient_check(self, ctx, regularizer):
         rng = np.random.default_rng(4)
-        params = tiny_model(rng, encoder="le", ctx=ctx, dropout=0.0)
-        for p in params.store:
-            p.value = rng.uniform(-0.6, 0.6, size=p.value.shape)
+        params = tiny_model(rng, encoder="le", ctx=ctx, dropout=0.0, dtype=np.float64)
+        params.store.buffer[...] = rng.uniform(-0.6, 0.6, size=params.store.buffer.size)
         names = params.store.names()
         docs = shared_token_docs()
         objective = ObjectiveConfig(regularizer, 0.2)
@@ -225,6 +233,6 @@ class TestGroupedEmbeddingPath:
             fw = mdl.forward_batch(params, dict(zip(names, leaves)), docs)
             return mdl.batch_objective(fw, [doc.label for doc in docs], 3, objective)
 
-        report = ad.grad_check(builder, [p.value for p in params.store],
+        report = ad.grad_check(builder, [params.store[n] for n in names],
                                step=1e-5, tolerance=1e-5)
         assert report.passed, report.max_rel_errors

@@ -1,17 +1,18 @@
 import json
 import os
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import graph_nodes
+from conftest import assert_views_of_one_buffer, graph_nodes
 
 from lama import autodiff as ad
 from lama import training as tr
 from lama.classifier import REGULARIZERS, ObjectiveConfig
 from lama.model import batch_objective, doc_objective, forward_batch, forward_doc, init_model
 from lama.synthetic import keyword_pairs, make_task, pairs_to_dataset
-from lama.text import PAD_ID, UNK_ID, Document, build_vocab, tokenize
+from lama.text import PAD_ID, UNK_ID, Document, build_vocab, load_dataset, tokenize
 from lama.training import (Checkpoint, CheckpointError, DivergenceError, EvalMetrics,
                            LabelMismatchError, LazyRowSGD, TrainConfig, evaluate,
                            heads_sweep, sgd_step, train)
@@ -137,6 +138,44 @@ def small_config(**overrides):
     return TrainConfig(**kw)
 
 
+class TestTrainConfig:
+    @pytest.mark.parametrize("name", ["d", "h", "m", "max_len", "batch", "patience",
+                                      "mlp_hidden", "max_epochs", "seed"])
+    @pytest.mark.parametrize("value", [2.0, 2.5, True, np.int64(2), "2", None])
+    def test_integer_fields_take_only_ints(self, name, value):
+        # a float or a bool would reach a shape, a count or a seed
+        with pytest.raises(ValueError, match=f"^{name} must be an int, got "):
+            small_config(**{name: value})
+
+
+class TestFlatBuffer:
+    @pytest.mark.parametrize("snapshot", ["best", "final"])
+    def test_trained_tensors_stay_views_of_the_buffer(self, keyword_task, snapshot):
+        train_set, valid_set, vocab = keyword_task
+        ckpt, _ = train(small_config(), train_set, valid_set, vocab, snapshot=snapshot)
+        assert_views_of_one_buffer(ckpt.params.store)
+
+    def test_loaded_tensors_are_views_of_the_buffer(self, tmp_path, keyword_task):
+        train_set, valid_set, vocab = keyword_task
+        ckpt, _ = train(small_config(), train_set, valid_set, vocab)
+        ckpt.save(tmp_path / "ckpt")
+        assert_views_of_one_buffer(Checkpoint.load(tmp_path / "ckpt").params.store)
+
+    @pytest.mark.parametrize("encoder", ["bigru", "le"])
+    def test_two_sgd_steps_per_batch(self, keyword_task, monkeypatch, encoder):
+        # one over the dense parameters, one in LazyRowSGD.step for W_e's rows
+        train_set, valid_set, vocab = keyword_task
+        calls = []
+        monkeypatch.setattr(tr, "sgd_step", lambda *a: calls.append(a[0].size) or sgd_step(*a))
+        cfg = small_config(encoder=encoder, max_epochs=2)
+        store = tr._fresh_model(cfg, len(vocab), 2, np.random.default_rng(0)).store
+        dense = store.buffer.size - store["W_e"].size
+        _, history = train(cfg, train_set, valid_set, vocab)
+        batches = len(history.records) * -(-len(train_set) // cfg.batch)
+        assert len(calls) == 2 * batches
+        assert calls.count(dense) == batches
+
+
 class TestTrainLoop:
     def test_same_seed_bit_identical_history_and_weights(self, keyword_task):
         train_set, valid_set, vocab = keyword_task
@@ -147,13 +186,13 @@ class TestTrainLoop:
         h1, h2 = runs[0][1], runs[1][1]
         assert [(r.epoch, r.train_loss, r.valid_acc) for r in h1.records] == \
                [(r.epoch, r.train_loss, r.valid_acc) for r in h2.records]
-        for p1, p2 in zip(runs[0][0].params.store, runs[1][0].params.store):
-            np.testing.assert_array_equal(p1.value, p2.value)
+        np.testing.assert_array_equal(runs[0][0].params.store.buffer,
+                                      runs[1][0].params.store.buffer)
 
     def test_pad_embedding_row_stays_zero(self, keyword_task):
         train_set, valid_set, vocab = keyword_task
         ckpt, _ = train(small_config(), train_set, valid_set, vocab)
-        np.testing.assert_array_equal(ckpt.params.store["W_e"].value[PAD_ID], 0.0)
+        np.testing.assert_array_equal(ckpt.params.store["W_e"][PAD_ID], 0.0)
 
     def test_literal_pad_token_leaves_pad_row_zero(self):
         # a "<pad>" in the text encodes to UNK_ID, never to PAD_ID, so no
@@ -168,7 +207,7 @@ class TestTrainLoop:
         assert train_set.documents[0].ids[0] == UNK_ID
         for encoder in ("bigru", "le"):
             ckpt, _ = train(small_config(encoder=encoder), train_set, valid_set, vocab)
-            np.testing.assert_array_equal(ckpt.params.store["W_e"].value[PAD_ID], 0.0)
+            np.testing.assert_array_equal(ckpt.params.store["W_e"][PAD_ID], 0.0)
 
     def test_final_snapshot_catches_up_never_read_rows(self):
         # a vocabulary row that no document reads only decays; after train
@@ -182,12 +221,12 @@ class TestTrainLoop:
         cfg = small_config(encoder="le", weight_decay=0.01)
         ckpt, hist = train(cfg, train_set, valid_set, vocab, snapshot="final")
         rng = np.random.Generator(np.random.PCG64(cfg.seed))
-        p = tr._fresh_model(cfg, len(vocab), 2, rng).store["W_e"].value[row].astype(np.float64)
+        p = tr._fresh_model(cfg, len(vocab), 2, rng).store["W_e"][row].astype(np.float64)
         v = np.zeros_like(p)
         for _ in range(len(hist.records) * -(-len(train_set) // cfg.batch)):
             v = cfg.momentum * v + cfg.weight_decay * p
             p = p - cfg.lr * v
-        np.testing.assert_allclose(ckpt.params.store["W_e"].value[row], p, rtol=1e-5)
+        np.testing.assert_allclose(ckpt.params.store["W_e"][row], p, rtol=1e-5)
 
     @pytest.mark.parametrize("snapshot", ["best", "final"])
     @pytest.mark.parametrize(("encoder", "ctx"), [
@@ -214,9 +253,9 @@ class TestTrainLoop:
         assert lazy_hist.best_epoch == dense_hist.best_epoch
         np.testing.assert_allclose([r.train_loss for r in lazy_hist.records],
                                    [r.train_loss for r in dense_hist.records], rtol=1e-5)
-        for p_lazy, p_dense in zip(lazy.params.store, dense.params.store):
-            np.testing.assert_allclose(p_lazy.value, p_dense.value, rtol=1e-4, atol=1e-6,
-                                       err_msg=p_lazy.name)
+        for name, p_lazy in lazy.params.store.items():
+            np.testing.assert_allclose(p_lazy, dense.params.store[name], rtol=1e-4, atol=1e-6,
+                                       err_msg=name)
 
     def test_every_row_a_forward_pass_reads_is_current(self, monkeypatch):
         # training batches and the per-epoch validation read only rows that
@@ -337,13 +376,13 @@ class TestPretrained:
         plain = tr._fresh_model(small_config(), len(vocab), 2, np.random.default_rng(4))
         pre = tr._fresh_model(small_config(), len(vocab), 2, np.random.default_rng(4),
                               (ids, rows))
-        expected = plain.store["W_e"].value.copy()
+        expected = plain.store["W_e"].copy()
         expected[ids] = rows
-        assert pre.store["W_e"].value.tobytes() == expected.tobytes()
-        np.testing.assert_array_equal(pre.store["W_e"].value[PAD_ID], 0.0)
-        for p in plain.store:
-            if p.name != "W_e":
-                assert pre.store[p.name].value.tobytes() == p.value.tobytes(), p.name
+        assert pre.store["W_e"].tobytes() == expected.tobytes()
+        np.testing.assert_array_equal(pre.store["W_e"][PAD_ID], 0.0)
+        for name, value in plain.store.items():
+            if name != "W_e":
+                assert pre.store[name].tobytes() == value.tobytes(), name
 
     def test_heads_sweep_hands_the_rows_to_every_run(self, keyword_task, monkeypatch):
         seen = []
@@ -379,9 +418,9 @@ class TestBatchGraph:
         for seed in range(5):
             rng = np.random.default_rng(seed)
             params = init_model(vocab_size=12, num_classes=3, rng=rng, d=6, h=3, m=3,
-                                mlp_hidden=8, dropout=0.0, encoder=encoder, ctx=ctx)
-            for p in params.store:
-                p.value = rng.uniform(-0.6, 0.6, size=p.value.shape)
+                                mlp_hidden=8, dropout=0.0, encoder=encoder, ctx=ctx,
+                                dtype=np.float64)
+            params.store.buffer[...] = rng.uniform(-0.6, 0.6, size=params.store.buffer.size)
             docs = ragged_docs(rng, [3, 7, 1, 5, 9, 5], 12, 3)
             objective = ObjectiveConfig(regularizer, 0.2)
 
@@ -413,7 +452,7 @@ class TestBatchGraph:
                             mlp_hidden=8, ctx=ctx, encoder=encoder)
         docs = ragged_docs(rng, [3, 1, 6], 12, 3)
         groups = tr._group_ids(docs)
-        rows = ad.leaf(params.store["W_e"].value[groups.unique], requires_grad=True)
+        rows = ad.leaf(params.store["W_e"][groups.unique], requires_grad=True)
         graphs = []
 
         def recorded_forward_batch(*args, **kw):
@@ -424,9 +463,9 @@ class TestBatchGraph:
         nodes = params.store.nodes()
         tr._backward_batch(params, nodes, docs, ObjectiveConfig(regularizer, 0.2), rng,
                            (groups, rows))
-        for p in params.store:
-            if p.name != "W_e":
-                assert nodes[p.name].grad.shape == p.value.shape, p.name
+        for name, value in params.store.items():
+            if name != "W_e":
+                assert nodes[name].grad.shape == value.shape, name
         assert nodes["W_e"].grad is None and PAD_ID not in groups.unique
         assert rows.grad.shape == (groups.unique.size, 6)
         assert np.abs(rows.grad).sum(axis=1).min() > 0
@@ -644,9 +683,8 @@ class TestCheckpointIO:
         assert loaded.config == ckpt.config
         assert loaded.label_names == ckpt.label_names
         assert loaded.vocab.id_to_token == vocab.id_to_token
-        for p_old, p_new in zip(ckpt.params.store, loaded.params.store):
-            assert p_old.name == p_new.name
-            np.testing.assert_array_equal(p_old.value.astype(np.float32), p_new.value)
+        assert loaded.params.store.names() == ckpt.params.store.names()
+        np.testing.assert_array_equal(ckpt.params.store.buffer, loaded.params.store.buffer)
 
     def test_loaded_checkpoint_predicts_identically(self, tmp_path, keyword_task):
         train_set, valid_set, vocab = keyword_task
@@ -655,6 +693,41 @@ class TestCheckpointIO:
         ckpt.save(out)
         loaded = Checkpoint.load(out)
         assert evaluate(loaded, valid_set) == evaluate(ckpt, valid_set)
+
+    def test_checkpoint_of_the_per_tensor_writer_loads_and_evaluates_identically(
+            self, tmp_path):
+        # data/checkpoint-0.1.0 was written tensor by tensor, before the
+        # parameters shared one buffer; expected.json holds what evaluating
+        # it gave then. Probabilities are compared to float32 rounding, as
+        # another BLAS kernel may sum a product in another order
+        data = Path(__file__).parent / "data" / "checkpoint-0.1.0"
+        expected = json.loads((data / "expected.json").read_text())
+        ckpt = Checkpoint.load(data / "checkpoint")
+        dataset = load_dataset(data / "eval.tsv", ckpt.vocab, ckpt.config.max_len,
+                               label_names=ckpt.label_names, split="eval")
+        assert evaluate(ckpt, dataset).to_dict() == expected["metrics"]
+        probs = np.concatenate([fw.probs.value for _, fw in
+                                tr.forward_chunks(ckpt.params, dataset.documents)], axis=1)
+        np.testing.assert_allclose(probs, expected["probs"], rtol=1e-5, atol=1e-7)
+        ckpt.save(tmp_path / "again")
+        for name in ("config.json", "weights.bin", "vocab.txt"):
+            assert (tmp_path / "again" / name).read_bytes() == \
+                (data / "checkpoint" / name).read_bytes()
+
+    def test_save_writes_the_buffer_without_a_copy(self, tmp_path, keyword_task):
+        train_set, _, vocab = keyword_task
+        cfg = small_config(mlp_hidden=20_000)  # cls.W1 makes the buffer 2.6 MB
+        ckpt = Checkpoint(cfg, vocab, list(train_set.label_names),
+                          tr._fresh_model(cfg, len(vocab), 2, np.random.default_rng(0)))
+        tracemalloc.start()
+        try:
+            ckpt.save(tmp_path / "ckpt")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < ckpt.params.store.buffer.nbytes / 8
+        assert (tmp_path / "ckpt" / "weights.bin").read_bytes() == \
+            ckpt.params.store.buffer.tobytes()
 
     def test_save_twice_is_byte_identical(self, tmp_path, keyword_task):
         train_set, valid_set, vocab = keyword_task
@@ -711,7 +784,7 @@ class TestCheckpointIO:
         start = entry["offset"] // 4
         blob[start:start + int(np.prod(entry["shape"]))] = 3e38
         blob.tofile(out / "weights.bin")
-        W1 = Checkpoint.load(out).params.store["cls.W1"].value
+        W1 = Checkpoint.load(out).params.store["cls.W1"]
         assert W1.size > 1 and (W1 == np.float32(3e38)).all()
 
     def test_save_over_existing_checkpoint_never_deletes_it_first(
@@ -749,9 +822,8 @@ class TestCheckpointIO:
             monkeypatch.setattr(np.random, name, no_generator)
         loaded = Checkpoint.load(tmp_path / "ckpt")
         monkeypatch.undo()
-        for saved, read in zip(ckpt.params.store, loaded.params.store):
-            assert saved.name == read.name
-            np.testing.assert_array_equal(saved.value, read.value)
+        assert loaded.params.store.names() == ckpt.params.store.names()
+        np.testing.assert_array_equal(ckpt.params.store.buffer, loaded.params.store.buffer)
         assert evaluate(loaded, valid_set) == evaluate(ckpt, valid_set)
 
     def test_missing_checkpoint_raises_checkpoint_error(self, tmp_path):
