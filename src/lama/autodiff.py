@@ -12,6 +12,13 @@ Leaf gradients are never reset: each ``backward`` call adds into the
 A non-leaf node's ``.grad`` is dropped as soon as its pullbacks have run,
 so a walk over a large graph holds only the gradients still in flight.
 
+A pullback returns either a fresh array that nothing else holds, or the
+incoming gradient or a view (of it or of any other array). ``backward``
+adopts a fresh array as a parent's first ``.grad`` as it is, and copies
+anything else (identity, ``transpose``, ``reshape``, an unchanged
+``_unbroadcast``, the GRU's per-tensor views), since two parents may be
+handed the same memory and each one's gradient is later added into.
+
 Every primitive validates shapes up front and checks its output for
 NaN/Inf, so a non-finite value never propagates silently.
 
@@ -479,8 +486,9 @@ def backward(root: Node) -> None:
                 continue
             contrib = pull(node.grad)
             if parent.grad is None:
-                # a copy: a pullback may hand the same array to two parents
-                parent.grad = np.array(contrib, dtype=parent.value.dtype)
+                fresh = (contrib is not node.grad and contrib.base is None
+                         and contrib.dtype == parent.value.dtype)
+                parent.grad = contrib if fresh else np.array(contrib, dtype=parent.value.dtype)
             else:
                 parent.grad += contrib
         if node.parents:

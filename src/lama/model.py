@@ -56,10 +56,21 @@ from .text import PAD_ID
 
 ENCODER_BIGRU = "bigru"
 ENCODER_LE = "le"
-# 1 GiB of float32 weights in the one buffer; training holds as much again
-# in velocities and in gradients, so a larger model cannot train on a small
-# host anyway
+# 1 GiB of float32 weights in the one buffer; training holds about twice
+# that again (velocities, the dense tail's gradient and one best-epoch
+# snapshot, see ``training``), so a larger model cannot train on a small host
+# anyway
 MAX_PARAMS = 2**28
+# values per block of a whole-table pass (W_e's init draw here, the catch-up
+# and the momentum step in ``training``), so its temporaries stay this small
+BLOCK = 2**16
+
+
+def row_blocks(shape: tuple):
+    """Slices of whole first-axis rows, about ``BLOCK`` values each (at
+    least one row), that cover an array of ``shape`` in order."""
+    rows = max(1, BLOCK // max(1, math.prod(shape[1:])))
+    return (slice(lo, lo + rows) for lo in range(0, shape[0], rows))
 
 
 class ParamStore:
@@ -149,8 +160,12 @@ def init_model(vocab_size: int, num_classes: int, rng: np.random.Generator, *,
                           mlp_hidden=mlp_hidden)  # rejects an invalid combination
     d_ann = shapes["attn.W_w"][0]
     store = ParamStore(shapes, dtype=dtype)
-    store["W_e"][...] = rng.uniform(-0.1, 0.1, size=(vocab_size, d))
-    store["W_e"][PAD_ID] = 0.0
+    # drawn a block of rows at a time, straight into the buffer: the same
+    # float64 stream as one whole-table draw, without its temporary
+    W_e = store["W_e"]
+    for rows in row_blocks(W_e.shape):
+        W_e[rows] = rng.uniform(-0.1, 0.1, size=W_e[rows].shape)
+    W_e[PAD_ID] = 0.0
     parts = []
     if encoder == ENCODER_BIGRU:
         parts += [(prefix, gru.init_gru_arrays(d, h, rng, dtype))

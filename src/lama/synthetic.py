@@ -24,8 +24,15 @@ SVC_GOOD = ["friendly", "attentive"]
 SVC_BAD = ["rude", "slow"]
 
 
+def _pick(rng: np.random.Generator, items: list, size: int) -> list:
+    """``size`` items drawn with replacement: the draws of
+    ``rng.choice(items, size=size)``, without converting ``items`` to an
+    array."""
+    return [items[i] for i in rng.integers(0, len(items), size=size)]
+
+
 def _doc(rng: np.random.Generator, markers: list, length: int) -> str:
-    tokens = list(rng.choice(FILLERS, size=length))
+    tokens = _pick(rng, FILLERS, length)
     for marker in markers:
         tokens.insert(int(rng.integers(0, len(tokens) + 1)), marker)
     return " ".join(tokens)
@@ -39,7 +46,7 @@ def keyword_pairs(n: int, seed: int) -> list[tuple[str, str]]:
     for i in range(n):
         label = "pos" if i % 2 == 0 else "neg"
         family = POS_MARKERS if label == "pos" else NEG_MARKERS
-        markers = list(rng.choice(family, size=int(rng.integers(2, 4))))
+        markers = _pick(rng, family, int(rng.integers(2, 4)))
         pairs.append((label, _doc(rng, markers, int(rng.integers(6, 13)))))
     return pairs
 
@@ -59,12 +66,12 @@ def multi_aspect_pairs(n: int, seed: int) -> list[tuple[str, str]]:
         else:
             food, svc = [(False, False), (False, True), (True, False)][int(rng.integers(3))]
         half = int(rng.integers(8, 13))
-        front = list(rng.choice(FILLERS, size=half))
-        back = list(rng.choice(FILLERS, size=half))
-        for marker in rng.choice(FOOD_GOOD if food else FOOD_BAD, size=2):
-            front.insert(int(rng.integers(0, len(front) + 1)), str(marker))
-        for marker in rng.choice(SVC_GOOD if svc else SVC_BAD, size=2):
-            back.insert(int(rng.integers(0, len(back) + 1)), str(marker))
+        front = _pick(rng, FILLERS, half)
+        back = _pick(rng, FILLERS, half)
+        for marker in _pick(rng, FOOD_GOOD if food else FOOD_BAD, 2):
+            front.insert(int(rng.integers(0, len(front) + 1)), marker)
+        for marker in _pick(rng, SVC_GOOD if svc else SVC_BAD, 2):
+            back.insert(int(rng.integers(0, len(back) + 1)), marker)
         label = "pos" if (food and svc) else "neg"
         pairs.append((label, " ".join(front + back)))
     return pairs

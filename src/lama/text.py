@@ -119,10 +119,10 @@ def build_vocab(corpus, min_count: int = 5) -> Vocab:
     if ndocs == 0 or not counts:
         raise EmptyCorpusError("cannot build a vocabulary from an empty corpus")
     reserved = [PAD_TOKEN, UNK_TOKEN]
-    kept = sorted(
-        (t for t, c in counts.items() if c >= min_count and t not in reserved),
-        key=lambda t: (-counts[t], t),
-    )
+    # by token, then stably by descending count: the order of the key
+    # (-count, token), without building a tuple per token
+    kept = sorted(t for t, c in counts.items() if c >= min_count and t not in reserved)
+    kept.sort(key=counts.__getitem__, reverse=True)
     id_to_token = reserved + kept
     return Vocab({t: i for i, t in enumerate(id_to_token)}, id_to_token)
 

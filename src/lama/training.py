@@ -31,14 +31,25 @@ update in real arithmetic, not bit for bit. One sort of a batch's ids
 spreading of its rows over the positions and their step. No embedding
 row is special: the PAD row starts at zero with zero velocity, and since
 padding is trimmed before the lookup and no text encodes to ``PAD_ID``,
-it is never gathered and stays zero. A best-epoch snapshot is one copy
-of the buffer, and restoring it copies it back in place.
+it is never gathered and stays zero. The best-epoch snapshot is one
+array the size of the buffer: the first improving epoch copies the buffer,
+each later one copies it into that array in place, and the end of the run
+copies it back.
+
+So a run holds the parameter buffer, ``W_e``'s velocity, the dense
+tail's velocity and gradient, one snapshot and, for its whole-table
+passes, one block: the catch-up of every row and ``sgd_step`` work on
+``model.row_blocks`` of about ``model.BLOCK`` values, so their
+temporaries are that small however large the table is. A batch's graph
+and its gathered rows come on top; they depend on the batch, not on the
+vocabulary.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import numbers
 import os
 import shutil
 import time
@@ -51,7 +62,7 @@ from . import __version__
 from . import autodiff as ad
 from .classifier import ObjectiveConfig, REGULARIZERS
 from .model import (ENCODER_BIGRU, ModelParams, ParamStore, batch_objective, forward_batch,
-                    init_model, param_layout, param_shapes)
+                    init_model, param_layout, param_shapes, row_blocks)
 # test_perfbench.py::test_install_patches_callers_namespaces_and_uninstall_restores reads this
 from .model import forward_doc  # noqa: F401
 from .text import Dataset, TextError, Vocab
@@ -113,8 +124,11 @@ class TrainConfig:
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
         for name in ("lr", "momentum", "weight_decay", "dropout", "lam"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise ValueError(f"{name} must be a real number, got {value!r}")
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if not 0.0 <= self.dropout < 1.0:
             raise ValueError("dropout must be in [0, 1)")
         if not 0.0 <= self.momentum < 1.0:
@@ -153,14 +167,18 @@ def sgd_step(param: np.ndarray, grad: np.ndarray, velocity: np.ndarray,
 
     ``param`` and ``velocity`` are updated and ``grad`` is used as scratch.
     The ops and their order are those of the out-of-place formula, so the
-    result has the same bits.
+    result has the same bits. They run on ``model.row_blocks``, views of
+    whole rows, so the temporaries ``wd p`` and ``lr v`` are no larger than
+    a block.
     """
     if param.shape != grad.shape or param.shape != velocity.shape:
         raise ad.ShapeMismatchError("sgd_step", param.shape, grad.shape, velocity.shape)
-    grad += weight_decay * param
-    velocity *= momentum
-    velocity += grad
-    param -= lr * velocity
+    for rows in row_blocks(param.shape):
+        p, g, v = param[rows], grad[rows], velocity[rows]
+        g += weight_decay * p
+        v *= momentum
+        v += g
+        p -= lr * v
 
 
 class LazyRowSGD:
@@ -182,7 +200,14 @@ class LazyRowSGD:
         self.last = np.zeros(len(value), dtype=np.int64)
 
     def catch_up(self, rows: np.ndarray | None = None) -> None:
-        rows = np.flatnonzero(self.last < self.steps) if rows is None else rows
+        """Bring ``rows`` up to the current step. With no rows, every stale
+        row is, one block of ``model.row_blocks`` after another, so the
+        gathers and products stay the size of a block; a row gets the same
+        ops as in a call that names it."""
+        if rows is None:
+            for block in row_blocks(self.value.shape):
+                self.catch_up(block.start + np.flatnonzero(self.last[block] < self.steps))
+            return
         k = self.steps - self.last[rows]
         rows, k = rows[k > 0], k[k > 0]
         if not rows.size:
@@ -269,6 +294,8 @@ class Checkpoint:
             vocab = Vocab.load(os.path.join(ckpt_dir, "vocab.txt"))
             config = TrainConfig(**meta["config"])
             labels = list(meta["labels"])
+            if len(set(labels)) < len(labels):
+                raise ValueError(f"repeated label names in {labels}")
             # compared as read: a fractional or quoted number matches nothing
             entries = [(e["name"], tuple(e["shape"]), e["offset"]) for e in meta["tensors"]]
             shapes = param_shapes(len(vocab), len(labels), d=config.d, h=config.h,
@@ -422,7 +449,13 @@ def train(config: TrainConfig, train_set: Dataset, valid_set: Dataset,
             best_acc = valid_acc
             history.best_epoch = epoch
             rows_sgd.catch_up()
-            best_buffer = store.buffer.copy()
+            # a copy at the first improvement, in place after it; allocated
+            # before the first batch instead, it tripled the minor page
+            # faults of a zipf benchmark run and slowed training and serving
+            if best_buffer is None:
+                best_buffer = store.buffer.copy()
+            else:
+                best_buffer[...] = store.buffer
             bad_epochs = 0
         else:
             bad_epochs += 1

@@ -154,6 +154,34 @@ class TestBackward:
         assert isinstance(w.grad, np.ndarray)
         np.testing.assert_allclose(w.grad, expected, rtol=1e-15)
 
+    def test_a_sum_of_a_node_with_itself_gets_its_own_array(self):
+        # add's pullbacks hand the incoming gradient to both parents; the
+        # first one copies it, so the second adds into that copy alone
+        a = ad.leaf(np.ones((2, 3)), requires_grad=True)
+        s = ad.add(a, a)
+        ad.backward(total(s))
+        np.testing.assert_array_equal(a.grad, np.full((2, 3), 2.0))
+
+    def test_an_identity_pullback_gives_each_parent_its_own_array(self):
+        a = ad.leaf(np.ones((2, 3)), requires_grad=True)
+        b = ad.leaf(np.ones((2, 3)), requires_grad=True)
+        s = ad.add(a, b)
+        root = ad.add(total(s), ad.frobenius_sq(a))  # a gets a second contribution
+        ad.backward(root)
+        assert not np.shares_memory(a.grad, b.grad)
+        np.testing.assert_array_equal(b.grad, np.ones((2, 3)))
+        np.testing.assert_array_equal(a.grad, np.full((2, 3), 3.0))
+
+    def test_a_fresh_pullback_result_is_adopted_without_a_copy(self):
+        rng = np.random.default_rng(8)
+        a = ad.leaf(rand(rng, 3, 2), requires_grad=True)
+        t = ad.tanh(a)
+        handed = []
+        pull = t.parents[0][1]
+        t.parents = ((a, lambda g: handed.append(pull(g)) or handed[-1]),)
+        ad.backward(total(t))
+        assert a.grad is handed[0]
+
     def test_non_leaf_gets_a_dense_gradient(self):
         x = ad.leaf(np.ones((3, 2)), requires_grad=True)
         ad.backward(total(ad.hadamard(ad.take_rows(ad.tanh(x), [0, 2]),

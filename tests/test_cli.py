@@ -376,6 +376,28 @@ class TestEval:
         assert code == cli.EXIT_IO
         assert err.endswith(f": tensor {tensor} holds a non-finite value"), err
 
+    @pytest.mark.parametrize("edit,message", [
+        (lambda meta: meta.update(labels=["pos", "pos"]),
+         "repeated label names in ['pos', 'pos']"),
+        (lambda meta: meta["config"].update(lr=True), "lr must be a real number, got True"),
+        (lambda meta: meta["config"].update(dropout="0.1"),
+         "dropout must be a real number, got '0.1'"),
+    ], ids=["repeated-labels", "bool-lr", "quoted-dropout"])
+    def test_config_fields_of_the_wrong_kind_are_io_errors(self, tmp_path, capsys, edit,
+                                                           message):
+        # on a copy of the checkpoint kept under tests/data: repeated labels
+        # would be blamed on the eval data (exit 4), a bool lr would load
+        data = Path(__file__).parent / "data" / "checkpoint-0.1.0"
+        ckpt = tmp_path / "ckpt"
+        shutil.copytree(data / "checkpoint", ckpt)
+        _edit_config(edit)(ckpt)
+        capsys.readouterr()
+        code = run_cli("eval", "--checkpoint", ckpt, "--data", data / "eval.tsv",
+                       "--out", tmp_path / "out")
+        err = capsys.readouterr().err.strip().splitlines()
+        assert code == cli.EXIT_IO
+        assert len(err) == 1 and err[0].endswith(message), err
+
 
 @pytest.fixture(scope="module")
 def export(workspace, tmp_path_factory):

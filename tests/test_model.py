@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from conftest import assert_views_of_one_buffer, graph_nodes
@@ -86,6 +88,32 @@ class TestInit:
         a = tiny_model(np.random.default_rng(5))
         b = tiny_model(np.random.default_rng(5))
         np.testing.assert_array_equal(a.store.buffer, b.store.buffer)
+
+    @pytest.mark.parametrize("encoder", ["bigru", "le"])
+    def test_blocked_embedding_draw_is_the_whole_table_draw(self, monkeypatch, encoder):
+        # W_e spans several blocks and ends in a partial one; a block as
+        # large as the table is the one whole-table draw
+        dims = dict(vocab_size=5000, num_classes=3, d=40, h=3, m=2, mlp_hidden=8,
+                    encoder=encoder)
+        rngs = [np.random.default_rng(5), np.random.default_rng(5)]
+        blocked = mdl.init_model(rng=rngs[0], **dims)
+        monkeypatch.setattr(mdl, "BLOCK", 2**62)
+        whole = mdl.init_model(rng=rngs[1], **dims)
+        assert blocked.store.buffer.tobytes() == whole.store.buffer.tobytes()
+        assert rngs[0].random() == rngs[1].random()
+
+    def test_init_holds_the_buffer_and_one_block(self):
+        # the float64 draw of one block of W_e is the only temporary; a few
+        # KiB of Python objects (the store's views and layout) come on top
+        models = []
+        tracemalloc.start()
+        try:
+            models.append(mdl.init_model(20_000, 2, np.random.default_rng(0), d=32, h=4, m=1,
+                                         mlp_hidden=8, encoder="le"))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= models[0].store.buffer.nbytes + mdl.BLOCK * 8 + 2**14
 
 
 class TestForward:

@@ -84,6 +84,16 @@ class TestBuildVocab:
         vocab = build_vocab(corpus, min_count=1)
         assert vocab.id_to_token[2:] == ["a", "b", "c"]
 
+    def test_order_is_descending_count_then_token(self):
+        # many ties: the reference is the key (-count, token)
+        rng = np.random.default_rng(1)
+        for _ in range(10):
+            docs = [[f"w{rng.integers(0, 60)}" for _ in range(20)] for _ in range(15)]
+            counts = Counter(t for d in docs for t in d)
+            kept = [t for t in counts if counts[t] >= 2]
+            expected = sorted(kept, key=lambda t: (-counts[t], t))
+            assert build_vocab(docs, min_count=2).id_to_token[2:] == expected
+
     def test_empty_corpus_rejected(self):
         with pytest.raises(EmptyCorpusError):
             build_vocab([], min_count=1)

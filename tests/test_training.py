@@ -10,12 +10,24 @@ from conftest import assert_views_of_one_buffer, graph_nodes
 from lama import autodiff as ad
 from lama import training as tr
 from lama.classifier import REGULARIZERS, ObjectiveConfig
-from lama.model import batch_objective, doc_objective, forward_batch, forward_doc, init_model
+from lama.model import (BLOCK, batch_objective, doc_objective, forward_batch, forward_doc,
+                        init_model)
 from lama.synthetic import keyword_pairs, make_task, pairs_to_dataset
 from lama.text import PAD_ID, UNK_ID, Document, build_vocab, load_dataset, tokenize
 from lama.training import (Checkpoint, CheckpointError, DivergenceError, EvalMetrics,
                            LabelMismatchError, LazyRowSGD, TrainConfig, evaluate,
                            heads_sweep, sgd_step, train)
+
+
+def traced_peak(fn):
+    """The peak of the memory traced while ``fn`` runs, in bytes; numpy
+    reports its array buffers to tracemalloc."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def step(p, g, v, **kw):
@@ -55,12 +67,13 @@ class TestSgdStep:
                         lr=0.1, momentum=0.0, weight_decay=0.01)
         np.testing.assert_allclose(new_p, [[10.0 - 0.1 * 0.1]])
 
-    def test_bit_identical_to_out_of_place_formula(self):
+    def test_bit_identical_to_out_of_place_formula(self, shape=(50, 20)):
         # the in-place ops run in the order of v <- mu v + (g + wd p);
-        # p <- p - lr v written with fresh arrays, so every bit matches
+        # p <- p - lr v written with fresh arrays, so every bit matches,
+        # block by block
         rng = np.random.default_rng(7)
         lr, mu, wd = 0.05, 0.9, 1e-4
-        p = rng.standard_normal((50, 20)).astype(np.float32)
+        p = rng.standard_normal(shape).astype(np.float32)
         v = np.zeros_like(p)
         ref_p, ref_v = p.copy(), v.copy()
         for _ in range(6):
@@ -71,6 +84,17 @@ class TestSgdStep:
             assert p.dtype == v.dtype == np.float32
             assert p.tobytes() == ref_p.tobytes() and v.tobytes() == ref_v.tobytes()
 
+    @pytest.mark.parametrize("shape", [(3000, 50), (2 * BLOCK + 3,)],
+                             ids=["rows-over-blocks", "flat-over-blocks"])
+    def test_bit_identical_over_several_blocks(self, shape):
+        self.test_bit_identical_to_out_of_place_formula(shape)
+
+    def test_temporaries_stay_within_a_block(self):
+        rng = np.random.default_rng(8)
+        p, g, v = (rng.standard_normal(16 * BLOCK).astype(np.float32) for _ in range(3))
+        peak = traced_peak(lambda: sgd_step(p, g, v, 0.05, 0.9, 1e-4))
+        assert peak < p.nbytes / 4
+
     def test_shape_mismatch_rejected(self):
         with pytest.raises(Exception, match="sgd_step"):
             sgd_step(np.ones((2, 2)), np.ones((2, 3)), np.ones((2, 2)),
@@ -78,6 +102,29 @@ class TestSgdStep:
 
 
 class TestLazyRowSGD:
+    def test_catch_up_of_every_row_walks_blocks_with_the_row_formula(self):
+        # 2^21 values, 32 blocks; stale rows (owing 1 to 7 steps) and
+        # current ones are mixed within each block
+        rng = np.random.default_rng(12)
+        shape = (2**14, 128)
+        value = rng.standard_normal(shape).astype(np.float32)
+        velocity = rng.standard_normal(shape).astype(np.float32)
+        last = rng.integers(0, 8, size=shape[0])
+        tables = []
+        for _ in range(2):
+            lazy = LazyRowSGD(value.copy(), 0.05, 0.9, 1e-4)
+            lazy.velocity[:] = velocity
+            lazy.last[:] = last
+            lazy.steps = 7
+            tables.append(lazy)
+        blocked, by_rows = tables
+        by_rows.catch_up(np.arange(shape[0]))
+        peak = traced_peak(blocked.catch_up)
+        assert blocked.value.tobytes() == by_rows.value.tobytes()
+        assert blocked.velocity.tobytes() == by_rows.velocity.tobytes()
+        assert (blocked.last == 7).all() and (value != blocked.value).any()
+        assert peak < value.nbytes / 4
+
     def test_equals_dense_steps_in_float64(self):
         # random row gradients with repeats; the last rows and PAD are never
         # touched, and rows are read (caught up) at arbitrary steps
@@ -147,6 +194,18 @@ class TestTrainConfig:
         with pytest.raises(ValueError, match=f"^{name} must be an int, got "):
             small_config(**{name: value})
 
+    @pytest.mark.parametrize("name", ["lr", "momentum", "weight_decay", "dropout", "lam"])
+    @pytest.mark.parametrize("value", [True, False, "0.1", None, [0.1]])
+    def test_real_fields_take_only_real_numbers(self, name, value):
+        # a bool is an int to isinstance, and a string would reach
+        # math.isfinite's TypeError
+        with pytest.raises(ValueError, match=f"^{name} must be a real number, got "):
+            small_config(**{name: value})
+
+    @pytest.mark.parametrize("value", [0, np.float32(0.25), np.float64(0.5)])
+    def test_real_fields_take_ints_and_numpy_floats(self, value):
+        assert small_config(dropout=value, lam=value).lam == value
+
 
 class TestFlatBuffer:
     @pytest.mark.parametrize("snapshot", ["best", "final"])
@@ -174,6 +233,28 @@ class TestFlatBuffer:
         batches = len(history.records) * -(-len(train_set) // cfg.batch)
         assert len(calls) == 2 * batches
         assert calls.count(dense) == batches
+
+    def test_two_improving_epochs_hold_one_snapshot(self):
+        # W_e is nearly all of the buffer; a run holds the buffer, W_e's
+        # velocity, one snapshot and its last-step counters (int64 per row),
+        # plus one block in the whole-table passes. A second snapshot would
+        # add a buffer
+        pairs = keyword_pairs(64, seed=11)
+        words = build_vocab([tokenize(t) for _, t in pairs], min_count=1).id_to_token
+        tokens = words + [f"unused{i}" for i in range(200_000 - len(words))]
+        vocab = tr.Vocab({t: i for i, t in enumerate(tokens)}, tokens)
+        train_set = pairs_to_dataset(pairs, vocab, 32)
+        valid_set = pairs_to_dataset(keyword_pairs(16, seed=12), vocab, 32,
+                                     label_names=train_set.label_names, split="valid")
+        cfg = small_config(encoder="le", d=8, m=1, mlp_hidden=4, max_epochs=4, patience=4)
+        runs = []
+        peak = traced_peak(lambda: runs.append(train(cfg, train_set, valid_set, vocab)))
+        ckpt, history = runs[0]
+        accs = [r.valid_acc for r in history.records]
+        improving = [a > max(accs[:i], default=-1.0) for i, a in enumerate(accs)]
+        assert sum(improving) >= 2, accs
+        buffer = ckpt.params.store.buffer.nbytes
+        assert peak < 3 * buffer + 8 * len(vocab) + buffer / 2
 
 
 class TestTrainLoop:
