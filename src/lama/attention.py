@@ -5,8 +5,7 @@ factorized as the outer product p_i q_i^T, which collapses the m scores
 into a Hadamard product of two projections: F[:, t] = (P^T c) o (Q^T u_t).
 The m x L score matrix then runs through tanh, a per-word L2 normalization
 across heads, and a row-wise softmax to give each head a distribution over
-words. A dense (unfactorized) single-head scorer is kept as the exactness
-oracle for the factorized path.
+words.
 
 Every function here works on the valid positions of a minibatch's
 documents, packed back to back as the runs of the one ``autodiff.runs``
@@ -19,8 +18,7 @@ projection look only at a word's own row. So when the annotations depend
 on the token alone (the embedding-only encoder), ``attend`` runs those two
 once per distinct token of the batch and spreads the m projected scores
 over the words with ``autodiff.expand``; everything from the
-(P^T c) Hadamard on stays per word. ``attend`` can lay one document's
-attention out over the padded width for export, padded columns exactly 0.
+(P^T c) Hadamard on stays per word.
 
 With a single head (m = 1) the L2 step normalizes each word's column of
 one score by its own magnitude, so every word scores exactly +1 or -1
@@ -77,14 +75,6 @@ def word_transform(H: Node, W_w: Node, b_w: Node) -> Node:
     return ad.tanh(ad.add(ad.matmul(H, ad.transpose(W_w)), ad.transpose(b_w)))
 
 
-def single_head_scores(U: Node, c: Node, W_i: Node) -> tuple[Node, Node]:
-    """Dense bilinear oracle: f_t = c^T W_i u_t, softmax over t."""
-    if W_i.shape != (c.shape[0], U.shape[1]):
-        raise ad.ShapeMismatchError("single_head_scores", W_i.shape, c.shape, U.shape)
-    f = ad.matmul(ad.matmul(ad.transpose(c), W_i), ad.transpose(U))  # 1 x T
-    return f, ad.softmax(f, axis=1)
-
-
 def lama_scores(U: Node, c: Node, P: Node, Q: Node, groups: ad.Groups | None = None) -> Node:
     """All m head scores at once: column t of F is (P^T c) o (Q^T u_t), ``c``
     one context column for all words or one column per word.
@@ -127,30 +117,18 @@ class AttentionOutput:
     """Attention and sentence embeddings of the documents of ``runs``.
 
     ``A_valid``/``S``/``d_doc`` are the graph nodes the model trains
-    through, built from the valid positions (see ``sentence_embedding``);
-    ``total_length`` is the padded width that ``A`` lays them out over.
+    through, built from the valid positions (see ``sentence_embedding``).
     """
     A_valid: Node
     S: Node
     d_doc: Node
-    total_length: int
     runs: ad.Groups | None = None
-
-    @property
-    def A(self) -> np.ndarray:
-        """One document's ``A_valid`` over ``total_length`` positions, padded
-        columns exactly zero. Built on each read; the model never reads it."""
-        m, L = self.A_valid.shape
-        A = np.zeros((m, self.total_length), dtype=self.A_valid.value.dtype)
-        A[:, :L] = self.A_valid.value
-        return A
 
 
 def attend(H_valid: Node, c: Node, W_w: Node, b_w: Node, P: Node, Q: Node,
-           total_length: int | None = None, runs=None,
-           distinct: tuple[Node, ad.Groups] | None = None) -> AttentionOutput:
+           runs=None, distinct: tuple[Node, ad.Groups] | None = None) -> AttentionOutput:
     """Full pipeline over the valid annotation rows of the documents of
-    ``runs`` (one document when None), ``A`` padded to ``total_length``.
+    ``runs`` (one document when None).
 
     With the embedding-only encoder ``H_valid`` is the embedded rows
     themselves, so the attention dimension equals the embedding dimension.
@@ -158,9 +136,6 @@ def attend(H_valid: Node, c: Node, W_w: Node, b_w: Node, P: Node, Q: Node,
     ``ad.expand(rows, groups)``, runs the word transform and the Q
     projection on the distinct ``rows`` only.
     """
-    T = H_valid.shape[0] if total_length is None else total_length
-    if T < H_valid.shape[0]:
-        raise ad.ShapeMismatchError("attend", H_valid.shape, (T,))
     if distinct is None:
         F = lama_scores(word_transform(H_valid, W_w, b_w), c, P, Q)
     else:
@@ -168,5 +143,5 @@ def attend(H_valid: Node, c: Node, W_w: Node, b_w: Node, P: Node, Q: Node,
         F = lama_scores(word_transform(rows, W_w, b_w), c, P, Q, groups)
     A_valid = attention_matrix(F, runs)
     S, d_doc = sentence_embedding(A_valid, H_valid, runs)
-    return AttentionOutput(A_valid=A_valid, S=S, d_doc=d_doc, total_length=T, runs=runs)
+    return AttentionOutput(A_valid=A_valid, S=S, d_doc=d_doc, runs=runs)
 

@@ -60,7 +60,6 @@ column vectors draws the masks those columns would draw one at a time.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -494,60 +493,3 @@ def backward(root: Node) -> None:
         if node.parents:
             node.grad = None
 
-
-def dense_grad(node: Node) -> np.ndarray:
-    """``node.grad``; zeros when there is none."""
-    return np.zeros_like(node.value) if node.grad is None else node.grad
-
-
-# ---------------------------------------------------------------------------
-# finite-difference gradient checker
-# ---------------------------------------------------------------------------
-
-@dataclass
-class GradCheckReport:
-    max_rel_errors: list
-    tolerance: float
-    passed: bool = field(init=False)
-
-    def __post_init__(self):
-        self.passed = all(e <= self.tolerance for e in self.max_rel_errors)
-
-    def worst(self) -> float:
-        return max(self.max_rel_errors) if self.max_rel_errors else 0.0
-
-
-def grad_check(builder, params, step: float = 1e-5, tolerance: float = 1e-5) -> GradCheckReport:
-    """Compare analytic gradients against central finite differences.
-
-    ``builder`` takes a list of leaf Nodes (one per entry of ``params``) and
-    returns a scalar root; it must be deterministic. ``params`` are plain
-    arrays; they are copied, never mutated.
-    """
-    if step <= 0:
-        raise AutodiffError("grad_check: step must be positive")
-    base = [_as_matrix(np.array(p, dtype=np.float64), "grad_check") for p in params]
-
-    leaves = [leaf(p.copy(), requires_grad=True) for p in base]
-    root = builder(leaves)
-    backward(root)
-    analytic = [dense_grad(lf) for lf in leaves]
-
-    def value_at(arrays):
-        return builder([leaf(a) for a in arrays]).value.item()
-
-    errors = []
-    for k, p in enumerate(base):
-        worst = 0.0
-        for idx in np.ndindex(p.shape):
-            orig = p[idx]
-            plus = [a.copy() for a in base]
-            minus = [a.copy() for a in base]
-            plus[k][idx] = orig + step
-            minus[k][idx] = orig - step
-            num = (value_at(plus) - value_at(minus)) / (2.0 * step)
-            ana = float(analytic[k][idx])
-            rel = abs(ana - num) / max(abs(ana), abs(num), 1e-8)
-            worst = max(worst, rel)
-        errors.append(worst)
-    return GradCheckReport(errors, tolerance)

@@ -5,7 +5,10 @@ The counting functions mirror how the two attention designs spend
 parameters: the factorized model pays 2 * d_ann per extra head (the two new
 factor columns), while the transformer encoder's Q/K/V/output projections
 are d_model^2 regardless of how many ways they are split, so its count is
-constant in the head count.
+constant in the head count. The LAMA count is summed from
+``model.param_shapes``, the shapes ``init_model`` allocates, so it rejects
+what the model rejects; only the transformer encoder's count is written
+out here.
 
 Runtime measurements sweep the sequence length on synthetic batches and
 report the least-squares slope of log(time) against log(length); dimensions
@@ -18,6 +21,7 @@ gradient.
 
 from __future__ import annotations
 
+import math
 import time
 import warnings
 from dataclasses import dataclass, field
@@ -25,9 +29,15 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import attention, autodiff as ad
-from .model import MAX_PARAMS
+from .attention import CTX_LEARNED
+from .model import ENCODER_BIGRU, MAX_PARAMS, param_shapes
 
 MAX_TRIALS = 1000
+# ``lama_param_count``'s breakdown: the entry each ``param_shapes`` name
+# prefix counts towards, in report order
+_BREAKDOWN = {"W_e": "embeddings", "gru_": "bigru", "attn.W_w": "word_transform",
+              "attn.b_w": "word_transform", "attn.P": "attention_factors",
+              "attn.Q": "attention_factors", "attn.c": "context", "cls.": "classifier"}
 
 
 class BaselineError(Exception):
@@ -65,9 +75,10 @@ class ParamReport:
 
 
 def lama_param_count(d: int, h: int, m: int, vocab_size: int,
-                     mlp_hidden: int, num_classes: int, ctx: str = "learned",
+                     mlp_hidden: int, num_classes: int, ctx: str = CTX_LEARNED,
                      include_classifier: bool = True) -> ParamReport:
-    """Exact trainable-parameter count of the recurrent attention model.
+    """Exact trainable-parameter count of the recurrent attention model,
+    summed from ``model.param_shapes``; a model it rejects is a ValueError.
 
     With ``include_classifier=False`` the count covers the published
     comparison scope (embeddings + encoder + attention), where the only
@@ -76,17 +87,14 @@ def lama_param_count(d: int, h: int, m: int, vocab_size: int,
     classifier input (the flattened m x d_ann sentence matrix), adding
     mlp_hidden * d_ann per head on top.
     """
-    d_ann = 2 * h
-    breakdown = {
-        "embeddings": vocab_size * d,
-        "bigru": 2 * 3 * (h * d + h * h + h),
-        "word_transform": d_ann * d_ann + d_ann,
-        "attention_factors": 2 * d_ann * m,
-        "context": d_ann if ctx == "learned" else 0,
-    }
-    if include_classifier:
-        breakdown["classifier"] = (mlp_hidden * (d_ann * m) + mlp_hidden
-                                   + num_classes * mlp_hidden + num_classes)
+    shapes = param_shapes(vocab_size, num_classes, d=d, h=h, m=m, ctx=ctx,
+                          encoder=ENCODER_BIGRU, mlp_hidden=mlp_hidden)
+    breakdown = dict.fromkeys(_BREAKDOWN.values(), 0)
+    for name, shape in shapes.items():
+        prefix = next(p for p in _BREAKDOWN if name.startswith(p))
+        breakdown[_BREAKDOWN[prefix]] += math.prod(shape)
+    if not include_classifier:
+        del breakdown["classifier"]
     return ParamReport("lama", m, breakdown)
 
 

@@ -1,11 +1,13 @@
-"""MLP classifier head, cross-entropy and the two disagreement regularizers.
+"""MLP classifier head and the two disagreement regularizers.
 
 The training objective is J = L - lambda * D where D measures how much the
 attention heads disagree: D_penal penalizes overlap between the head
 distributions (via ||A A^T - I||_F^2), D_emb penalizes cosine similarity
 between the per-head sentence embeddings. Both are <= their maximum at
 perfectly disagreeing heads, so subtracting them pushes heads apart.
-Each is summed over the documents of ``attention``'s packed layout.
+Each is summed over the documents of ``attention``'s packed layout. The
+loss L is ``autodiff.softmax_cross_entropy`` on the logits (see
+``model.batch_objective``).
 """
 
 from __future__ import annotations
@@ -18,8 +20,6 @@ from . import autodiff as ad
 from .autodiff import Node
 
 REGULARIZERS = ("none", "positions", "embeddings")
-
-PROB_FLOOR = 1e-12
 
 
 def init_classifier_arrays(input_dim: int, hidden: int, num_classes: int,
@@ -53,30 +53,6 @@ def classify(d_doc: Node, W1: Node, b1: Node, W_c: Node, b_c: Node,
     logits = ad.add(ad.matmul(W_c, hidden), b_c)
     probs = ad.softmax(logits, axis=0)
     return probs, logits
-
-
-def cross_entropy(probs: Node, onehot: Node) -> Node:
-    """-sum(y log yhat) on probabilities, clamped at PROB_FLOOR before log.
-
-    The training path feeds logits to the fused stable primitive instead
-    (``autodiff.softmax_cross_entropy``); this form is for probabilities
-    coming from anywhere.
-    """
-    if probs.shape != onehot.shape:
-        raise ad.ShapeMismatchError("cross_entropy", probs.shape, onehot.shape)
-    p = probs.value
-    clamped = np.maximum(p, PROB_FLOOR)
-    out = np.array([[-float((onehot.value * np.log(clamped)).sum())]], dtype=p.dtype)
-
-    def back_p(g):
-        grad = -onehot.value / clamped
-        grad[p < PROB_FLOOR] = 0.0
-        return float(g[0, 0]) * grad
-
-    def back_y(g):
-        return float(g[0, 0]) * (-np.log(clamped))
-
-    return ad.Node(out, "cross_entropy", ((probs, back_p), (onehot, back_y)))
 
 
 def disagreement_positions(A: Node, runs=None) -> Node:

@@ -29,9 +29,10 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import __version__, baseline
+from .attention import CTX_DOC_MEAN, CTX_LEARNED
 from .autodiff import NonFiniteError
 from .classifier import REGULARIZERS
-from .model import param_shapes
+from .model import ENCODER_BIGRU, ENCODER_LE, param_shapes
 from .text import (FileOpenError, TextError, build_vocab, load_dataset, read_pretrained,
                    read_tsv, rows_to_dataset, tokenize_rows)
 from .training import (MAX_LEN, Checkpoint, CheckpointError, DivergenceError, TrainConfig,
@@ -76,23 +77,27 @@ def _int_list(text):
 
 
 def _add_train_flags(p):
-    p.add_argument("--heads", "-m", type=int, default=1, help="attention heads")
-    p.add_argument("--hidden", type=int, default=50, help="GRU hidden size per direction")
-    p.add_argument("--embed-dim", type=int, default=100)
-    p.add_argument("--max-len", type=int, default=256,
+    """The ``TrainConfig`` flags but ``--seed``, each defaulting to its field's
+    default."""
+    p.add_argument("--heads", "-m", type=int, default=TrainConfig.m, help="attention heads")
+    p.add_argument("--hidden", type=int, default=TrainConfig.h,
+                   help="GRU hidden size per direction")
+    p.add_argument("--embed-dim", type=int, default=TrainConfig.d)
+    p.add_argument("--max-len", type=int, default=TrainConfig.max_len,
                    help=f"tokens kept per document, at most {MAX_LEN}")
-    p.add_argument("--epochs", type=int, default=50)
-    p.add_argument("--lr", type=float, default=0.05)
-    p.add_argument("--momentum", type=float, default=0.9)
-    p.add_argument("--weight-decay", type=float, default=0.0001)
-    p.add_argument("--batch", type=int, default=32)
-    p.add_argument("--patience", type=int, default=5)
-    p.add_argument("--dropout", type=float, default=0.4)
-    p.add_argument("--mlp-hidden", type=int, default=512)
-    p.add_argument("--lambda", dest="lam", type=float, default=0.2)
-    p.add_argument("--regularizer", choices=REGULARIZERS, default="none")
-    p.add_argument("--ctx", choices=["learned", "doc-mean"], default="learned")
-    p.add_argument("--encoder", choices=["bigru", "le"], default="bigru")
+    p.add_argument("--epochs", type=int, default=TrainConfig.max_epochs)
+    p.add_argument("--lr", type=float, default=TrainConfig.lr)
+    p.add_argument("--momentum", type=float, default=TrainConfig.momentum)
+    p.add_argument("--weight-decay", type=float, default=TrainConfig.weight_decay)
+    p.add_argument("--batch", type=int, default=TrainConfig.batch)
+    p.add_argument("--patience", type=int, default=TrainConfig.patience)
+    p.add_argument("--dropout", type=float, default=TrainConfig.dropout)
+    p.add_argument("--mlp-hidden", type=int, default=TrainConfig.mlp_hidden)
+    p.add_argument("--lambda", dest="lam", type=float, default=TrainConfig.lam)
+    p.add_argument("--regularizer", choices=REGULARIZERS, default=TrainConfig.regularizer)
+    p.add_argument("--ctx", choices=[CTX_LEARNED, CTX_DOC_MEAN], default=TrainConfig.ctx)
+    p.add_argument("--encoder", choices=[ENCODER_BIGRU, ENCODER_LE],
+                   default=TrainConfig.encoder)
     p.add_argument("--min-count", type=int, default=5, help="vocab frequency threshold")
     p.add_argument("--embeddings",
                    help="pretrained vectors (token v1 .. vd per line) that replace their "
@@ -113,7 +118,7 @@ def build_parser():
     _add_train_flags(p)
     p.add_argument("--snapshot", choices=["best", "final"], default="best",
                    help="which weights the checkpoint keeps")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=TrainConfig.seed)
     p.add_argument("--out", default=os.path.join("lama-out", "train"))
 
     p = sub.add_parser("eval", help="evaluate a checkpoint on a TSV corpus")
@@ -158,7 +163,7 @@ def build_parser():
     p.add_argument("--valid", required=True)
     p.add_argument("--grid", type=_int_list, default=(1, 2, 4, 8))
     _add_train_flags(p)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=TrainConfig.seed)
     p.add_argument("--out", default=os.path.join("lama-out", "heads-sweep"))
 
     return parser
@@ -350,7 +355,7 @@ def cmd_params(args):
         raise CliError(f"--d-ann must be even (it is 2h), got {args.d_ann}", EXIT_USAGE)
     h = args.d_ann // 2
     _check_model(args.vocab_size, args.classes, d=args.embed_dim, h=h, m=max(args.heads),
-                 ctx="learned", encoder="bigru", mlp_hidden=args.mlp_hidden)
+                 ctx=CTX_LEARNED, encoder=ENCODER_BIGRU, mlp_hidden=args.mlp_hidden)
     lines = ["heads,lama_millions,lama_delta_millions,te_millions"]
     prev = None
     for m in args.heads:

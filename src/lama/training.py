@@ -60,6 +60,7 @@ import numpy as np
 
 from . import __version__
 from . import autodiff as ad
+from .attention import CTX_LEARNED
 from .classifier import ObjectiveConfig, REGULARIZERS
 from .model import (ENCODER_BIGRU, ModelParams, ParamStore, batch_objective, forward_batch,
                     init_model, param_layout, param_shapes, row_blocks)
@@ -106,7 +107,7 @@ class TrainConfig:
     patience: int = 5
     lam: float = 0.2
     regularizer: str = "none"
-    ctx: str = "learned"
+    ctx: str = CTX_LEARNED
     encoder: str = ENCODER_BIGRU
     mlp_hidden: int = 512
     max_epochs: int = 50

@@ -1,13 +1,14 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from oracles import grad_check, padded_A, single_head_scores
 
 from lama import attention as att
 from lama import autodiff as ad
 from lama import gru
 from lama import model as mdl
 from lama.attention import (attend, attention_matrix, doc_mean_context, lama_scores,
-                            sentence_embedding, single_head_scores, word_transform)
+                            sentence_embedding, word_transform)
 
 
 def nodes_for(rng, T, d_ann, m):
@@ -35,7 +36,7 @@ class TestWordTransform:
         H = rng.standard_normal((4, 3)) * 0.5
         W = rng.standard_normal((3, 3)) * 0.5
         b = rng.standard_normal((3, 1)) * 0.5
-        report = ad.grad_check(
+        report = grad_check(
             lambda p: ad.frobenius_sq(word_transform(ad.constant(H), p[0], p[1])),
             [W, b], step=1e-5, tolerance=1e-6)
         assert report.passed, report.max_rel_errors
@@ -135,14 +136,14 @@ class TestAttentionMatrix:
         assert np.abs(bounded.value).max() <= 1.0 + 1e-12
 
     def test_masked_columns_exactly_zero(self):
-        # attend lays the L valid columns out over the padded width for export
+        # the L valid columns laid out over the padded width
         rng = np.random.default_rng(10)
         H, c, P, Q = nodes_for(rng, 4, 6, 3)
-        out = attend(H, c, ad.leaf(np.eye(6)), ad.leaf(np.zeros((6, 1))), P, Q,
-                     total_length=6)
-        np.testing.assert_array_equal(out.A[:, 4:], 0.0)
-        np.testing.assert_array_equal(out.A[:, :4], out.A_valid.value)
-        np.testing.assert_allclose(out.A.sum(axis=1), 1.0, atol=1e-5)
+        out = attend(H, c, ad.leaf(np.eye(6)), ad.leaf(np.zeros((6, 1))), P, Q)
+        A = padded_A(out, 6)
+        np.testing.assert_array_equal(A[:, 4:], 0.0)
+        np.testing.assert_array_equal(A[:, :4], out.A_valid.value)
+        np.testing.assert_allclose(A.sum(axis=1), 1.0, atol=1e-5)
 
     def test_row_stochastic_over_random_configs(self):
         rng = np.random.default_rng(12)
@@ -213,29 +214,31 @@ class TestSentenceEmbedding:
 
 
 class TestFullPipeline:
-    def run_attend(self, rng, T, d_ann, m, total_length=None):
+    def run_attend(self, rng, T, d_ann, m, width=None):
+        """``attend``'s output and its A over ``width`` positions (T when None)."""
         H, c, P, Q = nodes_for(rng, T, d_ann, m)
         W_w = ad.leaf(rng.standard_normal((d_ann, d_ann)) * 0.3)
         b_w = ad.leaf(rng.standard_normal((d_ann, 1)) * 0.1)
-        return attend(H, c, W_w, b_w, P, Q, total_length=total_length), (H, c, W_w, b_w, P, Q)
+        out = attend(H, c, W_w, b_w, P, Q)
+        return out, padded_A(out, T if width is None else width)
 
     def test_output_shapes_and_row_sums(self):
         rng = np.random.default_rng(16)
-        out, _ = self.run_attend(rng, T=7, d_ann=6, m=4)
-        assert out.A.shape == (4, 7)
+        out, A = self.run_attend(rng, T=7, d_ann=6, m=4)
+        assert A.shape == (4, 7)
         assert out.S.shape == (4, 6)
         assert out.d_doc.shape == (24, 1)
-        np.testing.assert_allclose(out.A.sum(axis=1), 1.0, atol=1e-5)
+        np.testing.assert_allclose(A.sum(axis=1), 1.0, atol=1e-5)
 
     def test_padding_extension_is_bit_identical(self):
         rng = np.random.default_rng(17)
         state = rng.bit_generator.state
-        out_short, _ = self.run_attend(rng, T=5, d_ann=6, m=3, total_length=5)
+        out_short, A_short = self.run_attend(rng, T=5, d_ann=6, m=3, width=5)
         rng2 = np.random.default_rng(17)
         rng2.bit_generator.state = state
-        out_long, _ = self.run_attend(rng2, T=5, d_ann=6, m=3, total_length=9)
-        np.testing.assert_array_equal(out_short.A, out_long.A[:, :5])
-        np.testing.assert_array_equal(out_long.A[:, 5:], 0.0)
+        out_long, A_long = self.run_attend(rng2, T=5, d_ann=6, m=3, width=9)
+        np.testing.assert_array_equal(A_short, A_long[:, :5])
+        np.testing.assert_array_equal(A_long[:, 5:], 0.0)
         np.testing.assert_array_equal(out_short.S.value, out_long.S.value)
         np.testing.assert_array_equal(out_short.d_doc.value, out_long.d_doc.value)
 
@@ -243,7 +246,7 @@ class TestFullPipeline:
         # a padded width narrower than the document cannot hold its attention
         rng = np.random.default_rng(19)
         with pytest.raises(ad.ShapeMismatchError, match="attend"):
-            self.run_attend(rng, T=6, d_ann=4, m=2, total_length=3)
+            self.run_attend(rng, T=6, d_ann=4, m=2, width=3)
 
     def test_gradients_through_whole_pipeline(self):
         rng = np.random.default_rng(18)
@@ -259,8 +262,8 @@ class TestFullPipeline:
             out = attend(p[0], p[1], p[2], p[3], p[4], p[5])
             return ad.frobenius_sq(out.S)
 
-        report = ad.grad_check(builder, [H, c, W_w, b_w, P, Q],
-                               step=1e-5, tolerance=1e-6)
+        report = grad_check(builder, [H, c, W_w, b_w, P, Q],
+                          step=1e-5, tolerance=1e-6)
         assert report.passed, report.max_rel_errors
 
 
@@ -289,7 +292,7 @@ class TestLamaEncoder:
         out = attend(ad.leaf(x), c, W_w, b_w, P, Q)
         perm = rng.permutation(7)
         out_p = attend(ad.leaf(x[perm]), c, W_w, b_w, P, Q)
-        np.testing.assert_allclose(out_p.A, out.A[:, perm], atol=1e-12)
+        np.testing.assert_allclose(padded_A(out_p, 7), padded_A(out, 7)[:, perm], atol=1e-12)
         np.testing.assert_allclose(out_p.S.value, out.S.value, atol=1e-12)
 
     def test_matches_bigru_pipeline_when_annotations_are_embeddings(self):
@@ -302,7 +305,7 @@ class TestLamaEncoder:
         out = attend(ad.leaf(params.store["W_e"][ids]), nodes["attn.c"],
                      nodes["attn.W_w"], nodes["attn.b_w"], nodes["attn.P"],
                      nodes["attn.Q"])
-        np.testing.assert_array_equal(fw.attn.A, out.A)
+        np.testing.assert_array_equal(padded_A(fw.attn, len(ids)), padded_A(out, len(ids)))
         np.testing.assert_array_equal(fw.attn.S.value, out.S.value)
 
 

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from oracles import grad_check
 
 from lama import autodiff as ad
 
@@ -350,27 +351,27 @@ def test_primitive_gradients_match_finite_differences(name):
         rng = np.random.default_rng(seed)
         a = rand(rng, 3, 5)
         b = rand(rng, 3, 5) if name != "matmul" else rand(rng, 5, 3)
-        report = ad.grad_check(lambda p: builder(p), [a, b], step=1e-6, tolerance=1e-6)
+        report = grad_check(lambda p: builder(p), [a, b], step=1e-6, tolerance=1e-6)
         assert report.passed, f"{name} seed {seed}: {report.max_rel_errors}"
 
 
 class TestGradCheckHarness:
     def test_quadratic_is_exact_to_roundoff(self):
         rng = np.random.default_rng(7)
-        report = ad.grad_check(lambda p: ad.frobenius_sq(p[0]), [rand(rng, 4, 4)],
-                               step=1e-4, tolerance=1e-5)
+        report = grad_check(lambda p: ad.frobenius_sq(p[0]), [rand(rng, 4, 4)],
+                            step=1e-4, tolerance=1e-5)
         assert report.passed
         assert report.worst() < 1e-5
 
     def test_constant_builder_passes_with_zero_grads(self):
-        report = ad.grad_check(lambda p: ad.constant(np.ones((1, 1))),
-                               [np.ones((2, 2))], step=1e-4, tolerance=1e-8)
+        report = grad_check(lambda p: ad.constant(np.ones((1, 1))),
+                            [np.ones((2, 2))], step=1e-4, tolerance=1e-8)
         assert report.passed
         assert report.worst() == 0.0
 
     def test_rejects_nonpositive_step(self):
         with pytest.raises(ad.AutodiffError):
-            ad.grad_check(lambda p: total(p[0]), [np.ones((1, 1))], step=0.0)
+            grad_check(lambda p: total(p[0]), [np.ones((1, 1))], step=0.0)
 
 
 class TestDropout:
@@ -421,3 +422,12 @@ class TestCrossEntropyPrimitive:
         probs = np.exp(z.value - z.value.max())
         probs /= probs.sum()
         np.testing.assert_allclose(z.grad, probs - y, rtol=1e-6)
+
+    def test_equal_logits_give_log_c_per_column(self):
+        # criterion 8's constant on the loss that trains: 4 classes, 3 columns
+        z = ad.leaf(np.full((4, 3), 0.7), requires_grad=True)
+        y = np.eye(4)[[1, 3, 0]].T
+        node = ad.softmax_cross_entropy(z, ad.constant(y))
+        assert node.value.item() == pytest.approx(3 * np.log(4), rel=1e-12)
+        ad.backward(node)
+        np.testing.assert_allclose(z.grad, 0.25 - y, rtol=1e-12)

@@ -51,6 +51,14 @@ class TestLamaCount:
         assert lama_param_count(20, 10, 3, 77, 32, 4, ctx=ctx).total == total
         assert sum(math.prod(shape) for shape in shapes.values()) == total
 
+    def test_count_rejects_what_the_model_rejects(self):
+        # doc-mean needs d == 2h; init_model refuses 20 != 16
+        with pytest.raises(ValueError, match="doc-mean"):
+            lama_param_count(20, 8, 3, 77, 32, 4, ctx="doc-mean")
+        with pytest.raises(ValueError, match="doc-mean"):
+            init_model(77, 4, np.random.default_rng(0), d=20, h=8, m=3, ctx="doc-mean",
+                       mlp_hidden=32)
+
     def test_full_marginal_includes_classifier_growth(self):
         a = lama_param_count(20, 10, 3, 77, 32, 4)
         b = lama_param_count(20, 10, 4, 77, 32, 4)

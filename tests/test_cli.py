@@ -863,6 +863,11 @@ class TestParserBuiltOnce:
         assert run_cli("params", "--heads", "2,4", "--out", tmp_path) == 0
         assert (tmp_path / "params.csv").read_text().startswith("heads,")
 
+    @pytest.mark.parametrize("command", ["train", "heads-sweep"])
+    def test_training_flags_default_to_the_train_config(self, command):
+        args = cli.build_parser().parse_args(MINIMAL_ARGV[command])
+        assert cli._config_from_args(args) == tr.TrainConfig()
+
     @pytest.mark.parametrize("command", sorted(MINIMAL_ARGV))
     def test_every_default_is_immutable(self, command):
         assert set(MINIMAL_ARGV) == set(cli.HANDLERS)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from conftest import count_nodes
 from hypothesis import given, settings, strategies as st
+from oracles import grad_check
 
 from lama import autodiff as ad
 from lama import gru
@@ -173,7 +174,7 @@ class TestBigruEncode:
                                                         leaves[10:], runs)))
 
         params = [x] + [fa[n] for n in GATE_NAMES] + [ba[n] for n in GATE_NAMES]
-        return ad.grad_check(builder, params, step=1e-5, tolerance=1e-6)
+        return grad_check(builder, params, step=1e-5, tolerance=1e-6)
 
     def test_gradients_pass_finite_difference_check(self):
         report = self.gradient_report(5, seed=10)
@@ -210,7 +211,7 @@ class TestBigruEncode:
             return ad.frobenius_sq(ad.tanh(H))
 
         params = [x] + [a[n] for a in arrays for n in GATE_NAMES]
-        report = ad.grad_check(builder, params, step=1e-5, tolerance=1e-6)
+        report = grad_check(builder, params, step=1e-5, tolerance=1e-6)
         assert len(report.max_rel_errors) == 19 and report.passed, report.max_rel_errors
 
     def test_bad_lengths_rejected(self):

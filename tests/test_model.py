@@ -3,6 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 from conftest import assert_views_of_one_buffer, graph_nodes
+from oracles import dense_grad, grad_check
 
 from lama import attention, classifier
 from lama import autodiff as ad
@@ -160,7 +161,7 @@ class TestForward:
         fw = mdl.forward_doc(params, nodes, [2, 5])
         obj = mdl.doc_objective(fw, 1, 3, ObjectiveConfig("none"))
         ad.backward(obj)
-        grad = ad.dense_grad(nodes["W_e"])
+        grad = dense_grad(nodes["W_e"])
         assert nodes["W_e"].grad is not None and np.abs(grad[[2, 5]]).max() > 0
 
     def test_full_model_gradient_check_all_regularizers(self):
@@ -180,8 +181,8 @@ class TestForward:
                 fw = mdl.forward_doc(params, nodes, ids)
                 return mdl.doc_objective(fw, 2, 3, obj)
 
-            report = ad.grad_check(builder, [params.store[n] for n in names],
-                                   step=1e-5, tolerance=1e-5)
+            report = grad_check(builder, [params.store[n] for n in names],
+                                step=1e-5, tolerance=1e-5)
             assert report.passed, (kind, report.max_rel_errors)
 
 
@@ -261,6 +262,6 @@ class TestGroupedEmbeddingPath:
             fw = mdl.forward_batch(params, dict(zip(names, leaves)), docs)
             return mdl.batch_objective(fw, [doc.label for doc in docs], 3, objective)
 
-        report = ad.grad_check(builder, [params.store[n] for n in names],
-                               step=1e-5, tolerance=1e-5)
+        report = grad_check(builder, [params.store[n] for n in names],
+                            step=1e-5, tolerance=1e-5)
         assert report.passed, report.max_rel_errors

@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from conftest import assert_views_of_one_buffer, graph_nodes
+from oracles import dense_grad
 
 from lama import autodiff as ad
 from lama import training as tr
@@ -516,7 +517,7 @@ class TestBatchGraph:
             loss = tr._backward_batch(params, batch, docs, objective, rng)
             assert loss == pytest.approx(expected_loss, rel=1e-12)
             for name in params.store.names():
-                got, want = ad.dense_grad(batch[name]), ad.dense_grad(single[name])
+                got, want = dense_grad(batch[name]), dense_grad(single[name])
                 assert np.abs(want).max() > 0, (seed, name)
                 assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max(), (seed, name)
 
