@@ -412,28 +412,29 @@ def frobenius_sq(a: Node) -> Node:
     return _make("frobenius_sq", out, [(a, lambda g: 2.0 * g * a.value)])
 
 
-def dropout(a: Node, rate: float, rng: np.random.Generator, train: bool) -> Node:
+def dropout(a: Node, rate: float, rng: np.random.Generator) -> Node:
     """Inverted dropout: keeps scale the expectation equal to the input.
 
-    The mask is drawn column by column, so an n x B input consumes the
-    generator exactly as B n x 1 inputs in column order would.
+    It always drops (``classifier.classify`` decides whether it runs), so
+    ``rate`` is in (0, 1). The mask is drawn column by column, so an n x B
+    input consumes the generator exactly as B n x 1 inputs in column order
+    would.
     """
-    if not 0.0 <= rate < 1.0:
-        raise AutodiffError(f"dropout: rate must be in [0, 1), got {rate}")
-    if not train or rate == 0.0:
-        return _make("dropout", a.value.copy(), [(a, lambda g: g)])
+    if not 0.0 < rate < 1.0:
+        raise AutodiffError(f"dropout: rate must be in (0, 1), got {rate}")
     keep = 1.0 - rate
     mask = (rng.random(a.shape[::-1]).T >= rate).astype(a.value.dtype) / keep
     return _make("dropout", a.value * mask, [(a, lambda g: g * mask)])
 
 
-def softmax_cross_entropy(logits: Node, onehot: Node) -> Node:
+def softmax_cross_entropy(logits: Node, onehot: np.ndarray) -> Node:
     """Fused stable -sum(y * log softmax(z)), the softmax taken over each
-    column of logits and the losses of the columns summed."""
+    column of logits and the losses of the columns summed. ``onehot`` is an
+    array (``model.batch_objective`` builds it), so it gets no gradient."""
     if logits.shape != onehot.shape:
         raise ShapeMismatchError("softmax_cross_entropy", logits.shape, onehot.shape)
     z = logits.value
-    y = onehot.value
+    y = onehot
     zmax = z.max(axis=0, keepdims=True)
     lse = zmax + np.log(np.exp(z - zmax).sum(axis=0, keepdims=True))
     loss = lse.sum() - float((y * z).sum())
@@ -443,10 +444,7 @@ def softmax_cross_entropy(logits: Node, onehot: Node) -> Node:
     def back_z(g):
         return float(g[0, 0]) * (probs - y)
 
-    def back_y(g):
-        return float(g[0, 0]) * (-z)
-
-    return _make("softmax_cross_entropy", out, [(logits, back_z), (onehot, back_y)])
+    return _make("softmax_cross_entropy", out, [(logits, back_z)])
 
 
 # ---------------------------------------------------------------------------

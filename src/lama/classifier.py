@@ -6,13 +6,13 @@ distributions (via ||A A^T - I||_F^2), D_emb penalizes cosine similarity
 between the per-head sentence embeddings. Both are <= their maximum at
 perfectly disagreeing heads, so subtracting them pushes heads apart.
 Each is summed over the documents of ``attention``'s packed layout. The
-loss L is ``autodiff.softmax_cross_entropy`` on the logits (see
-``model.batch_objective``).
+loss L is ``autodiff.softmax_cross_entropy`` on the logits.
+``training.TrainConfig`` checks the regularizer (one of ``REGULARIZERS``)
+and lambda, ``model.batch_objective`` builds J, and ``classify`` alone
+gates dropout.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -41,7 +41,8 @@ def classify(d_doc: Node, W1: Node, b1: Node, W_c: Node, b_c: Node,
     """Class probabilities and the logits they came from.
 
     One tanh hidden layer with (inverted) dropout on its activations, then a
-    linear map to C logits and a softmax.
+    linear map to C logits and a softmax. Dropout runs only when ``train``
+    and ``dropout_rate > 0``; otherwise nothing is drawn from ``rng``.
     """
     if W1.shape[1] != d_doc.shape[0]:
         raise ad.ShapeMismatchError("classify", W1.shape, d_doc.shape)
@@ -49,7 +50,7 @@ def classify(d_doc: Node, W1: Node, b1: Node, W_c: Node, b_c: Node,
     if train and dropout_rate > 0.0:
         if rng is None:
             raise ValueError("training-mode dropout needs an rng")
-        hidden = ad.dropout(hidden, dropout_rate, rng, train=True)
+        hidden = ad.dropout(hidden, dropout_rate, rng)
     logits = ad.add(ad.matmul(W_c, hidden), b_c)
     probs = ad.softmax(logits, axis=0)
     return probs, logits
@@ -73,30 +74,3 @@ def disagreement_embeddings(S: Node, m: int | None = None) -> Node:
     ones = ad.constant(np.ones((1, S.shape[0]), dtype=S.value.dtype))
     sums = ad.segment_matmul(ones, unit, ad.runs([m] * (S.shape[0] // m)))
     return ad.scale(ad.frobenius_sq(sums), -1.0 / (m * m))
-
-
-def total_objective(loss: Node, disagreement: Node | None, lam: float) -> Node:
-    """J = L - lambda * D; with no regularizer J is the plain loss."""
-    if disagreement is None or lam == 0.0:
-        return loss
-    return ad.add(loss, ad.scale(disagreement, -lam))
-
-
-@dataclass
-class ObjectiveConfig:
-    regularizer: str = "none"
-    lam: float = 0.2
-
-    def __post_init__(self):
-        if self.regularizer not in REGULARIZERS:
-            raise ValueError(f"regularizer must be one of {REGULARIZERS}")
-        if self.lam < 0:
-            raise ValueError("lambda must be >= 0")
-
-
-def disagreement(config: ObjectiveConfig, A: Node, S: Node, runs=None) -> Node | None:
-    if config.regularizer == "positions":
-        return disagreement_positions(A, runs)
-    if config.regularizer == "embeddings":
-        return disagreement_embeddings(S, A.shape[0])
-    return None

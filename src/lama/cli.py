@@ -356,16 +356,16 @@ def cmd_params(args):
     h = args.d_ann // 2
     _check_model(args.vocab_size, args.classes, d=args.embed_dim, h=h, m=max(args.heads),
                  ctx=CTX_LEARNED, encoder=ENCODER_BIGRU, mlp_hidden=args.mlp_hidden)
+    # one head: the TE count does not depend on it, and 1 divides any d_model
+    te = baseline.te_param_count(
+        baseline.TeConfig(d_model=args.d_model, heads=1, mlp_hidden=args.mlp_hidden),
+        args.vocab_size, args.classes)
     lines = ["heads,lama_millions,lama_delta_millions,te_millions"]
     prev = None
     for m in args.heads:
         lama = baseline.lama_param_count(args.embed_dim, h, m, args.vocab_size,
                                          args.mlp_hidden, args.classes,
                                          include_classifier=False)
-        te = baseline.te_param_count(
-            baseline.TeConfig(d_model=args.d_model, heads=m,
-                              mlp_hidden=args.mlp_hidden),
-            args.vocab_size, args.classes)
         delta = "" if prev is None else f"{(lama.total - prev) / 1e6:.3f}"
         lines.append(f"{m},{lama.millions:.3f},{delta},{te.millions:.3f}")
         prev = lama.total

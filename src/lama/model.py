@@ -258,20 +258,23 @@ def forward_batch(params: ModelParams, nodes: dict, docs, train: bool = False,
                     train, rng, lookup)
 
 
-def batch_objective(fw: ForwardPass, labels, num_classes: int,
-                    objective: classifier.ObjectiveConfig) -> Node:
-    """Summed over the documents: cross-entropy (fused, on the logits
-    column of each) plus the selected disagreement term, not built at
-    lambda = 0."""
-    y = np.zeros((num_classes, len(labels)), dtype=fw.logits.value.dtype)
+def batch_objective(fw: ForwardPass, labels, regularizer: str, lam: float) -> Node:
+    """The one builder of J = L - lambda * D, summed over the documents: L
+    the fused cross-entropy of each logits column, D the ``regularizer``'s
+    term. At lambda = 0 or with "none" J is the L node itself and no D is
+    built. ``training.TrainConfig`` checks ``regularizer`` and ``lam``."""
+    y = np.zeros((fw.logits.shape[0], len(labels)), dtype=fw.logits.value.dtype)
     y[labels, np.arange(len(labels))] = 1.0
-    loss = ad.softmax_cross_entropy(fw.logits, ad.constant(y))
-    d = (classifier.disagreement(objective, fw.attn.A_valid, fw.attn.S, fw.attn.runs)
-         if objective.lam > 0 else None)
-    return classifier.total_objective(loss, d, objective.lam)
+    loss = ad.softmax_cross_entropy(fw.logits, y)
+    if lam == 0 or regularizer == "none":
+        return loss
+    if regularizer == "positions":
+        d = classifier.disagreement_positions(fw.attn.A_valid, fw.attn.runs)
+    else:  # "embeddings"
+        d = classifier.disagreement_embeddings(fw.attn.S, fw.attn.A_valid.shape[0])
+    return ad.add(loss, ad.scale(d, -lam))
 
 
-def doc_objective(fw: ForwardPass, label: int, num_classes: int,
-                  objective: classifier.ObjectiveConfig) -> Node:
+def doc_objective(fw: ForwardPass, label: int, regularizer: str, lam: float) -> Node:
     """``batch_objective`` of a one-document pass."""
-    return batch_objective(fw, [label], num_classes, objective)
+    return batch_objective(fw, [label], regularizer, lam)

@@ -5,12 +5,14 @@ init, epoch shuffling and dropout masks in a fixed order, so identical
 seeds give byte-identical checkpoints.
 
 Each minibatch is one autodiff graph (``model.forward_batch``): its
-summed objective, scaled by 1/batch, is backpropagated once into the
-batch's parameter leaves, and ``backward`` frees the inner gradients as
-it goes. The graph is built and walked inside one helper that returns
-only the loss, so it is garbage before the SGD step and the next batch's
-forward pass. The batch's dropout masks are drawn document by document in
-batch order, the stream per-document passes would draw. Evaluation runs
+summed objective (``model.batch_objective``, from the regularizer and
+lambda that ``TrainConfig`` holds and checks), scaled by 1/batch, is
+backpropagated once into the batch's parameter leaves, and ``backward``
+frees the inner gradients as it goes. The graph is built and walked
+inside one helper that returns only the loss, so it is garbage before the
+SGD step and the next batch's forward pass. The batch's dropout masks are
+drawn document by document in batch order, the stream per-document passes
+would draw. Evaluation runs
 ``forward_batch`` forward only, EVAL_CHUNK documents per graph on leaves
 that track no gradient, and draws nothing from the RNG.
 
@@ -54,14 +56,14 @@ import os
 import shutil
 import time
 from itertools import zip_longest
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
 from . import __version__
 from . import autodiff as ad
 from .attention import CTX_LEARNED
-from .classifier import ObjectiveConfig, REGULARIZERS
+from .classifier import REGULARIZERS
 from .model import (ENCODER_BIGRU, ModelParams, ParamStore, batch_objective, forward_batch,
                     init_model, param_layout, param_shapes, row_blocks)
 # test_perfbench.py::test_install_patches_callers_namespaces_and_uninstall_restores reads this
@@ -350,13 +352,13 @@ def _fresh_model(config: TrainConfig, vocab_size: int, num_classes: int,
 
 
 def _backward_batch(params: ModelParams, nodes: dict, batch: list,
-                    objective: ObjectiveConfig, rng: np.random.Generator,
+                    config: TrainConfig, rng: np.random.Generator,
                     lookup: tuple[ad.Groups, ad.Node] | None = None) -> float:
     """Add the gradient of the batch's mean objective into the leaves in
     ``nodes`` (and ``lookup``'s rows, see ``forward_batch``) and return
     the summed objective. Nothing of the graph outlives the call."""
     out = forward_batch(params, nodes, batch, train=True, rng=rng, lookup=lookup)
-    j = batch_objective(out, [doc.label for doc in batch], params.num_classes, objective)
+    j = batch_objective(out, [doc.label for doc in batch], config.regularizer, config.lam)
     ad.backward(ad.scale(j, 1.0 / len(batch)))
     return j.value.item()
 
@@ -396,7 +398,6 @@ def train(config: TrainConfig, train_set: Dataset, valid_set: Dataset,
     _check_labels(valid_set, train_set.label_names)
     rng = np.random.Generator(np.random.PCG64(config.seed))
     params = _fresh_model(config, len(vocab), train_set.num_classes, rng, pretrained)
-    objective = ObjectiveConfig(config.regularizer, config.lam)
 
     store = params.store
     rows_sgd = LazyRowSGD(store["W_e"], config.lr, config.momentum, config.weight_decay)
@@ -427,7 +428,7 @@ def train(config: TrainConfig, train_set: Dataset, valid_set: Dataset,
                 # overflow is detected (and raised) by the primitives, so
                 # numpy's warnings would only duplicate the signal
                 with np.errstate(over="ignore", invalid="ignore"):
-                    batch_loss = _backward_batch(params, nodes, batch, objective, rng,
+                    batch_loss = _backward_batch(params, nodes, batch, config, rng,
                                                  (groups, rows))
             except ad.NonFiniteError as exc:
                 raise DivergenceError(epoch, batch_no, str(exc)) from exc
@@ -533,9 +534,7 @@ def heads_sweep(base_config: TrainConfig, m_values, train_set: Dataset,
         raise TrainingError("heads_sweep needs a non-empty grid")
     rows = []
     for m in sorted(set(int(v) for v in m_values)):
-        cfg_dict = asdict(base_config)
-        cfg_dict["m"] = m
-        _, history = train(TrainConfig(**cfg_dict), train_set, valid_set, vocab,
+        _, history = train(replace(base_config, m=m), train_set, valid_set, vocab,
                            pretrained=pretrained, log=log)
         best = max(r.valid_acc for r in history.records)
         rows.append((m, best))

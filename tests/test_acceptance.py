@@ -13,8 +13,7 @@ from lama import autodiff as ad
 from lama import model as mdl
 from lama.attention import attend, lama_scores, word_transform
 from lama.baseline import TeConfig, bench_runtime, lama_param_count, te_param_count
-from lama.classifier import (ObjectiveConfig, disagreement_embeddings,
-                             disagreement_positions)
+from lama.classifier import disagreement_embeddings, disagreement_positions
 from lama.model import forward_doc
 from lama.synthetic import make_task
 from lama.training import Checkpoint, TrainConfig, train
@@ -71,12 +70,10 @@ def test_criterion_2_end_to_end_gradient_check():
     names = params.store.names()
     worst = 0.0
     for kind in ("none", "positions", "embeddings"):
-        obj = ObjectiveConfig(kind, 0.2)
-
         def builder(leaves):
             nodes = dict(zip(names, leaves))
             fw = forward_doc(params, nodes, ids)
-            return mdl.doc_objective(fw, 2, 3, obj)
+            return mdl.doc_objective(fw, 2, kind, 0.2)
 
         report = grad_check(builder, [params.store[n] for n in names],
                             step=1e-5, tolerance=1e-5)

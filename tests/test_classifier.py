@@ -3,10 +3,10 @@ import pytest
 from oracles import cross_entropy, grad_check
 
 from lama import autodiff as ad
-from lama import classifier as cls
-from lama.classifier import (ObjectiveConfig, classify, disagreement_embeddings,
-                             disagreement_positions, init_classifier_arrays,
-                             total_objective)
+from lama import model as mdl
+from lama.attention import AttentionOutput
+from lama.classifier import (classify, disagreement_embeddings, disagreement_positions,
+                             init_classifier_arrays)
 
 
 def make_head(rng, input_dim=6, hidden=5, C=3, dtype=np.float64):
@@ -41,6 +41,21 @@ class TestClassify:
         p_eval, _ = classify(d, head["W1"], head["b1"], head["W_c"], head["b_c"],
                              0.0, False)
         np.testing.assert_array_equal(p_train.value, p_eval.value)
+
+    def test_dropout_off_draws_nothing(self):
+        # classify alone decides whether dropout runs: in eval mode or at
+        # rate 0 it draws nothing and gives the no-dropout logits
+        rng = np.random.default_rng(1)
+        head = make_head(rng)
+        d = ad.leaf(rng.standard_normal((6, 2)))
+        _, plain = classify(d, head["W1"], head["b1"], head["W_c"], head["b_c"], 0.0, False)
+        for rate, train in ((0.4, False), (0.0, True), (0.4, True)):
+            state = rng.bit_generator.state
+            _, logits = classify(d, head["W1"], head["b1"], head["W_c"], head["b_c"],
+                                 rate, train, rng=rng)
+            drops = train and rate > 0
+            assert (rng.bit_generator.state != state) == drops, (rate, train)
+            assert np.array_equal(logits.value, plain.value) != drops, (rate, train)
 
     def test_probabilities_sum_to_one(self):
         rng = np.random.default_rng(2)
@@ -129,28 +144,6 @@ class TestDisagreementEmbeddings:
             assert -1.0 - 1e-9 <= val <= 1.0 + 1e-9
 
 
-class TestTotalObjective:
-    def test_lambda_zero_returns_loss(self):
-        L = ad.leaf(np.array([[1.5]]))
-        D = ad.leaf(np.array([[-3.0]]))
-        assert total_objective(L, D, 0.0) is L
-
-    def test_none_kind_returns_loss(self):
-        L = ad.leaf(np.array([[2.0]]))
-        assert total_objective(L, None, 0.7) is L
-
-    def test_arithmetic(self):
-        L = ad.leaf(np.array([[1.0]]))
-        D = ad.leaf(np.array([[-2.0]]))
-        assert total_objective(L, D, 0.2).value.item() == pytest.approx(1.4)
-
-    def test_config_validation(self):
-        with pytest.raises(ValueError):
-            ObjectiveConfig("sideways")
-        with pytest.raises(ValueError):
-            ObjectiveConfig("none", -0.1)
-
-
 class TestGradientsThroughRegularizers:
     def test_classifier_and_both_regularizers_pass_grad_check(self):
         rng = np.random.default_rng(8)
@@ -159,18 +152,14 @@ class TestGradientsThroughRegularizers:
         A0 /= A0.sum(axis=1, keepdims=True)
         H = rng.standard_normal((T, d_ann)) * 0.5
         head = init_classifier_arrays(d_ann * m, hidden, C, rng, dtype=np.float64)
-        y = np.eye(C)[1].reshape(-1, 1)
-
         for kind in ("none", "positions", "embeddings"):
-            obj = ObjectiveConfig(kind, 0.2)
-
             def builder(p):
                 A = ad.softmax(p[0], axis=1)
                 S = ad.matmul(A, p[1])
                 d_doc = ad.reshape(S, (d_ann * m, 1))
-                _, logits = classify(d_doc, p[2], p[3], p[4], p[5], 0.0, False)
-                loss = ad.softmax_cross_entropy(logits, ad.constant(y))
-                return total_objective(loss, cls.disagreement(obj, A, S), obj.lam)
+                probs, logits = classify(d_doc, p[2], p[3], p[4], p[5], 0.0, False)
+                fw = mdl.ForwardPass(logits, probs, AttentionOutput(A, S, d_doc))
+                return mdl.batch_objective(fw, [1], kind, 0.2)
 
             report = grad_check(
                 builder, [A0, H, head["W1"], head["b1"], head["W_c"], head["b_c"]],

@@ -103,6 +103,8 @@ CORRUPTIONS = {
     "config-no-labels": _edit_config(lambda meta: meta.pop("labels")),
     "config-float-dim": _edit_config(lambda meta: meta["config"].update(m=2.0)),
     "config-bool-dim": _edit_config(lambda meta: meta["config"].update(d=True)),
+    "config-unknown-regularizer": _edit_config(
+        lambda meta: meta["config"].update(regularizer="sideways")),
     "vocab-no-reserved-tokens": _edit_file("vocab.txt", lambda b: b"hello\nworld\n"),
     "vocab-repeated-token": _edit_file("vocab.txt", _repeat_first_token),
     "vocab-not-utf8": _edit_file("vocab.txt", lambda b: b + b"\xff\n"),
@@ -517,6 +519,16 @@ class TestParams:
             assert abs(ours - pub) <= 0.0015
         te = {r["te_millions"] for r in rows}
         assert len(te) == 1
+
+    @pytest.mark.parametrize("argv", [["--heads", "1,3", "--d-ann", "64"], ["--d-model", "7"]],
+                             ids=["heads-1-3", "d-model-7"])
+    def test_te_column_takes_any_head_count_and_width(self, tmp_path, argv):
+        # the TE count does not depend on the head count, so no head count
+        # or d_model is refused for it
+        out = tmp_path / "params"
+        assert run_cli("params", *argv, "--out", out) == 0
+        rows = list(csv.DictReader((out / "params.csv").read_text().splitlines()))
+        assert len(rows) >= 2 and len({r["te_millions"] for r in rows}) == 1
 
     def test_odd_d_ann_rejected(self, tmp_path):
         code = run_cli("params", "--d-ann", "511", "--out", tmp_path / "x")

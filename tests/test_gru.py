@@ -7,7 +7,6 @@ from oracles import grad_check
 from lama import autodiff as ad
 from lama import gru
 from lama import model as mdl
-from lama.classifier import ObjectiveConfig
 from lama.gru import GATE_NAMES, bigru_encode, init_gru_arrays
 from lama.synthetic import make_task
 from lama.text import PAD_ID
@@ -262,11 +261,10 @@ class TestBigruEncode:
         rng = np.random.default_rng(13)
         params = mdl.init_model(40, 2, rng, d=6, h=4, m=2, mlp_hidden=8)
         nodes = params.store.nodes()
-        objective = ObjectiveConfig("positions", 0.2)
         counts = []
         for L in (5, 30):
             fw = mdl.forward_doc(params, nodes, rng.integers(2, 40, size=L))
-            counts.append(count_nodes(mdl.doc_objective(fw, 1, 2, objective)))
+            counts.append(count_nodes(mdl.doc_objective(fw, 1, "positions", 0.2)))
         assert counts[0] == counts[1]
 
     def test_overflow_in_training_names_gru_scan(self, monkeypatch):

@@ -8,7 +8,6 @@ from oracles import dense_grad, grad_check
 from lama import attention, classifier
 from lama import autodiff as ad
 from lama import model as mdl
-from lama.classifier import ObjectiveConfig
 from lama.text import PAD_ID, Document
 
 
@@ -159,7 +158,7 @@ class TestForward:
         params = tiny_model(ctx="doc-mean")
         nodes = params.store.nodes()
         fw = mdl.forward_doc(params, nodes, [2, 5])
-        obj = mdl.doc_objective(fw, 1, 3, ObjectiveConfig("none"))
+        obj = mdl.doc_objective(fw, 1, "none", 0.2)
         ad.backward(obj)
         grad = dense_grad(nodes["W_e"])
         assert nodes["W_e"].grad is not None and np.abs(grad[[2, 5]]).max() > 0
@@ -174,12 +173,10 @@ class TestForward:
         ids = np.array([2, 5, 7, 3, 9, 4])
         names = params.store.names()
         for kind in ("none", "positions", "embeddings"):
-            obj = ObjectiveConfig(kind, 0.2)
-
             def builder(leaves):
                 nodes = dict(zip(names, leaves))
                 fw = mdl.forward_doc(params, nodes, ids)
-                return mdl.doc_objective(fw, 2, 3, obj)
+                return mdl.doc_objective(fw, 2, kind, 0.2)
 
             report = grad_check(builder, [params.store[n] for n in names],
                                 step=1e-5, tolerance=1e-5)
@@ -233,8 +230,7 @@ class TestGroupedEmbeddingPath:
         nodes = params.store.nodes()
         docs = shared_token_docs()
         fw = mdl.forward_batch(params, nodes, docs)
-        ad.backward(mdl.batch_objective(fw, [doc.label for doc in docs], 3,
-                                        ObjectiveConfig("positions", 0.2)))
+        ad.backward(mdl.batch_objective(fw, [doc.label for doc in docs], "positions", 0.2))
         assert_one_lookup_of_distinct_rows(fw, nodes["W_e"])
 
     @pytest.mark.parametrize("ctx", ["learned", "doc-mean"])
@@ -244,8 +240,7 @@ class TestGroupedEmbeddingPath:
         nodes = params.store.nodes()
         docs = shared_token_docs()
         fw = mdl.forward_batch(params, nodes, docs)
-        ad.backward(mdl.batch_objective(fw, [doc.label for doc in docs], 3,
-                                        ObjectiveConfig("positions", 0.2)))
+        ad.backward(mdl.batch_objective(fw, [doc.label for doc in docs], "positions", 0.2))
         assert_one_lookup_of_distinct_rows(fw, nodes["W_e"])
 
     @pytest.mark.parametrize("ctx,regularizer", [("learned", "embeddings"),
@@ -256,12 +251,39 @@ class TestGroupedEmbeddingPath:
         params.store.buffer[...] = rng.uniform(-0.6, 0.6, size=params.store.buffer.size)
         names = params.store.names()
         docs = shared_token_docs()
-        objective = ObjectiveConfig(regularizer, 0.2)
 
         def builder(leaves):
             fw = mdl.forward_batch(params, dict(zip(names, leaves)), docs)
-            return mdl.batch_objective(fw, [doc.label for doc in docs], 3, objective)
+            return mdl.batch_objective(fw, [doc.label for doc in docs], regularizer, 0.2)
 
         report = grad_check(builder, [params.store[n] for n in names],
                             step=1e-5, tolerance=1e-5)
         assert report.passed, report.max_rel_errors
+
+
+class TestBatchObjective:
+    """J = L - lambda * D, built by ``batch_objective`` alone."""
+
+    @staticmethod
+    def doc_pass():
+        params = tiny_model(dtype=np.float64)
+        return mdl.forward_doc(params, params.store.nodes(), [2, 5, 7, 3])
+
+    def test_lambda_zero_returns_loss(self):
+        fw = self.doc_pass()
+        for kind in ("positions", "embeddings"):
+            j = mdl.batch_objective(fw, [1], kind, 0.0)
+            assert j.op == "softmax_cross_entropy" and j.parents[0][0] is fw.logits, kind
+
+    def test_none_kind_returns_loss(self):
+        fw = self.doc_pass()
+        j = mdl.batch_objective(fw, [1], "none", 0.7)
+        assert j.op == "softmax_cross_entropy" and j.parents[0][0] is fw.logits
+
+    def test_arithmetic(self):
+        fw = self.doc_pass()
+        L = ad.softmax_cross_entropy(fw.logits, np.eye(3)[1].reshape(-1, 1)).value.item()
+        for kind, D in (("positions", classifier.disagreement_positions(fw.attn.A_valid)),
+                        ("embeddings", classifier.disagreement_embeddings(fw.attn.S, 2))):
+            J = mdl.batch_objective(fw, [1], kind, 0.2).value.item()
+            assert J == pytest.approx(L - 0.2 * D.value.item()), kind

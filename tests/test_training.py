@@ -10,7 +10,7 @@ from oracles import dense_grad
 
 from lama import autodiff as ad
 from lama import training as tr
-from lama.classifier import REGULARIZERS, ObjectiveConfig
+from lama.classifier import REGULARIZERS
 from lama.model import (BLOCK, batch_objective, doc_objective, forward_batch, forward_doc,
                         init_model)
 from lama.synthetic import keyword_pairs, make_task, pairs_to_dataset
@@ -206,6 +206,13 @@ class TestTrainConfig:
     @pytest.mark.parametrize("value", [0, np.float32(0.25), np.float64(0.5)])
     def test_real_fields_take_ints_and_numpy_floats(self, value):
         assert small_config(dropout=value, lam=value).lam == value
+
+    def test_config_validation(self):
+        # the objective's settings are checked here and nowhere else
+        with pytest.raises(ValueError):
+            TrainConfig(regularizer="sideways")
+        with pytest.raises(ValueError):
+            TrainConfig(lam=-0.1)
 
 
 class TestFlatBuffer:
@@ -438,8 +445,7 @@ class TestTrainLoop:
                 total = 0.0
                 for doc in train_set.documents[:64]:
                     fw = forward_doc(params, nodes, doc.ids, doc.true_length)
-                    total += doc_objective(fw, doc.label, 2,
-                                           ObjectiveConfig("none")).value.item()
+                    total += doc_objective(fw, doc.label, "none", 0.2).value.item()
                 before_after.append(total / 64)
             decreased += before_after[1] < before_after[0]
         assert decreased >= 8
@@ -504,17 +510,17 @@ class TestBatchGraph:
                                 dtype=np.float64)
             params.store.buffer[...] = rng.uniform(-0.6, 0.6, size=params.store.buffer.size)
             docs = ragged_docs(rng, [3, 7, 1, 5, 9, 5], 12, 3)
-            objective = ObjectiveConfig(regularizer, 0.2)
+            config = TrainConfig(regularizer=regularizer, lam=0.2)
 
             single = params.store.nodes()
             expected_loss = 0.0
             for doc in docs:
                 fw = forward_doc(params, single, doc.ids, doc.true_length)
-                j = doc_objective(fw, doc.label, 3, objective)
+                j = doc_objective(fw, doc.label, regularizer, 0.2)
                 ad.backward(ad.scale(j, 1.0 / len(docs)))
                 expected_loss += j.value.item()
             batch = params.store.nodes()
-            loss = tr._backward_batch(params, batch, docs, objective, rng)
+            loss = tr._backward_batch(params, batch, docs, config, rng)
             assert loss == pytest.approx(expected_loss, rel=1e-12)
             for name in params.store.names():
                 got, want = dense_grad(batch[name]), dense_grad(single[name])
@@ -543,8 +549,8 @@ class TestBatchGraph:
 
         monkeypatch.setattr(tr, "forward_batch", recorded_forward_batch)
         nodes = params.store.nodes()
-        tr._backward_batch(params, nodes, docs, ObjectiveConfig(regularizer, 0.2), rng,
-                           (groups, rows))
+        tr._backward_batch(params, nodes, docs, TrainConfig(regularizer=regularizer, lam=0.2),
+                           rng, (groups, rows))
         for name, value in params.store.items():
             if name != "W_e":
                 assert nodes[name].grad.shape == value.shape, name
@@ -583,8 +589,7 @@ class TestBatchGraph:
             counts, expands = [], []
             for B in (1, 4, 16):
                 out = forward_batch(params, nodes, docs[:B])
-                j = batch_objective(out, [d.label for d in docs[:B]], 3,
-                                    ObjectiveConfig("positions", 0.2))
+                j = batch_objective(out, [d.label for d in docs[:B]], "positions", 0.2)
                 counts.append(len(graph_nodes(j)))
                 expands.append(sum(n.op == "expand" for n in graph_nodes(j)))
             assert counts[0] == counts[1] == counts[2], encoder
@@ -605,7 +610,7 @@ class TestBatchGraph:
 
         def objective(reg):
             before = next(ad._node_counter)
-            j = batch_objective(fw, [d.label for d in docs], 3, ObjectiveConfig(reg, 0.0))
+            j = batch_objective(fw, [d.label for d in docs], reg, 0.0)
             return next(ad._node_counter) - before, j.value.tobytes()
 
         assert objective(regularizer) == objective("none")
