@@ -4,6 +4,7 @@ from hypothesis import given, settings, strategies as st
 from oracles import grad_check
 
 from lama import autodiff as ad
+from lama.classifier import classify, init_classifier_arrays
 
 
 def scalar(node):
@@ -376,7 +377,31 @@ class TestGradCheckHarness:
             grad_check(lambda p: total(p[0]), [np.ones((1, 1))], step=0.0)
 
 
+def dropout_gate(rate, train):
+    """classify's hidden dropout seen from outside: whether a pass at
+    ``rate``/``train`` drew from its rng, and whether its logits equal a
+    no-dropout pass's."""
+    rng = np.random.default_rng(1)
+    arrays = init_classifier_arrays(6, 5, 3, rng)
+    head = [ad.leaf(arrays[k]) for k in ("W1", "b1", "W_c", "b_c")]
+    d = ad.leaf(rng.standard_normal((6, 2)))
+    _, plain = classify(d, *head, 0.0, False)
+    state = rng.bit_generator.state
+    _, logits = classify(d, *head, rate, train, rng=rng)
+    return rng.bit_generator.state != state, np.array_equal(logits.value, plain.value)
+
+
 class TestDropout:
+    # classify alone decides whether dropout runs: in eval mode or at rate 0
+    # it draws nothing and gives the no-dropout logits; with both on it draws
+    def test_eval_mode_is_identity(self):
+        assert dropout_gate(0.4, False) == (False, True)
+        assert dropout_gate(0.4, True) == (True, False)
+
+    def test_rate_zero_equals_eval(self):
+        assert dropout_gate(0.0, True) == (False, True)
+        assert dropout_gate(0.4, True) == (True, False)
+
     def test_inverted_scaling_preserves_expectation(self):
         rng = np.random.default_rng(10)
         x = np.ones((10, 10))

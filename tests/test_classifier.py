@@ -42,21 +42,6 @@ class TestClassify:
                              0.0, False)
         np.testing.assert_array_equal(p_train.value, p_eval.value)
 
-    def test_dropout_off_draws_nothing(self):
-        # classify alone decides whether dropout runs: in eval mode or at
-        # rate 0 it draws nothing and gives the no-dropout logits
-        rng = np.random.default_rng(1)
-        head = make_head(rng)
-        d = ad.leaf(rng.standard_normal((6, 2)))
-        _, plain = classify(d, head["W1"], head["b1"], head["W_c"], head["b_c"], 0.0, False)
-        for rate, train in ((0.4, False), (0.0, True), (0.4, True)):
-            state = rng.bit_generator.state
-            _, logits = classify(d, head["W1"], head["b1"], head["W_c"], head["b_c"],
-                                 rate, train, rng=rng)
-            drops = train and rate > 0
-            assert (rng.bit_generator.state != state) == drops, (rate, train)
-            assert np.array_equal(logits.value, plain.value) != drops, (rate, train)
-
     def test_probabilities_sum_to_one(self):
         rng = np.random.default_rng(2)
         head = make_head(rng, C=5)
