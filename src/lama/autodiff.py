@@ -341,11 +341,24 @@ class Groups(NamedTuple):
 
     def sum(self, values: np.ndarray) -> np.ndarray:
         """Row k: the sum of the rows of ``values`` at group k's positions
-        (a group is summed pairwise, so not in ``np.add.at``'s order)."""
-        ordered = values[self.order]
-        if self.starts.size == len(ordered):  # no repeats: reduceat would copy
-            return ordered
-        return np.add.reduceat(ordered, self.starts, axis=0)
+        (a group is summed pairwise, so not in ``np.add.at``'s order).
+
+        ``reduceat`` runs one inner loop per row, so a group of one row is
+        gathered instead and only the repeated groups are reduced; each
+        group's sum is the one ``reduceat`` over the whole order gives."""
+        n, k = len(self.order), self.starts.size
+        if k == n:  # no repeats: reduceat would copy
+            return values[self.order]
+        sizes = np.diff(self.starts, append=n)
+        single = sizes == 1
+        if not single.any():
+            return np.add.reduceat(values[self.order], self.starts, axis=0)
+        out = np.empty((k,) + values.shape[1:], values.dtype)
+        out[single] = values[self.order[self.starts[single]]]
+        repeated = sizes[~single]
+        out[~single] = np.add.reduceat(values[self.order[np.repeat(~single, sizes)]],
+                                       np.cumsum(repeated) - repeated, axis=0)
+        return out
 
 
 def group_ids(ids) -> Groups:

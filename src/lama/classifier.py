@@ -5,7 +5,8 @@ attention heads disagree: D_penal penalizes overlap between the head
 distributions (via ||A A^T - I||_F^2), D_emb penalizes cosine similarity
 between the per-head sentence embeddings. Both are <= their maximum at
 perfectly disagreeing heads, so subtracting them pushes heads apart.
-Each is summed over the documents of ``attention``'s packed layout. The
+Each is summed over the documents of ``attention``'s packed layout, per
+position or per (document, token) pair of a ``Bag``. The
 loss L is ``autodiff.softmax_cross_entropy`` on the logits.
 ``training.TrainConfig`` checks the regularizer (one of ``REGULARIZERS``)
 and lambda, ``model.batch_objective`` builds J, and ``classify`` alone
@@ -56,11 +57,15 @@ def classify(d_doc: Node, W1: Node, b1: Node, W_c: Node, b_c: Node,
     return probs, logits
 
 
-def disagreement_positions(A: Node, runs=None) -> Node:
+def disagreement_positions(A: Node, runs=None, counts=None) -> Node:
     """D_penal = -||A A^T - I||_F^2 over each document's run of columns,
-    summed (0 exactly when every document's rows are orthonormal)."""
+    summed (0 exactly when every document's rows are orthonormal). A
+    column of ``counts[t]`` positions holds their summed weight, so its
+    term of A A^T is divided by that count."""
     m = A.shape[0]
-    gram = ad.segment_matmul(A, ad.transpose(A), runs)  # one m x m block each
+    B = A if counts is None else ad.hadamard(
+        A, ad.constant((1.0 / counts).astype(A.value.dtype)[None, :]))
+    gram = ad.segment_matmul(A, ad.transpose(B), runs)  # one m x m block each
     minus_eye = np.tile(-np.eye(m, dtype=A.value.dtype), (gram.shape[0] // m, 1))
     return ad.scale(ad.frobenius_sq(ad.add(gram, ad.constant(minus_eye))), -1.0)
 

@@ -262,11 +262,13 @@ def cmd_attend(args):
                               source=args.data)
     if len(dataset) == 0:
         raise CliError(f"attend set is empty: {args.data}", EXIT_DATA)
-    # one forward-only graph per chunk of documents, its A split by document
+    # one forward-only graph per chunk of documents, the attention of its
+    # positions split by document
     predicted, A_docs = [], []
-    for _, fw in forward_chunks(checkpoint.params, dataset.documents):
+    for chunk, fw in forward_chunks(checkpoint.params, dataset.documents):
         predicted += [checkpoint.label_names[k] for k in fw.predictions]
-        A_docs += np.split(fw.attn.A_valid.value, fw.attn.runs.starts[1:], axis=1)
+        ends = np.cumsum([doc.true_length for doc in chunk])
+        A_docs += np.split(fw.attn.A_valid.value, ends[:-1], axis=1)
     with open(jsonl_path, "w", encoding="utf-8") as fh:
         for doc_id, ((_, label, tokens), pred, A) in enumerate(zip(rows, predicted, A_docs)):
             record = {

@@ -16,17 +16,24 @@ attention export run it forward only, on leaves that track no gradient.
 
 The batch's ids are grouped once (``autodiff.group_ids``) and its documents
 laid out once (``autodiff.runs``), the one layout of the graph's segment
-ops. Both encoders read ``W_e``'s rows at the distinct ids and
-``autodiff.expand`` spreads them over the positions. In training those rows
-are the trainer's own leaf, so their gradient is one dense row per distinct
-token and ``W_e`` gets none; otherwise ``autodiff.take_rows`` gathers them
-from ``W_e``. With the embedding-only encoder a word's annotation depends on
-its token id alone, so the word transform tanh(W_w e + b_w) and the Q
-projection also run once per distinct token, and ``expand`` spreads the
-projected scores. Per position stay the (P^T c) Hadamard (with its per-word
-context in doc-mean mode), tanh, the L2 across heads, the softmax over each
-document's run, S = A H and the disagreement terms. The BiGRU's annotations
-depend on context, so it encodes and transforms every position.
+ops. Both encoders read ``W_e``'s rows at the distinct ids. In training
+those rows are the trainer's own leaf, so their gradient is one dense row
+per distinct token and ``W_e`` gets none; otherwise ``autodiff.take_rows``
+gathers them from ``W_e``. The BiGRU's annotations depend on context, so
+``autodiff.expand`` spreads the rows over the positions and the BiGRU, the
+word transform and everything after it run per position; the layout's runs
+are the documents' positions.
+
+With the embedding-only encoder a word's annotation is its token's row, so
+a document is its bag of tokens (``attention.Bag``): ``_token_pairs``
+derives the (document, distinct token) pairs, each with its count n, from
+the batch's one grouping by id, with no second sort. The word transform
+and the Q projection run once per distinct token and the rest of
+attention once per pair (see ``attention``); the layout's runs are the
+documents' pairs. That equals the per-position graph in real arithmetic;
+a document whose tokens are all distinct is its positions in order, with
+n = 1, and keeps its bits. ``AttentionOutput.A_valid`` spreads a pair's
+weight evenly over its positions again.
 
 Dropout in the classifier draws one mask column per document, in batch
 order, from one hidden x B draw; that is the stream B one-document passes
@@ -202,29 +209,67 @@ def _valid_ids(ids, true_length: int | None) -> np.ndarray:
     return ids[:L]
 
 
+def _token_pairs(groups: ad.Groups, lengths) -> tuple[attention.Bag, ad.Groups]:
+    """The (document, distinct token) pairs of documents of ``lengths``
+    positions whose concatenated ids ``groups`` groups, as an
+    ``attention.Bag``, and the documents' runs of pairs.
+
+    In ``groups.order`` the positions of a token are in document order, so
+    a pair starts where the token or the document changes, and its first
+    position there is its first occurrence. Ranking the pairs by that
+    position orders them by document and first occurrence, and keeps each
+    token's pairs in document order: the ranks, taken in (token, document)
+    order, are the stable sort of the pairs by token that ``expand``'s
+    pullback reads. No step sorts."""
+    n, order = groups.order.size, groups.order
+    doc = np.repeat(np.arange(len(lengths)), lengths)
+    new_pair = np.empty(n, dtype=bool)  # in sort order: a pair's first position
+    new_pair[:1] = True
+    sorted_doc = doc[order]
+    np.not_equal(sorted_doc[1:], sorted_doc[:-1], out=new_pair[1:])
+    new_pair[groups.starts] = True
+    sorted_pair = np.cumsum(new_pair) - 1  # in sort order, pairs in (token, document) order
+    heads = np.flatnonzero(new_pair)
+    first = np.zeros(n, dtype=bool)  # by position: a pair's first position
+    first[order[heads]] = True
+    rank = (np.cumsum(first) - 1)[order[heads]]  # (token, document) order -> final order
+    pairs = np.empty(n, dtype=np.int64)
+    pairs[order] = rank[sorted_pair]
+    counts = np.empty(heads.size, dtype=np.int64)
+    counts[rank] = np.diff(heads, append=n)
+    firsts = np.flatnonzero(first)
+    tokens = ad.Groups(groups.unique, groups.inverse[firsts], rank, sorted_pair[groups.starts])
+    return (attention.Bag(tokens, counts, pairs),
+            ad.runs(np.bincount(doc[firsts], minlength=len(lengths))))
+
+
 def _forward(params: ModelParams, nodes: dict, id_rows: list, train: bool,
              rng: np.random.Generator | None,
              lookup: tuple[ad.Groups, Node] | None = None) -> ForwardPass:
     """One graph over the valid ids of each document: one embedding lookup,
     BiGRU scan, attention pass and classifier pass for all."""
-    runs = ad.runs([len(ids) for ids in id_rows])
+    lengths = [len(ids) for ids in id_rows]
     if lookup is None:
         groups = ad.group_ids(np.concatenate(id_rows))
         rows = ad.take_rows(nodes["W_e"], groups.unique)
     else:
         groups, rows = lookup
-    X = ad.expand(rows, groups)
     if params.encoder == ENCODER_BIGRU:
+        runs, bag = ad.runs(lengths), None
+        X = ad.expand(rows, groups)
         H = gru.bigru_encode(X, [nodes["gru_f." + n] for n in gru.GATE_NAMES],
                              [nodes["gru_b." + n] for n in gru.GATE_NAMES], runs)
-        distinct = None
-    else:  # a word's annotation is its token's row: transform each distinct id once
-        H = X
-        distinct = (rows, groups)
+    else:  # a word's annotation is its token's row: a document is its bag of tokens
+        bag, runs = _token_pairs(groups, lengths)
+        X = H = ad.expand(rows, bag.tokens)
 
-    c = nodes["attn.c"] if params.ctx == CTX_LEARNED else attention.doc_mean_context(X, runs)
+    if params.ctx == CTX_LEARNED:
+        c = nodes["attn.c"]
+    else:
+        c = attention.doc_mean_context(X, runs, None if bag is None else bag.counts)
     attn = attention.attend(H, c, nodes["attn.W_w"], nodes["attn.b_w"], nodes["attn.P"],
-                            nodes["attn.Q"], runs=runs, distinct=distinct)
+                            nodes["attn.Q"], runs=runs,
+                            distinct=None if bag is None else (rows, bag))
     probs, logits = classifier.classify(attn.d_doc, nodes["cls.W1"], nodes["cls.b1"],
                                         nodes["cls.W_c"], nodes["cls.b_c"],
                                         params.dropout, train=train, rng=rng)
@@ -268,10 +313,12 @@ def batch_objective(fw: ForwardPass, labels, regularizer: str, lam: float) -> No
     loss = ad.softmax_cross_entropy(fw.logits, y)
     if lam == 0 or regularizer == "none":
         return loss
+    attn = fw.attn
     if regularizer == "positions":
-        d = classifier.disagreement_positions(fw.attn.A_valid, fw.attn.runs)
+        d = classifier.disagreement_positions(attn.A, attn.runs,
+                                              None if attn.bag is None else attn.bag.counts)
     else:  # "embeddings"
-        d = classifier.disagreement_embeddings(fw.attn.S, fw.attn.A_valid.shape[0])
+        d = classifier.disagreement_embeddings(attn.S, attn.A.shape[0])
     return ad.add(loss, ad.scale(d, -lam))
 
 

@@ -29,11 +29,13 @@ g = 0, which they catch up when next read: a batch's ids when gathered,
 the validation ids before each ``evaluate``, every row before a
 best-epoch snapshot and before ``train`` returns. That equals the dense
 update in real arithmetic, not bit for bit. One sort of a batch's ids
-(``autodiff.group_ids``) serves, for either encoder, its gather, the
-spreading of its rows over the positions and their step. No embedding
-row is special: the PAD row starts at zero with zero velocity, and since
-padding is trimmed before the lookup and no text encodes to ``PAD_ID``,
-it is never gathered and stays zero. The best-epoch snapshot is one
+(``autodiff.group_ids``) serves its gather, the spreading of its rows and
+their step: the BiGRU spreads them over the positions, the embedding-only
+encoder over each document's distinct tokens, whose (document, token)
+pairs ``model`` derives from that same grouping. No embedding row is
+special: the PAD row starts at zero with zero velocity, and since padding
+is trimmed before the lookup and no text encodes to ``PAD_ID``, it is
+never gathered and stays zero. The best-epoch snapshot is one
 array the size of the buffer: the first improving epoch copies the buffer,
 each later one copies it into that array in place, and the end of the run
 copies it back.
@@ -249,13 +251,17 @@ class Checkpoint:
     def save(self, out_dir):
         """Write config.json, vocab.txt and weights.bin atomically: stage
         into a temp dir, move any old checkpoint aside, rename the new one
-        into place, then delete the old one."""
+        into place, then delete the old one. A target that exists and is
+        not a directory is a CheckpointError, raised before anything is
+        written."""
         out_dir = str(out_dir)
+        if os.path.lexists(out_dir) and not os.path.isdir(out_dir):
+            raise CheckpointError(f"cannot write checkpoint {out_dir}: it exists and is "
+                                  f"not a directory")
         tmp = out_dir + f".tmp-{os.getpid()}"
         old = tmp + "-old"
         for stale in (tmp, old):
-            if os.path.exists(stale):
-                shutil.rmtree(stale)
+            _remove(stale)
         os.makedirs(tmp)
         store = self.params.store
         manifest = [{"name": name, "shape": list(shape),
@@ -278,7 +284,7 @@ class Checkpoint:
             os.replace(out_dir, old)
         os.replace(tmp, out_dir)
         if replacing:
-            shutil.rmtree(old)
+            _remove(old)
 
     @classmethod
     def load(cls, ckpt_dir) -> "Checkpoint":
@@ -338,6 +344,15 @@ class Checkpoint:
         params = ModelParams(store=store, ctx=config.ctx, encoder=config.encoder,
                              num_classes=len(labels), dropout=config.dropout)
         return cls(config, vocab, labels, params)
+
+
+def _remove(path) -> None:
+    """Delete ``path`` whatever it is (a symlink itself, not its target);
+    nothing there is no error."""
+    if os.path.isdir(path) and not os.path.islink(path):
+        shutil.rmtree(path)
+    elif os.path.lexists(path):
+        os.remove(path)
 
 
 def _fresh_model(config: TrainConfig, vocab_size: int, num_classes: int,

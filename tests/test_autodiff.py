@@ -257,6 +257,22 @@ class TestGroups:
         assert all(part.shape == (0,) for part in groups)
         assert groups.sum(np.zeros((0, 3))).shape == (0, 3)
 
+    @pytest.mark.parametrize("d", [1, 8, 100])
+    @pytest.mark.parametrize("ids", [
+        np.arange(40)[::-1],                      # every group a single row
+        np.repeat(np.arange(10), 4)[::-1],        # every group repeated
+        np.array([5, 3, 5, 9, 0, 3, 3, 7, 11, 5, 2, 9, 4, 13]),  # both kinds
+    ], ids=["singletons", "repeated", "mixed"])
+    def test_sum_is_reduceat_over_the_whole_order_bit_for_bit(self, ids, d):
+        # singletons are gathered and only repeated groups reduced; each
+        # group's sum must keep the bits one reduceat over every row gives
+        groups = ad.group_ids(ids)
+        values = np.random.default_rng(d).standard_normal((ids.size, d)).astype(np.float32)
+        want = np.add.reduceat(values[groups.order], groups.starts, axis=0)
+        got = groups.sum(values)
+        assert got.dtype == want.dtype
+        np.testing.assert_array_equal(got, want)
+
     @settings(max_examples=60, deadline=None)
     @given(lengths=st.lists(st.integers(1, 9), min_size=1, max_size=12))
     def test_runs_is_the_grouping_of_the_rows_by_run(self, lengths):

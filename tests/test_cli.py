@@ -15,7 +15,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lama import baseline, cli, text, training as tr
+from lama import attention, baseline, cli, text, training as tr
+from lama import autodiff as ad
 from lama.model import forward_doc, param_shapes
 from lama.synthetic import keyword_pairs, write_tsv
 
@@ -172,6 +173,36 @@ class TestTrain:
                        *TRAIN_FLAGS, "--epochs", "1")
         assert code == 0
         assert len(calls) == 60
+
+    def test_checkpoint_target_that_is_a_file_is_io_error(self, workspace, tmp_path, capsys):
+        # refused before anything is staged: the file stays and no temp
+        # entry is left beside it
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "checkpoint").write_text("not a checkpoint\n")
+        capsys.readouterr()
+        code = run_cli("train", "--data", workspace["train"], "--valid", workspace["valid"],
+                       "--out", out, *TRAIN_FLAGS, "--epochs", "1")
+        err = capsys.readouterr().err.strip().splitlines()
+        assert code == cli.EXIT_IO
+        assert len(err) == 1 and err[0].startswith(
+            f"error: cannot write checkpoint {out / 'checkpoint'}: "), err
+        assert (out / "checkpoint").read_text() == "not a checkpoint\n"
+        assert sorted(p.name for p in out.iterdir()) == ["checkpoint", "manifest.json"]
+
+    def test_stale_temp_entries_of_any_kind_are_removed(self, workspace, tmp_path):
+        # a file and a dangling symlink where the save stages and moves aside
+        out = tmp_path / "out"
+        out.mkdir()
+        staged = out / f"checkpoint.tmp-{os.getpid()}"
+        staged.write_text("stale\n")
+        os.symlink(tmp_path / "nowhere", f"{staged}-old")
+        code = run_cli("train", "--data", workspace["train"], "--valid", workspace["valid"],
+                       "--out", out, *TRAIN_FLAGS, "--epochs", "1")
+        assert code == 0
+        assert sorted(p.name for p in out.iterdir()) == \
+            ["checkpoint", "history.csv", "manifest.json"]
+        tr.Checkpoint.load(out / "checkpoint")
 
     def test_divergence_exit_code(self, workspace, tmp_path):
         code = run_cli("train", "--data", workspace["train"], "--valid",
@@ -458,6 +489,43 @@ class TestAttendAndTopwords:
         for score, token in expected:
             assert got[token][0] == pytest.approx(score, rel=1e-9)
             assert got[token][1] == counts[token]
+
+    def test_repeated_tokens_share_their_weight_and_rank_as_per_position(
+            self, export, workspace, tmp_path):
+        # the embedding-only model attends over each document's distinct
+        # tokens; the export gives each occurrence its token's weight / n.
+        # The ranking is the one of an export attended position by position
+        records = [json.loads(line) for line in export.read_text().splitlines()]
+        ckpt = tr.Checkpoint.load(export.parent / "run" / "checkpoint")
+        assert ckpt.config.encoder == "le" and ckpt.config.ctx == "learned"
+        rows = text.tokenize_rows(text.read_tsv(workspace["train"]))
+        dataset = text.rows_to_dataset(rows, ckpt.vocab, ckpt.config.max_len,
+                                       label_names=ckpt.label_names)
+        nodes = ckpt.params.store.nodes(requires_grad=False)
+        repeated = 0
+        oracle = tmp_path / "per-position.jsonl"
+        with open(oracle, "w", encoding="utf-8") as fh:
+            for rec, doc in zip(records, dataset.documents, strict=True):
+                A = np.asarray(rec["A"])
+                np.testing.assert_allclose(A.sum(axis=1), 1.0, rtol=0, atol=1e-6)
+                for token in set(rec["tokens"]):
+                    cols = A[:, [t == token for t in rec["tokens"]]]
+                    repeated += cols.shape[1] > 1
+                    assert (cols == cols[:, :1]).all(), (rec["doc_id"], token)
+                X = ad.constant(ckpt.params.store["W_e"][doc.valid_ids()])
+                per_position = attention.attend(X, nodes["attn.c"], nodes["attn.W_w"],
+                                                nodes["attn.b_w"], nodes["attn.P"],
+                                                nodes["attn.Q"]).A_valid.value
+                np.testing.assert_allclose(A, per_position, rtol=0, atol=1e-6)
+                fh.write(json.dumps({**rec, "A": per_position.tolist()}) + "\n")
+        assert repeated > len(records)
+        for label in (None, "pos", "neg"):
+            got = cli.top_attended_words(export, label=label, top_k=1000, min_occurrences=1)
+            want = cli.top_attended_words(oracle, label=label, top_k=1000,
+                                          min_occurrences=1)
+            assert [(w, n) for w, _, n in got] == [(w, n) for w, _, n in want], label
+            np.testing.assert_allclose([s for _, s, _ in got], [s for _, s, _ in want],
+                                       rtol=0, atol=1e-6)
 
     def test_min_occurrences_filter(self, export):
         ranking = cli.top_attended_words(export, min_occurrences=10_000)

@@ -2,6 +2,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from conftest import assert_views_of_one_buffer, graph_nodes
 from oracles import dense_grad, grad_check
 
@@ -199,7 +200,8 @@ def assert_one_lookup_of_distinct_rows(fw, W_e):
 
 class TestGroupedEmbeddingPath:
     """The embedding-only encoder transforms each distinct token of a batch
-    once; the result must be the per-position computation."""
+    once and attends over each document's distinct tokens, weighted by
+    their counts; the result must be the per-position computation."""
 
     @pytest.mark.parametrize("ctx", ["learned", "doc-mean"])
     def test_matches_the_per_position_oracle(self, ctx):
@@ -210,6 +212,9 @@ class TestGroupedEmbeddingPath:
         # the lookup, the Q projection and, in doc-mean mode, the context
         expands = sum(n.op == "expand" for n in graph_nodes(fw.logits))
         assert expands == (2 if ctx == "learned" else 3)
+        # the graph's A has one column per (document, token) pair; A_valid
+        # spreads each pair's weight over its positions
+        assert fw.attn.A.shape == (2, 7)
         # attend without a grouping, over every position's own row
         runs = ad.runs([doc.true_length for doc in docs])
         X = ad.constant(params.store["W_e"][np.concatenate(
@@ -243,8 +248,9 @@ class TestGroupedEmbeddingPath:
         ad.backward(mdl.batch_objective(fw, [doc.label for doc in docs], "positions", 0.2))
         assert_one_lookup_of_distinct_rows(fw, nodes["W_e"])
 
-    @pytest.mark.parametrize("ctx,regularizer", [("learned", "embeddings"),
-                                                 ("doc-mean", "positions")])
+    @pytest.mark.parametrize("ctx,regularizer", [
+        ("learned", "embeddings"), ("doc-mean", "positions"),
+        ("learned", "positions"), ("doc-mean", "embeddings")])
     def test_full_model_gradient_check(self, ctx, regularizer):
         rng = np.random.default_rng(4)
         params = tiny_model(rng, encoder="le", ctx=ctx, dropout=0.0, dtype=np.float64)
@@ -259,6 +265,38 @@ class TestGroupedEmbeddingPath:
         report = grad_check(builder, [params.store[n] for n in names],
                             step=1e-5, tolerance=1e-5)
         assert report.passed, report.max_rel_errors
+
+    @settings(max_examples=60, deadline=None)
+    @given(id_rows=st.lists(st.lists(st.integers(2, 7), min_size=1, max_size=9),
+                            min_size=1, max_size=6))
+    def test_token_pairs_are_each_documents_distinct_tokens(self, id_rows):
+        ids = np.concatenate(id_rows)
+        groups = ad.group_ids(ids)
+        bag, runs = mdl._token_pairs(groups, [len(row) for row in id_rows])
+        # by document, then by first occurrence, each with its count
+        want = [(b, t, row.count(t)) for b, row in enumerate(id_rows)
+                for t in dict.fromkeys(row)]
+        token = groups.unique[bag.tokens.inverse]
+        assert list(zip(runs.inverse.tolist(), token.tolist(), bag.counts.tolist())) == want
+        docs = np.repeat(np.arange(len(id_rows)), [len(row) for row in id_rows])
+        assert (token[bag.pairs] == ids).all() and (runs.inverse[bag.pairs] == docs).all()
+        # the grouping of the pairs by token is the one a sort would make
+        for name, got, sorted_ in zip(ad.Groups._fields, bag.tokens, ad.group_ids(token)):
+            assert np.array_equal(got, sorted_), name
+
+    @pytest.mark.parametrize("ctx", ["learned", "doc-mean"])
+    @pytest.mark.parametrize("regularizer", ["positions", "embeddings"])
+    def test_no_node_spans_the_positions(self, ctx, regularizer):
+        # the documents repeat tokens, so their 9 positions make 7 pairs of
+        # 4 distinct tokens; no dimension of the model is 9
+        params = tiny_model(encoder="le", ctx=ctx)
+        docs = shared_token_docs()
+        N = sum(doc.true_length for doc in docs)
+        fw = mdl.forward_batch(params, params.store.nodes(), docs)
+        j = mdl.batch_objective(fw, [doc.label for doc in docs], regularizer, 0.2)
+        shapes = {n.op: n.shape for n in graph_nodes(j) if N in n.shape}
+        assert N == 9 and not shapes, shapes
+        assert fw.attn.A_valid.shape == (2, N)
 
 
 class TestBatchObjective:

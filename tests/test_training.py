@@ -8,11 +8,12 @@ import pytest
 from conftest import assert_views_of_one_buffer, graph_nodes
 from oracles import dense_grad
 
+from lama import attention, classifier
 from lama import autodiff as ad
 from lama import training as tr
 from lama.classifier import REGULARIZERS
-from lama.model import (BLOCK, batch_objective, doc_objective, forward_batch, forward_doc,
-                        init_model)
+from lama.model import (BLOCK, ForwardPass, batch_objective, doc_objective, forward_batch,
+                        forward_doc, init_model)
 from lama.synthetic import keyword_pairs, make_task, pairs_to_dataset
 from lama.text import PAD_ID, UNK_ID, Document, build_vocab, load_dataset, tokenize
 from lama.training import (Checkpoint, CheckpointError, DivergenceError, EvalMetrics,
@@ -526,6 +527,49 @@ class TestBatchGraph:
                 got, want = dense_grad(batch[name]), dense_grad(single[name])
                 assert np.abs(want).max() > 0, (seed, name)
                 assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max(), (seed, name)
+
+    @pytest.mark.parametrize("ctx", ["learned", "doc-mean"])
+    @pytest.mark.parametrize("regularizer", REGULARIZERS)
+    def test_pooled_embedding_only_batch_has_the_per_position_gradients(
+            self, ctx, regularizer):
+        # float64, dropout off: a training batch of the embedding-only
+        # encoder attends over each document's distinct tokens, weighted by
+        # their counts; its loss and every gradient must be those of the
+        # same batch attended position by position. Six tokens over 22
+        # positions make every document but the one-word one repeat some
+        for seed in range(5):
+            rng = np.random.default_rng(seed)
+            params = init_model(vocab_size=8, num_classes=3, rng=rng, d=6, m=3,
+                                mlp_hidden=8, dropout=0.0, encoder="le", ctx=ctx,
+                                dtype=np.float64)
+            params.store.buffer[...] = rng.uniform(-0.6, 0.6, size=params.store.buffer.size)
+            docs = ragged_docs(rng, [5, 9, 1, 7], 8, 3)
+            labels = [doc.label for doc in docs]
+            groups = tr._group_ids(docs)
+            config = TrainConfig(regularizer=regularizer, lam=0.2)
+
+            def leaves():
+                return (params.store.nodes(),
+                        ad.leaf(params.store["W_e"][groups.unique], requires_grad=True))
+
+            pooled, pooled_rows = leaves()
+            loss = tr._backward_batch(params, pooled, docs, config, rng, (groups, pooled_rows))
+            nodes, rows = leaves()
+            runs = ad.runs([doc.true_length for doc in docs])
+            X = ad.expand(rows, groups)
+            c = nodes["attn.c"] if ctx == "learned" else attention.doc_mean_context(X, runs)
+            attn = attention.attend(X, c, nodes["attn.W_w"], nodes["attn.b_w"],
+                                    nodes["attn.P"], nodes["attn.Q"], runs=runs)
+            probs, logits = classifier.classify(attn.d_doc, nodes["cls.W1"], nodes["cls.b1"],
+                                                nodes["cls.W_c"], nodes["cls.b_c"], 0.0,
+                                                train=False)
+            j = batch_objective(ForwardPass(logits, probs, attn), labels, regularizer, 0.2)
+            ad.backward(ad.scale(j, 1.0 / len(docs)))
+            assert loss == pytest.approx(j.value.item(), rel=1e-12)
+            got = [pooled_rows.grad] + [pooled[n].grad for n in params.store.names()[1:]]
+            want = [rows.grad] + [nodes[n].grad for n in params.store.names()[1:]]
+            for name, g, w in zip(params.store.names(), got, want):
+                assert np.abs(g - w).max() <= 1e-12 * np.abs(w).max(), (seed, name)
 
     @pytest.mark.parametrize("encoder", ["bigru", "le"])
     @pytest.mark.parametrize("ctx", ["learned", "doc-mean"])
