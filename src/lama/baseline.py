@@ -13,10 +13,10 @@ out here.
 Runtime measurements sweep the sequence length on synthetic batches and
 report the least-squares slope of log(time) against log(length); dimensions
 are deliberately small enough that the quadratic term dominates the
-transformer encoder inside the measured window. The factorized attention
-is timed the way ``model.forward_batch`` runs it: one ``attention.attend``
-over the batch's rows packed back to back, on leaves that track no
-gradient.
+transformer encoder inside the measured window. The factorized kind times
+the whole embedding-only model, ``model.forward_batch``: lookup, (document,
+token) pairs, attention, classifier. Its ids are uniform over ``BENCH_VOCAB``
+tokens and rarely repeat, so it times the per-position cost pooling would cut.
 """
 
 from __future__ import annotations
@@ -28,11 +28,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import attention, autodiff as ad
+from . import autodiff as ad, model
 from .attention import CTX_LEARNED
 from .model import ENCODER_BIGRU, MAX_PARAMS, param_shapes
+from .text import Document
 
 MAX_TRIALS = 1000
+BENCH_VOCAB = 2**14  # the factorized bench draws its ids from [2, BENCH_VOCAB)
 # ``lama_param_count``'s breakdown: the entry each ``param_shapes`` name
 # prefix counts towards, in report order
 _BREAKDOWN = {"W_e": "embeddings", "gru_": "bigru", "attn.W_w": "word_transform",
@@ -188,26 +190,16 @@ class BenchResult:
                 f"{self.rows[0][0]}..{self.rows[-1][0]}")
 
 
-def _le_forward_batch(embedded_docs, arrays):
-    nodes = {k: ad.leaf(v) for k, v in arrays.items()}
-    attention.attend(ad.leaf(np.concatenate(embedded_docs)), nodes["c"], nodes["W_w"],
-                     nodes["b_w"], nodes["P"], nodes["Q"],
-                     runs=ad.runs([len(X) for X in embedded_docs]))
-
-
-def _te_forward_batch(docs, params, heads):
-    for X in docs:
-        sdpa_forward(X, params, heads)
-
-
 def bench_runtime(kind: str, lengths, trials: int = 5, d: int | None = None,
                   heads: int | None = None, batch: int = 4,
                   seed: int = 0, log=None) -> BenchResult:
     """Median wall time of a synthetic-batch forward pass per length, plus
-    the fitted log-log slope.
+    the fitted log-log slope: "le" times an embedding-only model's
+    ``model.forward_batch`` on ids drawn from [2, ``BENCH_VOCAB``), "te"
+    ``sdpa_forward`` on random embedded documents (see the module docstring).
 
-    Defaults keep the factorized encoder matmul-bound (d=512) and the
-    transformer encoder attention-bound (d_model=32) so each layer's
+    Defaults keep the factorized model matmul-bound (d=512) and the
+    transformer encoder attention-bound (d_model=32) so each one's
     length-scaling shows inside the 64..1024 window.
     """
     lengths = [int(x) for x in lengths]
@@ -226,26 +218,33 @@ def bench_runtime(kind: str, lengths, trials: int = 5, d: int | None = None,
                             f"batch={batch}, dim={d}, heads={m}, seed={seed}")
     # the weights, the longest batch and its scores, bounded before any allocation
     L = lengths[-1]
-    floats = 4 * d * d + 2 * d * m + batch * L * (d + m * (L if kind == "te" else 1))
+    le = dict(d=d, h=1, m=m, ctx=CTX_LEARNED, encoder=model.ENCODER_LE, mlp_hidden=512)
+    try:
+        weights = (model.param_layout(param_shapes(BENCH_VOCAB, 2, **le))[1]
+                   if kind == "le" else 4 * d * d)
+    except ValueError as exc:
+        raise BaselineError(f"an le benchmark at dim={d}, heads={m}: {exc}") from None
+    floats = weights + batch * L * (d + m * (L if kind == "te" else 1))
     if floats > MAX_PARAMS:
         raise BaselineError(f"a {kind} benchmark at dim={d}, heads={m}, batch={batch} "
                             f"and length {L} holds {floats} floats, over {MAX_PARAMS}")
 
     rng = np.random.Generator(np.random.PCG64(seed))
+    dims = {"d" if kind == "le" else "d_model": d, "heads": m, "batch": batch}
     if kind == "le":
-        arrays = attention.init_attention_arrays(d, m, rng)
-        run = lambda docs: _le_forward_batch(docs, arrays)
-        dims = {"d": d, "heads": m, "batch": batch}
+        params = model.init_model(BENCH_VOCAB, 2, rng, **le)
+        draw = lambda length: Document(rng.integers(2, BENCH_VOCAB, size=length), length, 0)
+        run = lambda docs: model.forward_batch(
+            params, params.store.nodes(requires_grad=False), docs)
     else:
         params = init_te_params(d, rng)
-        run = lambda docs: _te_forward_batch(docs, params, m)
-        dims = {"d_model": d, "heads": m, "batch": batch}
+        draw = lambda length: rng.standard_normal((length, d)).astype(np.float32)
+        run = lambda docs: [sdpa_forward(X, params, m) for X in docs]
 
     resolution = time.get_clock_info("perf_counter").resolution
     rows = []
     for length in lengths:
-        docs = [rng.standard_normal((length, d)).astype(np.float32)
-                for _ in range(batch)]
+        docs = [draw(length) for _ in range(batch)]
         run(docs)  # warmup
         samples = []
         for _ in range(trials):

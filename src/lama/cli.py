@@ -36,8 +36,8 @@ from .model import ENCODER_BIGRU, ENCODER_LE, param_shapes
 from .text import (FileOpenError, TextError, build_vocab, load_dataset, read_pretrained,
                    read_tsv, rows_to_dataset, tokenize_rows)
 from .training import (MAX_LEN, Checkpoint, CheckpointError, DivergenceError, TrainConfig,
-                       TrainingError, evaluate, forward_chunks, heads_sweep, sweep_to_csv,
-                       train)
+                       TrainingError, checkpoint_target, evaluate, forward_chunks,
+                       heads_sweep, sweep_to_csv, train)
 
 EXIT_USAGE = 2
 EXIT_IO = 3
@@ -227,6 +227,7 @@ def cmd_train(args):
     _manifest(args, [args.data, args.valid], [ckpt_dir, history_csv]).write(args.out)
 
     config = _config_from_args(args)
+    checkpoint_target(ckpt_dir)  # refused now, not after the last epoch
     train_set, valid_set, vocab, pretrained = _load_inputs(args, config, config.m)
     checkpoint, history = train(config, train_set, valid_set, vocab, pretrained=pretrained,
                                 log=print, snapshot=args.snapshot)

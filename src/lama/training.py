@@ -253,11 +253,8 @@ class Checkpoint:
         into a temp dir, move any old checkpoint aside, rename the new one
         into place, then delete the old one. A target that exists and is
         not a directory is a CheckpointError, raised before anything is
-        written."""
-        out_dir = str(out_dir)
-        if os.path.lexists(out_dir) and not os.path.isdir(out_dir):
-            raise CheckpointError(f"cannot write checkpoint {out_dir}: it exists and is "
-                                  f"not a directory")
+        written (``checkpoint_target``)."""
+        out_dir = checkpoint_target(out_dir)
         tmp = out_dir + f".tmp-{os.getpid()}"
         old = tmp + "-old"
         for stale in (tmp, old):
@@ -344,6 +341,17 @@ class Checkpoint:
         params = ModelParams(store=store, ctx=config.ctx, encoder=config.encoder,
                              num_classes=len(labels), dropout=config.dropout)
         return cls(config, vocab, labels, params)
+
+
+def checkpoint_target(out_dir) -> str:
+    """``out_dir`` normalised, so a trailing separator does not put the
+    temp names inside it; a CheckpointError if it exists and is not a
+    directory, the one target ``Checkpoint.save`` refuses."""
+    out_dir = os.path.normpath(out_dir)
+    if os.path.lexists(out_dir) and not os.path.isdir(out_dir):
+        raise CheckpointError(f"cannot write checkpoint {out_dir}: it exists and is "
+                              f"not a directory")
+    return out_dir
 
 
 def _remove(path) -> None:

@@ -139,19 +139,37 @@ class TestBenchRuntime:
             bench_runtime("gpu", [8, 16, 32, 64])
 
     def test_le_times_one_packed_attend_per_batch(self, monkeypatch):
-        # the model's path: each timed batch is one attend over the packed rows
-        calls = []
-        attend = bl.attention.attend
+        # the model's path: each timed batch is one forward_batch of the
+        # embedding-only model, and so one attend over its packed pairs
+        calls, attends = [], []
+        forward_batch, attend = bl.model.forward_batch, bl.model.attention.attend
 
-        def counted(H, *args, runs=None, **kwargs):
-            calls.append((H.shape, runs.starts.tolist(), H.requires_grad))
-            return attend(H, *args, runs=runs, **kwargs)
+        def counted(params, nodes, docs, **kwargs):
+            calls.append(([d.true_length for d in docs], params.encoder,
+                          any(n.requires_grad for n in nodes.values())))
+            return forward_batch(params, nodes, docs, **kwargs)
 
-        monkeypatch.setattr(bl.attention, "attend", counted)
+        def counted_attend(*args, runs=None, **kwargs):
+            attends.append(len(runs.starts))
+            return attend(*args, runs=runs, **kwargs)
+
+        monkeypatch.setattr(bl.model, "forward_batch", counted)
+        monkeypatch.setattr(bl.model.attention, "attend", counted_attend)
         bench_runtime("le", [8, 16, 32, 64], trials=5, d=16, heads=2, batch=3)
-        expected = [((3 * L, 16), [0, L, 2 * L], False) for L in (8, 16, 32, 64)
-                    for _ in range(6)]
-        assert calls == expected  # one warm-up and five timed batches per length
+        # one warm-up and five timed batches per length
+        assert calls == [([L] * 3, "le", False) for L in (8, 16, 32, 64) for _ in range(6)]
+        assert attends == [3] * len(calls)
+
+    def test_le_size_is_checked_before_anything_is_allocated(self, monkeypatch):
+        # d=2**15 gives W_e alone BENCH_VOCAB * 2**15 = 2**29 floats
+        assert bl.BENCH_VOCAB * 2**15 > bl.MAX_PARAMS
+
+        def no_model(*args, **kwargs):
+            raise AssertionError("init_model ran")
+
+        monkeypatch.setattr(bl.model, "init_model", no_model)
+        with pytest.raises(BaselineError, match="more than the"):
+            bench_runtime("le", [8, 16, 32, 64], d=2**15)
 
     def test_smoke_rows_and_csv(self, tmp_path):
         res = bench_runtime("le", [8, 16, 32, 64], trials=5, d=16, heads=2,

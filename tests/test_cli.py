@@ -175,16 +175,18 @@ class TestTrain:
         assert len(calls) == 60
 
     def test_checkpoint_target_that_is_a_file_is_io_error(self, workspace, tmp_path, capsys):
-        # refused before anything is staged: the file stays and no temp
-        # entry is left beside it
+        # refused before training starts: the file stays and no temp entry
+        # is left beside it
         out = tmp_path / "out"
         out.mkdir()
         (out / "checkpoint").write_text("not a checkpoint\n")
         capsys.readouterr()
         code = run_cli("train", "--data", workspace["train"], "--valid", workspace["valid"],
                        "--out", out, *TRAIN_FLAGS, "--epochs", "1")
-        err = capsys.readouterr().err.strip().splitlines()
+        stdout, err = capsys.readouterr()
+        err = err.strip().splitlines()
         assert code == cli.EXIT_IO
+        assert not any(line.startswith("epoch ") for line in stdout.splitlines())  # no training
         assert len(err) == 1 and err[0].startswith(
             f"error: cannot write checkpoint {out / 'checkpoint'}: "), err
         assert (out / "checkpoint").read_text() == "not a checkpoint\n"
@@ -655,6 +657,8 @@ OUT_OF_DOMAIN = {
     "bench-te-heads-0": (["bench", "--kind", "te", "--heads", "0"], cli.EXIT_USAGE),
     "bench-batch-0": (["bench", "--kind", "le", "--batch", "0"], cli.EXIT_USAGE),
     "bench-dim-0": (["bench", "--kind", "le", "--dim", "0"], cli.EXIT_USAGE),
+    # an embedding-only model over model.MAX_PARAMS, refused before it is allocated
+    "bench-le-dim-huge": (["bench", "--kind", "le", "--dim", "32768"], cli.EXIT_USAGE),
     "topwords-array-record": (["topwords", "--data", "{jsonl}"], cli.EXIT_DATA),
     "topwords-non-utf8": (["topwords", "--data", "{non_utf8}"], cli.EXIT_DATA),
     "topwords-top-k-0": (["topwords", "--data", "{jsonl}", "--top-k", "0"], cli.EXIT_USAGE),

@@ -936,6 +936,19 @@ class TestCheckpointIO:
         assert [p.name for p in tmp_path.iterdir()] == ["ckpt"]
         assert evaluate(Checkpoint.load(out), valid_set) == evaluate(ckpt, valid_set)
 
+    def test_save_to_a_path_with_a_trailing_separator(self, tmp_path, keyword_task):
+        # new, then existing: the temp names sit beside the target, not in it
+        train_set, valid_set, vocab = keyword_task
+        cfg = small_config()
+        ckpt = Checkpoint(cfg, vocab, list(train_set.label_names),
+                          tr._fresh_model(cfg, len(vocab), 2, np.random.default_rng(0)))
+        for _ in range(2):
+            ckpt.save(str(tmp_path / "ck") + os.sep)
+            assert [p.name for p in tmp_path.iterdir()] == ["ck"]
+            assert sorted(p.name for p in (tmp_path / "ck").iterdir()) == \
+                ["config.json", "vocab.txt", "weights.bin"]
+        assert evaluate(Checkpoint.load(tmp_path / "ck"), valid_set) == evaluate(ckpt, valid_set)
+
     def test_load_draws_no_random_init(self, tmp_path, keyword_task, monkeypatch):
         # every tensor comes from weights.bin, so nothing is drawn to be
         # overwritten; the loaded model scores like the saved one
