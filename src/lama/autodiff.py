@@ -15,12 +15,16 @@ so a walk over a large graph holds only the gradients still in flight.
 A pullback returns either a fresh array that nothing else holds, or the
 incoming gradient or a view (of it or of any other array). ``backward``
 adopts a fresh array as a parent's first ``.grad`` as it is, and copies
-anything else (identity, ``transpose``, ``reshape``, an unchanged
-``_unbroadcast``, the GRU's per-tensor views), since two parents may be
-handed the same memory and each one's gradient is later added into.
+anything else (``add``'s gradient for an operand of the output's shape,
+``transpose``, ``reshape``, the GRU's per-tensor views), since two parents
+may be handed the same memory and each one's gradient is later added into.
 
-Every primitive validates shapes up front and checks its output for
-NaN/Inf, so a non-finite value never propagates silently.
+Every primitive validates shapes up front and screens its output through
+``check_finite``, so a non-finite value never propagates silently. The
+screen is ``np.isfinite(out).all()``: exact, with no arithmetic on the
+values, so finite values whose sum would overflow pass and numpy has
+nothing to warn of. Its temporary is a bool array a quarter of the size of
+a float32 output.
 
 Most nodes are one elementwise or matrix op. The GRU is the exception:
 ``gru.bigru_encode`` builds one fused ``gru_scan`` node for both
@@ -142,19 +146,8 @@ def constant(value) -> Node:
     return leaf(value, requires_grad=False, op="const")
 
 
-def all_finite(arr: np.ndarray) -> bool:
-    """Whether every element of ``arr`` is finite.
-
-    A single-pass screen: any NaN/Inf makes the sum non-finite. The exact
-    check then rules out accumulation overflow of finite values, which is
-    no fault, so numpy need not warn of it."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        total = arr.sum()
-    return bool(np.isfinite(total)) or bool(np.isfinite(arr).all())
-
-
 def check_finite(out: np.ndarray, op: str) -> np.ndarray:
-    if not all_finite(out):
+    if not np.isfinite(out).all():
         raise NonFiniteError(op)
     return out
 
@@ -164,23 +157,17 @@ def _make(op: str, out: np.ndarray, parents) -> Node:
 
 
 def _unbroadcast(grad: np.ndarray, shape) -> np.ndarray:
-    """Sum a gradient back down to ``shape`` after numpy broadcasting."""
-    if grad.shape == shape:
-        return grad
-    out = grad
-    if shape[0] == 1 and out.shape[0] != 1:
-        out = out.sum(axis=0, keepdims=True)
-    if shape[1] == 1 and out.shape[1] != 1:
-        out = out.sum(axis=1, keepdims=True)
-    return out
+    """Sum a gradient back down to ``shape`` after numpy broadcasting; a
+    gradient already of that shape is returned as it is."""
+    if shape[0] == 1 and grad.shape[0] != 1:
+        grad = grad.sum(axis=0, keepdims=True)
+    if shape[1] == 1 and grad.shape[1] != 1:
+        grad = grad.sum(axis=1, keepdims=True)
+    return grad
 
 
 def _broadcastable(a, b) -> bool:
     return all(x == y or x == 1 or y == 1 for x, y in zip(a, b))
-
-
-def _identity(g):
-    return g
 
 
 # ---------------------------------------------------------------------------
@@ -190,8 +177,6 @@ def _identity(g):
 def add(a: Node, b: Node) -> Node:
     """Element-wise sum; size-1 axes broadcast (covers bias-broadcast-add)."""
     sa, sb = a.value.shape, b.value.shape
-    if sa == sb:
-        return _make("add", a.value + b.value, ((a, _identity), (b, _identity)))
     if not _broadcastable(sa, sb):
         raise ShapeMismatchError("add", sa, sb)
     return _make("add", a.value + b.value, [
@@ -204,8 +189,6 @@ def hadamard(a: Node, b: Node) -> Node:
     """Element-wise product; size-1 axes broadcast."""
     av, bv = a.value, b.value
     sa, sb = av.shape, bv.shape
-    if sa == sb:
-        return _make("hadamard", av * bv, ((a, lambda g: g * bv), (b, lambda g: g * av)))
     if not _broadcastable(sa, sb):
         raise ShapeMismatchError("hadamard", sa, sb)
     return _make("hadamard", av * bv, [
@@ -347,12 +330,8 @@ class Groups(NamedTuple):
         gathered instead and only the repeated groups are reduced; each
         group's sum is the one ``reduceat`` over the whole order gives."""
         n, k = len(self.order), self.starts.size
-        if k == n:  # no repeats: reduceat would copy
-            return values[self.order]
         sizes = np.diff(self.starts, append=n)
         single = sizes == 1
-        if not single.any():
-            return np.add.reduceat(values[self.order], self.starts, axis=0)
         out = np.empty((k,) + values.shape[1:], values.dtype)
         out[single] = values[self.order[self.starts[single]]]
         repeated = sizes[~single]

@@ -138,7 +138,7 @@ def bigru_encode(embedded: Node, forward_gates, backward_gates, runs=None) -> No
         hi = lo + n
         # the step's arithmetic runs on contiguous n x h temporaries; the
         # buffers' multi-block views are only read once or written once
-        s = state if n == state.shape[1] else np.ascontiguousarray(state[:, :n])
+        s = np.ascontiguousarray(state[:, :n])
         prev[:, lo:hi] = s
         u = np.matmul(s, U_T)                          # U_z h, U_r h, U_h h
         a_zr = pre[:2, :, lo:hi]

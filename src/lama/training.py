@@ -334,8 +334,8 @@ class Checkpoint:
         if size != nbytes:
             raise CheckpointError(f"corrupt checkpoint {ckpt_dir}: weights.bin holds "
                                   f"{size} bytes, the manifest {nbytes}")
-        if not ad.all_finite(store.buffer):
-            name = next(name for name, value in store.items() if not ad.all_finite(value))
+        if not np.isfinite(store.buffer).all():
+            name = next(name for name, value in store.items() if not np.isfinite(value).all())
             raise CheckpointError(f"corrupt checkpoint {ckpt_dir}: tensor {name} "
                                   f"holds a non-finite value")
         params = ModelParams(store=store, ctx=config.ctx, encoder=config.encoder,
@@ -455,15 +455,19 @@ def train(config: TrainConfig, train_set: Dataset, valid_set: Dataset,
                                                  (groups, rows))
             except ad.NonFiniteError as exc:
                 raise DivergenceError(epoch, batch_no, str(exc)) from exc
-            if not np.isfinite(batch_loss):
-                raise DivergenceError(epoch, batch_no, f"loss={batch_loss}")
             loss_sum += batch_loss
             rows_sgd.step(groups.unique, block, block_velocity, rows.grad)
             np.concatenate([nodes[name].grad for name in dense_names], axis=None, out=grad)
             sgd_step(dense, grad, velocity, config.lr, config.momentum, config.weight_decay)
 
-        rows_sgd.catch_up(valid_rows)
-        valid_acc = evaluate(params, valid_set).accuracy
+        try:
+            # validation is the first to read the last batch's step, so an
+            # overflow there is that batch's divergence
+            with np.errstate(over="ignore", invalid="ignore"):
+                rows_sgd.catch_up(valid_rows)
+                valid_acc = evaluate(params, valid_set).accuracy
+        except ad.NonFiniteError as exc:
+            raise DivergenceError(epoch, batch_no, str(exc)) from exc
         record = EpochRecord(epoch, loss_sum / len(docs), valid_acc,
                              time.perf_counter() - started)
         history.records.append(record)

@@ -65,10 +65,27 @@ class TestErrors:
         with pytest.raises(ad.ShapeMismatchError, match=r"matmul.*\(2, 3\).*\(2, 3\)"):
             ad.matmul(ad.leaf(np.ones((2, 3))), ad.leaf(np.ones((2, 3))))
 
-    def test_non_finite_error_names_op(self):
-        big = ad.leaf(np.full((1, 1), 1e308))
-        with np.errstate(over="ignore"), pytest.raises(ad.NonFiniteError, match="hadamard"):
-            ad.hadamard(big, big)
+    @pytest.mark.parametrize("shape_b", [(2, 3), (1, 3)], ids=["equal", "broadcast"])
+    @pytest.mark.parametrize("op", ["add", "hadamard"])
+    def test_non_finite_error_names_op(self, op, shape_b):
+        big_a, big_b = ad.leaf(np.full((2, 3), 1e308)), ad.leaf(np.full(shape_b, 1e308))
+        with np.errstate(over="ignore"), pytest.raises(ad.NonFiniteError, match=f"^{op}: "):
+            getattr(ad, op)(big_a, big_b)
+
+    @pytest.mark.parametrize("where", [0, 7, 14], ids=["first", "middle", "last"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_check_finite_names_the_op_of_any_non_finite_element(self, bad, where):
+        out = np.ones((3, 5), np.float32)
+        out.flat[where] = bad
+        with pytest.raises(ad.NonFiniteError, match="^some_op: "):
+            ad.check_finite(out, "some_op")
+
+    @pytest.mark.parametrize("out", [np.full((4, 1000), 3e38, np.float32),
+                                     np.empty((0, 5), np.float32)], ids=["sum-overflows", "empty"])
+    def test_check_finite_passes_finite_values(self, out):
+        # finite values whose sum overflows are no fault, and the screen
+        # does no arithmetic that numpy could warn of
+        assert ad.check_finite(out, "some_op") is out
 
     def test_backward_rejects_non_scalar_root(self):
         x = ad.leaf(np.ones((2, 2)), requires_grad=True)
@@ -105,6 +122,30 @@ class TestBackward:
         x = ad.leaf(xv, requires_grad=True)
         ad.backward(ad.frobenius_sq(x))
         np.testing.assert_allclose(x.grad, 2 * xv, rtol=1e-12)
+
+    @pytest.mark.parametrize("shape_a, shape_b", [((2, 5), (2, 5)), ((2, 5), (1, 5)),
+                                                  ((2, 1), (2, 5)), ((1, 1), (2, 5))],
+                             ids=["equal", "row", "column", "scalar"])
+    @pytest.mark.parametrize("op", ["add", "hadamard"])
+    def test_elementwise_value_and_pullbacks_are_numpys(self, op, shape_a, shape_b):
+        # each pullback sums the broadcast gradient over its operand's
+        # size-1 axes, the rows first
+        rng = np.random.default_rng(15)
+        av, bv = rng.standard_normal(shape_a), rng.standard_normal(shape_b)
+        out = getattr(ad, op)(ad.leaf(av, True), ad.leaf(bv, True))
+        g = rng.standard_normal(out.shape)
+        (_, pull_a), (_, pull_b) = out.parents
+        grad_a, grad_b = (g, g) if op == "add" else (g * bv, g * av)
+
+        def reduced(grad, shape):
+            for axis in (0, 1):
+                if shape[axis] == 1 != grad.shape[axis]:
+                    grad = grad.sum(axis=axis, keepdims=True)
+            return grad
+
+        np.testing.assert_array_equal(out.value, av + bv if op == "add" else av * bv)
+        np.testing.assert_array_equal(pull_a(g), reduced(grad_a, shape_a))
+        np.testing.assert_array_equal(pull_b(g), reduced(grad_b, shape_b))
 
     def test_hadamard_product_rule(self):
         rng = np.random.default_rng(5)

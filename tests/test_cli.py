@@ -212,6 +212,21 @@ class TestTrain:
                        "--lr", "200", "--weight-decay", "0.05", *TRAIN_FLAGS[2:])
         assert code == cli.EXIT_DIVERGED
 
+    def test_divergence_in_an_epochs_last_step_exits_5(self, tmp_path, capsys):
+        # 32 documents make one batch; its step overflows the weights, and
+        # the epoch's validation is the first to read them
+        write_tsv(keyword_pairs(32, seed=1), tmp_path / "train.tsv")
+        write_tsv(keyword_pairs(8, seed=10_001), tmp_path / "valid.tsv")
+        capsys.readouterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = run_cli("train", "--data", tmp_path / "train.tsv", "--valid",
+                           tmp_path / "valid.tsv", "--out", tmp_path / "out", "--batch", "32",
+                           "--lr", "1e30")
+        err = capsys.readouterr().err.strip().splitlines()
+        assert code == cli.EXIT_DIVERGED
+        assert len(err) == 1 and err[0].startswith("error: training diverged at epoch 1"), err
+
     def test_single_class_train_set_is_data_error(self, tmp_path, capsys):
         pairs = [pair for pair in marker_pairs(48, seed=0) if pair[0] == "pos"]
         write_tsv(pairs, tmp_path / "train.tsv")

@@ -1,6 +1,7 @@
 import json
 import os
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -421,6 +422,18 @@ class TestTrainLoop:
         cfg = small_config(lr=200.0, weight_decay=0.05, max_epochs=50)
         with pytest.raises(DivergenceError, match="epoch"):
             train(cfg, train_set, valid_set, vocab)
+
+    def test_divergence_in_an_epochs_last_step_names_that_batch(self):
+        # one batch per epoch: its step overflows the weights, and the first
+        # op to read them is the epoch's validation
+        train_set, valid_set, vocab = make_task("keyword", 32, 8, seed=1)
+        cfg = TrainConfig(d=16, h=8, m=2, max_len=32, batch=32, mlp_hidden=24, lr=1e30,
+                          max_epochs=3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # numpy's overflow warning only repeats it
+            with pytest.raises(DivergenceError,
+                               match=r"^training diverged at epoch 1, batch 0: gru_scan: "):
+                train(cfg, train_set, valid_set, vocab)
 
     def test_empty_validation_rejected(self, keyword_task):
         train_set, _, vocab = keyword_task
