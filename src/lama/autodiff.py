@@ -29,19 +29,21 @@ a float32 output.
 Most nodes are one elementwise or matrix op. The GRU is the exception:
 ``gru.bigru_encode`` builds one fused ``gru_scan`` node for both
 directions of a whole minibatch, runs the recurrence on raw arrays and
-keeps the per-step intermediates itself. Its parents are the input rows
-and each direction's nine gate tensors; their nineteen pullbacks share one
-hand-written backpropagation through time, run on the first of them that
-``backward`` calls. Its finiteness check runs once, on the whole
+keeps the per-step intermediates itself. Its parents are the batch's
+distinct input rows, which a ``Groups`` spreads over the positions inside
+the node, and each direction's nine gate tensors; their nineteen pullbacks
+share one hand-written backpropagation through time, run on the first of
+them that ``backward`` calls. Its finiteness check runs once, on the whole
 pre-activation buffer and on the output, through ``check_finite``.
 
 ``group_ids`` sorts an id array once into its distinct ids, each
 position's group, the sort order and the group starts. ``expand`` is the
 gather that spreads one row per distinct id over the positions (it screens
 its source rows for finiteness, since each one appears in the output); its
-pullback sums each group's rows with ``np.add.reduceat`` over that
-presorted order, so it needs no sort and no scatter, and its gradient is
-dense. That sum is where every repeated index accumulates.
+pullback, ``Groups.sum``, sums each group's rows with ``np.add.reduceat``
+over that presorted order, so it needs no sort and no scatter, and its
+gradient is dense. That sum is where every repeated index accumulates;
+``gru_scan`` sums its input rows' gradient with it too.
 
 ``take_rows`` gathers strictly increasing rows only, such as a batch's
 distinct ids, so its pullback scatters each row once into a dense
@@ -322,21 +324,23 @@ class Groups(NamedTuple):
     order: np.ndarray
     starts: np.ndarray
 
-    def sum(self, values: np.ndarray) -> np.ndarray:
+    def sum(self, values) -> np.ndarray:
         """Row k: the sum of the rows of ``values`` at group k's positions
         (a group is summed pairwise, so not in ``np.add.at``'s order).
+        ``values`` is an array with one row per position, or a function
+        that returns a new array of the rows at an array of positions.
 
-        ``reduceat`` runs one inner loop per row, so a group of one row is
-        gathered instead and only the repeated groups are reduced; each
-        group's sum is the one ``reduceat`` over the whole order gives."""
-        n, k = len(self.order), self.starts.size
-        sizes = np.diff(self.starts, append=n)
-        single = sizes == 1
-        out = np.empty((k,) + values.shape[1:], values.dtype)
-        out[single] = values[self.order[self.starts[single]]]
-        repeated = sizes[~single]
-        out[~single] = np.add.reduceat(values[self.order[np.repeat(~single, sizes)]],
-                                       np.cumsum(repeated) - repeated, axis=0)
+        ``reduceat`` runs one inner loop per row, so each group's first row
+        is gathered, which is the sum of a group of one row, and only the
+        repeated groups are reduced; each group's sum is the one
+        ``reduceat`` over the whole order gives."""
+        take = values if callable(values) else values.__getitem__
+        sizes = np.diff(self.starts, append=len(self.order))
+        out = take(self.order[self.starts])
+        repeated = sizes > 1
+        counts = sizes[repeated]
+        out[repeated] = np.add.reduceat(take(self.order[np.repeat(repeated, sizes)]),
+                                        np.cumsum(counts) - counts, axis=0)
         return out
 
 

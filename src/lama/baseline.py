@@ -13,10 +13,10 @@ out here.
 Runtime measurements sweep the sequence length on synthetic batches and
 report the least-squares slope of log(time) against log(length); dimensions
 are deliberately small enough that the quadratic term dominates the
-transformer encoder inside the measured window. The factorized kind times
-the whole embedding-only model, ``model.forward_batch``: lookup, (document,
-token) pairs, attention, classifier. Its ids are uniform over ``BENCH_VOCAB``
-tokens and rarely repeat, so it times the per-position cost pooling would cut.
+transformer encoder inside the measured window. The factorized kinds time
+a whole model's ``model.forward_batch``, embedding-only ("le") or BiGRU
+("bigru"), on ids uniform over ``BENCH_VOCAB`` tokens that rarely repeat:
+the per-position cost that grouping by token cuts, each encoder's worst case.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import autodiff as ad, model
+from . import autodiff as ad, model, training
 from .attention import CTX_LEARNED
 from .model import ENCODER_BIGRU, MAX_PARAMS, param_shapes
 from .text import Document
@@ -194,13 +194,13 @@ def bench_runtime(kind: str, lengths, trials: int = 5, d: int | None = None,
                   heads: int | None = None, batch: int = 4,
                   seed: int = 0, log=None) -> BenchResult:
     """Median wall time of a synthetic-batch forward pass per length, plus
-    the fitted log-log slope: "le" times an embedding-only model's
-    ``model.forward_batch`` on ids drawn from [2, ``BENCH_VOCAB``), "te"
+    the fitted log-log slope: "le" and "bigru" time ``model.forward_batch``
+    of a model with that encoder on ids drawn from [2, ``BENCH_VOCAB``), "te"
     ``sdpa_forward`` on random embedded documents (see the module docstring).
 
-    Defaults keep the factorized model matmul-bound (d=512) and the
-    transformer encoder attention-bound (d_model=32) so each one's
-    length-scaling shows inside the 64..1024 window.
+    Defaults keep the embedding-only model matmul-bound (d=512) and the
+    transformer encoder attention-bound (d_model=32), so each one's scaling
+    shows in the 64..1024 window; the BiGRU takes the trainer's d and h.
     """
     lengths = [int(x) for x in lengths]
     if len(lengths) < 4 or any(b <= a for a, b in zip(lengths, lengths[1:])):
@@ -209,30 +209,30 @@ def bench_runtime(kind: str, lengths, trials: int = 5, d: int | None = None,
         raise BaselineError("lengths must be >= 1 and span at least an 8x range")
     if not 5 <= trials <= MAX_TRIALS:
         raise BaselineError(f"need 5 to {MAX_TRIALS} trials, got {trials}")
-    if kind not in ("le", "te"):
+    if kind not in ("le", "bigru", "te"):
         raise BaselineError(f"unknown benchmark kind {kind!r}")
-    d = (512 if kind == "le" else 32) if d is None else d
-    m = (8 if kind == "le" else 4) if heads is None else heads
+    d = {"le": 512, "bigru": training.TrainConfig.d, "te": 32}[kind] if d is None else d
+    m = (4 if kind == "te" else 8) if heads is None else heads
     if min(batch, d, m, seed + 1) < 1:
         raise BaselineError(f"batch, dim and heads must be >= 1 and seed >= 0, got "
                             f"batch={batch}, dim={d}, heads={m}, seed={seed}")
-    # the weights, the longest batch and its scores, bounded before any allocation
-    L = lengths[-1]
-    le = dict(d=d, h=1, m=m, ctx=CTX_LEARNED, encoder=model.ENCODER_LE, mlp_hidden=512)
+    # the weights, batch, scores and BiGRU buffers (~24h a position), bounded before allocation
+    L, h = lengths[-1], training.TrainConfig.h
+    lama = dict(d=d, h=h, m=m, ctx=CTX_LEARNED, encoder=kind, mlp_hidden=512)
     try:
-        weights = (model.param_layout(param_shapes(BENCH_VOCAB, 2, **le))[1]
-                   if kind == "le" else 4 * d * d)
+        floats = (model.param_layout(param_shapes(BENCH_VOCAB, 2, **lama))[1]
+                  if kind != "te" else 4 * d * d)
     except ValueError as exc:
-        raise BaselineError(f"an le benchmark at dim={d}, heads={m}: {exc}") from None
-    floats = weights + batch * L * (d + m * (L if kind == "te" else 1))
+        raise BaselineError(f"an {kind} benchmark at dim={d}, heads={m}: {exc}") from None
+    floats += batch * L * (d + m * (L if kind == "te" else 1) + 24 * h * (kind == "bigru"))
     if floats > MAX_PARAMS:
         raise BaselineError(f"a {kind} benchmark at dim={d}, heads={m}, batch={batch} "
                             f"and length {L} holds {floats} floats, over {MAX_PARAMS}")
 
     rng = np.random.Generator(np.random.PCG64(seed))
-    dims = {"d" if kind == "le" else "d_model": d, "heads": m, "batch": batch}
-    if kind == "le":
-        params = model.init_model(BENCH_VOCAB, 2, rng, **le)
+    dims = {"d" if kind != "te" else "d_model": d, "heads": m, "batch": batch}
+    if kind != "te":
+        params = model.init_model(BENCH_VOCAB, 2, rng, **lama)
         draw = lambda length: Document(rng.integers(2, BENCH_VOCAB, size=length), length, 0)
         run = lambda docs: model.forward_batch(
             params, params.store.nodes(requires_grad=False), docs)

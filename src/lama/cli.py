@@ -149,10 +149,10 @@ def build_parser():
     p.add_argument("--out", default=os.path.join("lama-out", "params"))
 
     p = sub.add_parser("bench", help="forward-pass runtime vs sequence length")
-    p.add_argument("--kind", choices=["le", "te"], required=True)
+    p.add_argument("--kind", choices=["le", "bigru", "te"], required=True)
     p.add_argument("--lengths", type=_int_list, default=(64, 128, 256, 512, 1024))
     p.add_argument("--trials", type=int, default=5)
-    p.add_argument("--dim", type=int, help="embedding dim (le) or d_model (te)")
+    p.add_argument("--dim", type=int, help="embedding dim (le, bigru) or d_model (te)")
     p.add_argument("--heads", "-m", type=int)
     p.add_argument("--batch", type=int, default=4)
     p.add_argument("--seed", type=int, default=0)

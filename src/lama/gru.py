@@ -6,7 +6,7 @@ arrays.
 
 The BiGRU is one fused autodiff node, ``gru_scan``, rather than a tape of
 small ops per step: one node for both directions of a whole minibatch.
-Its input holds the documents' rows back to back, as ``autodiff.runs``
+Its positions are the documents' tokens back to back, as ``autodiff.runs``
 lays them out (one document is one run, with no branch of its own); the
 documents run in lockstep, longest first, so the documents still running
 at step t are a prefix of those running at step t - 1, and the widths n_t
@@ -23,19 +23,24 @@ one inner loop per row. Each step does one batched product of the
 2 x n_t x h state with the contiguous transposed U of every gate and
 direction, and its elementwise work (the sigmoid in its tanh form, the
 candidate, the blend) runs on contiguous temporaries; each buffer block is
-read or written once. The input product W x + b is one batched GEMM over
-every row before the loop.
+read or written once. The input half of every gate, W x + b, depends only
+on the token, so it runs before the loop once per distinct row of the
+batch, as one GEMM by both directions' stacked W, and one gather spreads
+it over the scan's positions.
 
 The backward pass is backpropagation through time over the same schedule
 in reverse, run once and shared by the pullbacks of all nineteen parents
-(the input rows and each direction's nine gate tensors). The factors that
-do not depend on the incoming gradient are computed once over all rows
-before the loop: z(1 - c^2) for the candidate's pre-activation, with r for
+(the distinct input rows and each direction's nine gate tensors). The
+factors that do not depend on the incoming gradient are computed once over
+all rows before the loop: z(1 - c^2) for the candidate's pre-activation, with r for
 U_h h; (c - h) z(1 - z) for the update gate's; z(1 - c^2) r (U_h h)(1 - r)
 for the reset gate's; and 1 - z for the state's own path back. Each
 reverse step then adds the carried gradient, multiplies the factors by it
-in place and does one batched product with U for the next carry. The
-weight, bias and input gradients are whole-batch GEMMs after the loop.
+in place and does one batched product with U for the next carry. After
+the loop the pre-activations' gradient is summed per distinct row
+(``autodiff.Groups.sum``: a row that one position reads is gathered, and
+only the repeated ones are reduced), so the input weight, bias and row
+gradients are GEMMs over the distinct rows, not over the positions.
 
 The finiteness check runs once, after the loop, on the pre-activation
 buffer and on the output states; a non-finite value anywhere in a step
@@ -91,43 +96,54 @@ def _packed_schedule(runs, rows: int):
             np.bincount(step).tolist())
 
 
-def bigru_encode(embedded: Node, forward_gates, backward_gates, runs=None) -> Node:
-    """Encode embedded rows into annotations, row t holding [forward
-    state; backward state] at position t, as one ``gru_scan`` node.
+def bigru_encode(rows: Node, forward_gates, backward_gates, runs=None, groups=None) -> Node:
+    """Encode the positions of the layout ``runs`` (one document when it is
+    None) into annotations, row t holding [forward state; backward state]
+    at position t, as one ``gru_scan`` node.
 
-    ``embedded`` holds the documents of the layout ``runs`` back to back
-    (one document when it is None), each scanned from a zero state in both
-    directions; each direction's gates are its nine parameter Nodes in
-    ``GATE_NAMES`` order. Every row is a real token: the caller trims
-    padding first, so each document's backward direction starts at its
-    last token. Each step computes z = sigmoid(W_z x + U_z h + b_z),
-    r = sigmoid(W_r x + U_r h + b_r), c = tanh(W_h x + r o (U_h h) + b_h)
-    and h' = (1 - z) o h + z o c.
+    ``rows`` holds one input row per distinct token, and position t reads
+    row ``groups.inverse[t]`` (``groups`` is ``autodiff.group_ids`` of the
+    positions' ids); with no ``groups`` each row is its own position. Each
+    document is scanned from a zero state in both directions; each
+    direction's gates are its nine parameter Nodes in ``GATE_NAMES`` order.
+    Every position is a real token: the caller trims padding first, so each
+    document's backward direction starts at its last token. Each step
+    computes z = sigmoid(W_z x + U_z h + b_z), r = sigmoid(W_r x + U_r h +
+    b_r), c = tanh(W_h x + r o (U_h h) + b_h) and h' = (1 - z) o h + z o c.
     """
-    x = embedded.value
+    x = rows.value
     h_f, h_b = forward_gates[0].shape[0], backward_gates[0].shape[0]
     if h_f != h_b:
         raise ad.ShapeMismatchError("bigru_encode", (h_f,), (h_b,))
     for gates in (forward_gates, backward_gates):
         if x.shape[1] != gates[0].shape[1]:
             raise ad.ShapeMismatchError("gru_scan", x.shape, gates[0].shape)
-    N, h = x.shape[0], h_f
+    if groups is None:
+        groups = ad.group_ids(np.arange(x.shape[0]))
+    if x.shape[0] != groups.unique.size:
+        raise ad.ShapeMismatchError("gru_scan", x.shape, groups.unique.shape)
+    N, h = groups.inverse.size, h_f
     perm, widths = _packed_schedule(runs, N)
     values = [[node.value for node in gates] for gates in (forward_gates, backward_gates)]
 
-    def stack(k):  # gate-major, direction-stacked: [gate][direction]
-        return np.array([[v[k + 3 * g] for v in values] for g in range(3)])
-
-    W, U, b = stack(0), stack(1), stack(2)[..., 0][:, :, None, :]
+    # the recurrent weights gate-major, direction-stacked: [gate][direction]
+    U = np.array([[v[1 + 3 * g] for v in values] for g in range(3)])
     U_T = np.ascontiguousarray(U.transpose(0, 1, 3, 2))
+    # the input weights and biases direction-major, [direction][gate]
+    W = np.array([v[0::3] for v in values]).reshape(6 * h, -1)
+    bias = np.array([v[2::3] for v in values])[..., 0]
     dtype = np.result_type(x, W)
 
+    # W x + b once per distinct row, [row, direction, gate, unit]
+    lin = np.matmul(x, W.T).reshape(-1, 2, 3, h)
+    lin += bias
     # gate-major buffers in scan order, kept for the backward sweep:
     # [gate, direction, row, unit]; step t owns rows lo:hi, so each of its
-    # gate blocks is one contiguous n_t x h block per direction
-    xp = x[perm]                                       # 2 x N x d
-    pre = np.matmul(xp, W.transpose(0, 1, 3, 2))       # a_z, a_r, a_h from W x + b
-    pre += b
+    # gate blocks is one contiguous n_t x h block per direction. Scan row j
+    # of direction k is position perm[k, j], so its gate g block is lin's
+    # block (inverse[perm[k, j]], k, g): one gather fills the buffer
+    at = groups.inverse[perm] * 6 + np.arange(2)[:, None] * 3 + np.arange(3)[:, None, None]
+    pre = lin.reshape(-1, h)[at]                       # a_z, a_r, a_h
     act = np.empty_like(pre)                           # z, r, c
     u_h = np.empty((2, N, h), dtype)                   # U_h h
     prev = np.empty((2, N, h), dtype)                  # h before the step
@@ -198,20 +214,21 @@ def bigru_encode(embedded: Node, forward_gates, backward_gates, runs=None) -> No
             carry += p[2]
             hi = lo
         d_pre, d_u = d[1:], d[:3]
-        d_W = np.matmul(d_pre.transpose(0, 1, 3, 2), xp)
         d_U = np.matmul(d_u.transpose(0, 1, 3, 2), prev)[[1, 2, 0]]  # to z, r, h
-        # one GEMV per block: sum(axis=2) would run an inner loop per row
-        d_b = np.matmul(np.ones(N, dtype), d_pre)[..., None]
-        d_xp = np.matmul(d_pre[0], W[0])
-        d_xp += np.matmul(d_pre[1], W[1])
-        d_xp += np.matmul(d_pre[2], W[2])
-        d_x = np.empty((N, x.shape[1]), dtype)
-        d_x[perm[0]] = d_xp[0]
-        d_x[perm[1]] += d_xp[1]
-        grads = [d_x]
+        # d lin: the pre-activations' gradient summed per distinct row; the
+        # position p is scan row step[k, p] of direction k
+        step = np.empty_like(perm)
+        step[[[0], [1]], perm] = np.arange(N)
+        by_step = d_pre.transpose(1, 2, 0, 3)          # [direction, row, gate, unit]
+        d_lin = groups.sum(
+            lambda pos: by_step[[0, 1], step[:, pos].T].reshape(len(pos), 6 * h))
+        d_W = np.matmul(d_lin.T, x).reshape(2, 3, h, -1)
+        # a GEMV: sum(axis=0) would run an inner loop per row
+        d_b = np.matmul(np.ones(len(d_lin), dtype), d_lin).reshape(2, 3, h, 1)
+        grads = [np.matmul(d_lin, W)]
         for k in range(2):
             for gate in range(3):
-                grads += [d_W[gate, k], d_U[gate, k], d_b[gate, k]]
+                grads += [d_W[k, gate], d_U[gate, k], d_b[k, gate]]
         return grads
 
     # backward calls every pullback with the same gradient array, so the
@@ -225,5 +242,5 @@ def bigru_encode(embedded: Node, forward_gates, backward_gates, runs=None) -> No
             return swept[1][i]
         return back
 
-    parents = [embedded, *forward_gates, *backward_gates]
+    parents = [rows, *forward_gates, *backward_gates]
     return ad.Node(states, "gru_scan", tuple((node, pull(i)) for i, node in enumerate(parents)))

@@ -20,9 +20,12 @@ ops. Both encoders read ``W_e``'s rows at the distinct ids. In training
 those rows are the trainer's own leaf, so their gradient is one dense row
 per distinct token and ``W_e`` gets none; otherwise ``autodiff.take_rows``
 gathers them from ``W_e``. The BiGRU's annotations depend on context, so
-``autodiff.expand`` spreads the rows over the positions and the BiGRU, the
-word transform and everything after it run per position; the layout's runs
-are the documents' positions.
+the word transform and everything after it run per position; the layout's
+runs are the documents' positions. The BiGRU itself reads the distinct
+rows and the grouping: the input half of its gates depends only on the
+token, so it runs once per distinct row and is spread over the positions
+inside the scan (see ``gru``). ``autodiff.expand`` spreads the looked-up
+rows only for the embedding-only encoder and for the doc-mean context.
 
 With the embedding-only encoder a word's annotation is its token's row, so
 a document is its bag of tokens (``attention.Bag``): ``_token_pairs``
@@ -256,17 +259,18 @@ def _forward(params: ModelParams, nodes: dict, id_rows: list, train: bool,
         groups, rows = lookup
     if params.encoder == ENCODER_BIGRU:
         runs, bag = ad.runs(lengths), None
-        X = ad.expand(rows, groups)
-        H = gru.bigru_encode(X, [nodes["gru_f." + n] for n in gru.GATE_NAMES],
-                             [nodes["gru_b." + n] for n in gru.GATE_NAMES], runs)
+        H = gru.bigru_encode(rows, [nodes["gru_f." + n] for n in gru.GATE_NAMES],
+                             [nodes["gru_b." + n] for n in gru.GATE_NAMES], runs, groups)
     else:  # a word's annotation is its token's row: a document is its bag of tokens
         bag, runs = _token_pairs(groups, lengths)
-        X = H = ad.expand(rows, bag.tokens)
+        H = ad.expand(rows, bag.tokens)
 
     if params.ctx == CTX_LEARNED:
         c = nodes["attn.c"]
+    elif bag is None:  # the mean of the documents' embedded positions
+        c = attention.doc_mean_context(ad.expand(rows, groups), runs)
     else:
-        c = attention.doc_mean_context(X, runs, None if bag is None else bag.counts)
+        c = attention.doc_mean_context(H, runs, bag.counts)
     attn = attention.attend(H, c, nodes["attn.W_w"], nodes["attn.b_w"], nodes["attn.P"],
                             nodes["attn.Q"], runs=runs,
                             distinct=None if bag is None else (rows, bag))

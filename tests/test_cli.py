@@ -631,6 +631,16 @@ class TestBench:
         assert lines[0] == "length,median_seconds,trials"
         assert len(lines) == 5
 
+    def test_bigru_smoke_and_csv(self, tmp_path):
+        out = tmp_path / "bench"
+        code = run_cli("bench", "--kind", "bigru", "--lengths", "8,16,32,64",
+                       "--trials", "5", "--dim", "16", "-m", "2",
+                       "--batch", "1", "--out", out)
+        assert code == 0
+        lines = (out / "bench_bigru.csv").read_text().splitlines()
+        assert lines[0] == "length,median_seconds,trials"
+        assert [line.split(",")[0] for line in lines[1:]] == ["8", "16", "32", "64"]
+
     def test_bad_lengths_usage_error(self, tmp_path):
         code = run_cli("bench", "--kind", "te", "--lengths", "8,16",
                        "--out", tmp_path / "x")
@@ -674,6 +684,8 @@ OUT_OF_DOMAIN = {
     "bench-dim-0": (["bench", "--kind", "le", "--dim", "0"], cli.EXIT_USAGE),
     # an embedding-only model over model.MAX_PARAMS, refused before it is allocated
     "bench-le-dim-huge": (["bench", "--kind", "le", "--dim", "32768"], cli.EXIT_USAGE),
+    # a BiGRU model over model.MAX_PARAMS, refused the same way
+    "bench-bigru-dim-huge": (["bench", "--kind", "bigru", "--dim", "32768"], cli.EXIT_USAGE),
     "topwords-array-record": (["topwords", "--data", "{jsonl}"], cli.EXIT_DATA),
     "topwords-non-utf8": (["topwords", "--data", "{non_utf8}"], cli.EXIT_DATA),
     "topwords-top-k-0": (["topwords", "--data", "{jsonl}", "--top-k", "0"], cli.EXIT_USAGE),
@@ -822,9 +834,9 @@ class TestFlagProperties:
         assert_exit_contract(["params", "--out", flag_inputs / "params", flag, value],
                              PARAMS_FLAGS[flag](value))
 
-    @settings(max_examples=2 * len(BENCH_FLAGS) * len(DRAWS), deadline=None)
+    @settings(max_examples=3 * len(BENCH_FLAGS) * len(DRAWS), deadline=None)
     @given(flag=st.sampled_from(sorted(BENCH_FLAGS)), value=st.sampled_from(DRAWS),
-           kind=st.sampled_from(["le", "te"]))
+           kind=st.sampled_from(["le", "bigru", "te"]))
     def test_bench(self, flag, value, kind, flag_inputs):
         argv = ["bench", "--kind", kind, "--lengths", "4,8,16,32", "--trials", "5",
                 "--dim", "8", "--heads", "2", "--batch", "1", "--out", flag_inputs / "bench"]

@@ -283,6 +283,79 @@ class TestBigruEncode:
             train(cfg, train_set, valid_set, vocab)
 
 
+# positions' ids over the documents of GROUPED_LENGTHS (unsorted, one of a
+# single token); the grouping's distinct ids are the encoder's rows
+GROUPINGS = {
+    "all-repeated": [3, 7, 3, 7, 7, 3, 9, 9, 3, 9],
+    "all-singletons": [5, 2, 8, 1, 4, 9, 0, 6, 3, 7],
+    "mixed": [4, 1, 4, 6, 2, 4, 8, 1, 5, 3],
+    "one-id": [6] * 10,
+}
+GROUPED_LENGTHS = [4, 1, 3, 2]
+
+
+class TestGroupedRows:
+    """The encoder reads one row per distinct token and a grouping that
+    spreads the rows over the positions; that must be the per-position
+    encode of the spread rows, with the rows' gradient summed per group."""
+
+    @staticmethod
+    def inputs(case, dtype, seed):
+        rng = np.random.default_rng(seed)
+        groups = ad.group_ids(GROUPINGS[case])
+        d, h = 4, 3
+        arrays = []
+        for _ in range(2):
+            a = init_gru_arrays(d, h, rng, dtype=dtype)
+            for name in ("b_z", "b_r", "b_h"):
+                a[name] = rng.uniform(-0.5, 0.5, size=(h, 1)).astype(dtype)
+            arrays.append(a)
+        rows = (rng.standard_normal((groups.unique.size, d)) * 0.5).astype(dtype)
+        return groups, rows, [a[n] for a in arrays for n in GATE_NAMES]
+
+    @pytest.mark.parametrize("case", list(GROUPINGS))
+    def test_gradients_of_all_nineteen_parents(self, case):
+        groups, rows, gates = self.inputs(case, np.float64, seed=40)
+        runs = ad.runs(GROUPED_LENGTHS)
+
+        def builder(leaves):
+            H = bigru_encode(leaves[0], leaves[1:10], leaves[10:], runs, groups)
+            assert H.op == "gru_scan" and [p for p, _ in H.parents] == leaves
+            return ad.frobenius_sq(ad.tanh(H))
+
+        report = grad_check(builder, [rows] + gates, step=1e-5, tolerance=1e-6)
+        assert len(report.max_rel_errors) == 19 and report.passed, report.max_rel_errors
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("case", list(GROUPINGS))
+    def test_equals_the_per_position_encode_of_the_spread_rows(self, case, dtype):
+        groups, rows, gates = self.inputs(case, dtype, seed=41)
+        runs = ad.runs(GROUPED_LENGTHS)
+        weights = np.random.default_rng(42).standard_normal(
+            (len(GROUPINGS[case]), 6)).astype(dtype)
+        results = []
+        for x, grouping in ((rows, groups), (rows[groups.inverse], None)):
+            leaves = [ad.leaf(a.copy(), requires_grad=True) for a in [x] + gates]
+            H = bigru_encode(leaves[0], leaves[1:10], leaves[10:], runs, grouping)
+            ad.backward(ad.frobenius_sq(ad.hadamard(H, ad.constant(weights))))
+            results.append((H.value, [leaf.grad for leaf in leaves]))
+        (grouped, grads), (spread, spread_grads) = results
+        spread_grads[0] = groups.sum(spread_grads[0])
+        tol = dict(rtol=1e-12, atol=1e-12) if dtype == np.float64 else \
+            dict(rtol=1e-5, atol=1e-6)
+        assert grouped.dtype == dtype and grads[0].shape == rows.shape
+        np.testing.assert_allclose(grouped, spread, **tol)
+        for k, (got, want) in enumerate(zip(grads, spread_grads)):
+            np.testing.assert_allclose(got, want, **tol, err_msg=f"parent {k}")
+
+    def test_rows_other_than_the_groups_rejected(self):
+        groups, rows, gates = self.inputs("mixed", np.float64, seed=43)
+        leaves = [ad.leaf(a) for a in gates]
+        with pytest.raises(ad.ShapeMismatchError, match="gru_scan"):
+            bigru_encode(ad.leaf(rows[1:]), leaves[:9], leaves[9:],
+                         ad.runs(GROUPED_LENGTHS), groups)
+
+
 def test_init_bounds_scale_with_hidden_dim():
     rng = np.random.default_rng(12)
     arrays = init_gru_arrays(d=6, h=16, rng=rng)

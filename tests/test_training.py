@@ -650,11 +650,13 @@ class TestBatchGraph:
                 counts.append(len(graph_nodes(j)))
                 expands.append(sum(n.op == "expand" for n in graph_nodes(j)))
             assert counts[0] == counts[1] == counts[2], encoder
-            # both encoders spread the rows looked up at the distinct ids, and in
-            # doc-mean mode the document means; only the embedding-only
-            # encoder also spreads its projected scores, as the BiGRU's
-            # annotations are contextual
-            spread = (1 if encoder == "bigru" else 2) + (ctx == "doc-mean")
+            # the embedding-only encoder spreads the rows looked up at the
+            # distinct ids over its pairs, and its projected scores; the BiGRU
+            # reads the distinct rows itself, so in doc-mean mode alone it
+            # spreads them over the positions for the means; doc-mean then
+            # spreads each document's mean over its columns
+            spread = {("bigru", "learned"): 0, ("bigru", "doc-mean"): 2,
+                      ("le", "learned"): 2, ("le", "doc-mean"): 3}[encoder, ctx]
             assert set(expands) == {spread}, encoder
 
     @pytest.mark.parametrize("regularizer", ["positions", "embeddings"])
