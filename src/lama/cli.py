@@ -183,7 +183,7 @@ def _config_from_args(args) -> TrainConfig:
 
 
 def _manifest(args, inputs, outputs) -> RunManifest:
-    config = {k: v for k, v in vars(args).items() if k not in ("command", "func")}
+    config = {k: v for k, v in vars(args).items() if k != "command"}
     return RunManifest(command=args.command, config=config,
                        seed=getattr(args, "seed", None),
                        inputs=[str(p) for p in inputs],
@@ -310,7 +310,7 @@ def top_attended_words(jsonl_path, label=None, top_k=20, min_occurrences=3):
                 if not isinstance(tokens, list) or not all(isinstance(t, str) for t in tokens):
                     raise ValueError("tokens must be a list of strings")
                 A = np.asarray(record["A"], dtype=np.float64)
-            except (KeyError, TypeError, ValueError) as exc:
+            except (KeyError, TypeError, ValueError, RecursionError) as exc:
                 raise CliError(f"{jsonl_path}:{line_no}: bad record: {exc}", EXIT_DATA)
             if A.ndim != 2 or A.shape[1] != len(tokens):
                 raise CliError(f"{jsonl_path}:{line_no}: A shape {A.shape} does not "

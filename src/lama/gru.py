@@ -96,20 +96,20 @@ def _packed_schedule(runs, rows: int):
             np.bincount(step).tolist())
 
 
-def bigru_encode(rows: Node, forward_gates, backward_gates, runs=None, groups=None) -> Node:
+def bigru_encode(rows: Node, forward_gates, backward_gates, runs, groups: ad.Groups) -> Node:
     """Encode the positions of the layout ``runs`` (one document when it is
     None) into annotations, row t holding [forward state; backward state]
     at position t, as one ``gru_scan`` node.
 
     ``rows`` holds one input row per distinct token, and position t reads
     row ``groups.inverse[t]`` (``groups`` is ``autodiff.group_ids`` of the
-    positions' ids); with no ``groups`` each row is its own position. Each
-    document is scanned from a zero state in both directions; each
-    direction's gates are its nine parameter Nodes in ``GATE_NAMES`` order.
-    Every position is a real token: the caller trims padding first, so each
-    document's backward direction starts at its last token. Each step
-    computes z = sigmoid(W_z x + U_z h + b_z), r = sigmoid(W_r x + U_r h +
-    b_r), c = tanh(W_h x + r o (U_h h) + b_h) and h' = (1 - z) o h + z o c.
+    positions' ids). Each document is scanned from a zero state in both
+    directions; each direction's gates are its nine parameter Nodes in
+    ``GATE_NAMES`` order. Every position is a real token (``model`` passes
+    no padding), so each document's backward direction starts at its last
+    token. Each step computes z = sigmoid(W_z x + U_z h + b_z), r =
+    sigmoid(W_r x + U_r h + b_r), c = tanh(W_h x + r o (U_h h) + b_h) and
+    h' = (1 - z) o h + z o c.
     """
     x = rows.value
     h_f, h_b = forward_gates[0].shape[0], backward_gates[0].shape[0]
@@ -118,8 +118,6 @@ def bigru_encode(rows: Node, forward_gates, backward_gates, runs=None, groups=No
     for gates in (forward_gates, backward_gates):
         if x.shape[1] != gates[0].shape[1]:
             raise ad.ShapeMismatchError("gru_scan", x.shape, gates[0].shape)
-    if groups is None:
-        groups = ad.group_ids(np.arange(x.shape[0]))
     if x.shape[0] != groups.unique.size:
         raise ad.ShapeMismatchError("gru_scan", x.shape, groups.unique.shape)
     N, h = groups.inverse.size, h_f

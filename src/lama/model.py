@@ -14,7 +14,7 @@ The trainer backpropagates it once per batch; evaluation and the
 attention export run it forward only, on leaves that track no gradient.
 ``forward_doc`` is the one-document case of the same path.
 
-The batch's ids are grouped once (``autodiff.group_ids``) and its documents
+The batch's ids are grouped once (``batch_groups``) and its documents
 laid out once (``autodiff.runs``), the one layout of the graph's segment
 ops. Both encoders read ``W_e``'s rows at the distinct ids. In training
 those rows are the trainer's own leaf, so their gradient is one dense row
@@ -47,9 +47,10 @@ RNG draws during initialization happen in a fixed, documented order
 (embeddings, forward GRU, backward GRU, attention, classifier), the
 buffer's order, so a seed pins every weight.
 
-Padding is decided here and nowhere else: every document is trimmed to
-its first ``true_length`` ids before the embedding lookup, so the
-encoder, attention and classifier only ever see the real tokens.
+Padding is decided in ``text``: the model reads only each document's
+``valid_ids`` and ``true_length``, so it never sees padding.
+``batch_groups`` is the one place a batch's documents become ids; the
+trainer calls it for its gather, ``forward_batch`` when given no lookup.
 """
 
 from __future__ import annotations
@@ -62,7 +63,7 @@ import numpy as np
 from . import attention, autodiff as ad, classifier, gru
 from .attention import CTX_DOC_MEAN, CTX_LEARNED, AttentionOutput
 from .autodiff import Node
-from .text import PAD_ID
+from .text import PAD_ID, Document
 
 ENCODER_BIGRU = "bigru"
 ENCODER_LE = "le"
@@ -203,15 +204,6 @@ class ForwardPass:
         return np.argmax(self.probs.value, axis=0)
 
 
-def _valid_ids(ids, true_length: int | None) -> np.ndarray:
-    """The first ``true_length`` ids (all of them when it is None)."""
-    ids = np.asarray(ids, dtype=np.int64)
-    L = int(true_length) if true_length is not None else len(ids)
-    if not 0 < L <= len(ids):
-        raise ValueError(f"true_length {L} out of range for {len(ids)} ids")
-    return ids[:L]
-
-
 def _token_pairs(groups: ad.Groups, lengths) -> tuple[attention.Bag, ad.Groups]:
     """The (document, distinct token) pairs of documents of ``lengths``
     positions whose concatenated ids ``groups`` groups, as an
@@ -246,14 +238,39 @@ def _token_pairs(groups: ad.Groups, lengths) -> tuple[attention.Bag, ad.Groups]:
             ad.runs(np.bincount(doc[firsts], minlength=len(lengths))))
 
 
-def _forward(params: ModelParams, nodes: dict, id_rows: list, train: bool,
-             rng: np.random.Generator | None,
-             lookup: tuple[ad.Groups, Node] | None = None) -> ForwardPass:
-    """One graph over the valid ids of each document: one embedding lookup,
-    BiGRU scan, attention pass and classifier pass for all."""
-    lengths = [len(ids) for ids in id_rows]
+def batch_groups(docs) -> ad.Groups:
+    """``autodiff.group_ids`` of the documents' concatenated valid ids: the
+    one sort of a batch, which its lookup, its spreading and, in training,
+    its gather and step share."""
+    return ad.group_ids(np.concatenate([doc.valid_ids() for doc in docs]))
+
+
+def forward_doc(params: ModelParams, nodes: dict, ids, true_length: int | None = None,
+                train: bool = False, rng: np.random.Generator | None = None) -> ForwardPass:
+    """``forward_batch`` over one ``text.Document`` of ``ids``, of which the
+    first ``true_length`` (all of them when it is None) are real, so padded
+    and unpadded calls are bit-identical."""
+    ids = np.asarray(ids, dtype=np.int64)
+    doc = Document(ids, len(ids) if true_length is None else true_length, 0)
+    return forward_batch(params, nodes, [doc], train, rng)
+
+
+def forward_batch(params: ModelParams, nodes: dict, docs, train: bool = False,
+                  rng: np.random.Generator | None = None,
+                  lookup: tuple[ad.Groups, Node] | None = None) -> ForwardPass:
+    """Run a minibatch of ``text.Document``s through the model as one graph
+    over their valid ids: one embedding lookup, BiGRU scan, attention pass
+    and classifier pass for all.
+
+    Dropout draws the masks of the documents one after another, in batch
+    order, as ``forward_doc`` calls in that order would.
+    ``lookup=(groups, rows)`` replaces the lookup in ``W_e``: ``groups`` is
+    ``batch_groups(docs)`` and ``rows`` a node holding ``W_e``'s rows at
+    ``groups.unique``, so the gradient goes to ``rows``.
+    """
+    lengths = [doc.true_length for doc in docs]
     if lookup is None:
-        groups = ad.group_ids(np.concatenate(id_rows))
+        groups = batch_groups(docs)
         rows = ad.take_rows(nodes["W_e"], groups.unique)
     else:
         groups, rows = lookup
@@ -278,33 +295,6 @@ def _forward(params: ModelParams, nodes: dict, id_rows: list, train: bool,
                                         nodes["cls.W_c"], nodes["cls.b_c"],
                                         params.dropout, train=train, rng=rng)
     return ForwardPass(logits=logits, probs=probs, attn=attn)
-
-
-def forward_doc(params: ModelParams, nodes: dict, ids, true_length: int | None = None,
-                train: bool = False, rng: np.random.Generator | None = None) -> ForwardPass:
-    """Run one document through the model.
-
-    ``ids`` may include padding; only the first ``true_length`` ids (all of
-    them when it is None) reach the embedding lookup, so padded and
-    unpadded calls are bit-identical.
-    """
-    return _forward(params, nodes, [_valid_ids(ids, true_length)], train, rng)
-
-
-def forward_batch(params: ModelParams, nodes: dict, docs, train: bool = False,
-                  rng: np.random.Generator | None = None,
-                  lookup: tuple[ad.Groups, Node] | None = None) -> ForwardPass:
-    """Run a minibatch of ``text.Document``s through the model as one graph.
-
-    Each document is trimmed to its ``true_length`` first. Dropout draws
-    the masks of the documents one after another, in batch order, as
-    ``forward_doc`` calls in that order would. ``lookup=(groups, rows)``
-    replaces the lookup in ``W_e``: ``groups`` is ``autodiff.group_ids`` of
-    the documents' concatenated valid ids and ``rows`` a node holding
-    ``W_e``'s rows at ``groups.unique``, so the gradient goes to ``rows``.
-    """
-    return _forward(params, nodes, [_valid_ids(d.ids, d.true_length) for d in docs],
-                    train, rng, lookup)
 
 
 def batch_objective(fw: ForwardPass, labels, regularizer: str, lam: float) -> Node:

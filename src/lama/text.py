@@ -5,8 +5,10 @@ Datasets are TSV files, one document per line: ``label<TAB>text``. TSV and
 vector files are read as UTF-8, a leading byte order mark skipped. The
 vocabulary reserves id 0 for padding and id 1 for unknown tokens and keeps
 the remaining ids dense, ordered by descending frequency then token.
-``read_pretrained`` only reads a vector file: the trainer writes its rows
-into the model's own randomly initialized embedding matrix.
+Padding is decided here: ``encode`` pads to max_len, a ``Document``
+checks its true length when it is made, and ``model`` reads only its
+``valid_ids``. ``read_pretrained`` only reads a vector file: the trainer
+writes its rows into the model's own randomly initialized embedding matrix.
 """
 
 from __future__ import annotations
@@ -132,6 +134,11 @@ class Document:
     ids: np.ndarray          # padded to max_len
     true_length: int
     label: int
+
+    def __post_init__(self):  # the tokens are ids[:true_length]
+        if not 0 < self.true_length <= len(self.ids):
+            raise ValueError(f"true_length {self.true_length} out of range for "
+                             f"{len(self.ids)} ids")
 
     def valid_ids(self) -> np.ndarray:
         return self.ids[: self.true_length]

@@ -29,16 +29,23 @@ g = 0, which they catch up when next read: a batch's ids when gathered,
 the validation ids before each ``evaluate``, every row before a
 best-epoch snapshot and before ``train`` returns. That equals the dense
 update in real arithmetic, not bit for bit. One sort of a batch's ids
-(``autodiff.group_ids``) serves its gather, the spreading of its rows and
+(``model.batch_groups``) serves its gather, the spreading of its rows and
 their step: the BiGRU spreads them over the positions, the embedding-only
 encoder over each document's distinct tokens, whose (document, token)
 pairs ``model`` derives from that same grouping. No embedding row is
-special: the PAD row starts at zero with zero velocity, and since padding
-is trimmed before the lookup and no text encodes to ``PAD_ID``, it is
-never gathered and stays zero. The best-epoch snapshot is one
-array the size of the buffer: the first improving epoch copies the buffer,
-each later one copies it into that array in place, and the end of the run
-copies it back.
+special: the PAD row starts at zero with zero velocity, and since the
+model reads no padding (see ``text.Document``) and no text encodes to
+``PAD_ID``, it is never gathered and stays zero. The best-epoch snapshot
+is one array the size of the buffer: the first improving epoch copies the
+buffer, each later one copies it into that array in place, and the end of
+the run copies it back.
+
+The primitives raise ``NonFiniteError``, so ``train`` and ``evaluate``
+silence numpy's overflow warnings. An epoch is one boundary: every
+batch's gather, graph, row step and ``sgd_step``, then validation; a
+``NonFiniteError`` in it is a ``DivergenceError`` naming the epoch and
+batch. A step that overflows is named at the next read of its weights,
+batch k + 1, or validation for the epoch's last batch.
 
 So a run holds the parameter buffer, ``W_e``'s velocity, the dense
 tail's velocity and gradient, one snapshot and, for its whole-table
@@ -66,8 +73,8 @@ from . import __version__
 from . import autodiff as ad
 from .attention import CTX_LEARNED
 from .classifier import REGULARIZERS
-from .model import (ENCODER_BIGRU, ModelParams, ParamStore, batch_objective, forward_batch,
-                    init_model, param_layout, param_shapes, row_blocks)
+from .model import (ENCODER_BIGRU, ModelParams, ParamStore, batch_groups, batch_objective,
+                    forward_batch, init_model, param_layout, param_shapes, row_blocks)
 # test_perfbench.py::test_install_patches_callers_namespaces_and_uninstall_restores reads this
 from .model import forward_doc  # noqa: F401
 from .text import Dataset, TextError, Vocab
@@ -309,7 +316,7 @@ class Checkpoint:
                                   mlp_hidden=config.mlp_hidden)
         except OSError as exc:
             raise CheckpointError(f"cannot read checkpoint {ckpt_dir}: {exc}") from exc
-        except (ValueError, TypeError, KeyError, TextError) as exc:
+        except (ValueError, TypeError, KeyError, TextError, RecursionError) as exc:
             raise CheckpointError(
                 f"corrupt checkpoint {ckpt_dir}: {type(exc).__name__}: {exc}") from exc
 
@@ -386,10 +393,6 @@ def _backward_batch(params: ModelParams, nodes: dict, batch: list,
     return j.value.item()
 
 
-def _group_ids(documents) -> ad.Groups:
-    return ad.group_ids(np.concatenate([doc.valid_ids() for doc in documents]))
-
-
 def _check_labels(dataset: Dataset, label_names) -> None:
     if list(dataset.label_names) != list(label_names):
         raise LabelMismatchError(
@@ -428,7 +431,7 @@ def train(config: TrainConfig, train_set: Dataset, valid_set: Dataset,
     dense_names = store.names()[1:]
     dense = store.buffer[store["W_e"].size:]
     velocity, grad = np.zeros_like(dense), np.empty_like(dense)
-    valid_rows = _group_ids(valid_set.documents).unique
+    valid_rows = batch_groups(valid_set.documents).unique
     history = TrainHistory()
     best_acc = -1.0
     best_buffer = None
@@ -439,31 +442,19 @@ def train(config: TrainConfig, train_set: Dataset, valid_set: Dataset,
         started = time.perf_counter()
         order = rng.permutation(len(docs))
         loss_sum = 0.0
-        for batch_no, start in enumerate(range(0, len(order), config.batch)):
-            batch = [docs[i] for i in order[start:start + config.batch]]
-            # one sort of the batch's ids: the gather, the spreading of the
-            # rows over the positions and their step share it
-            groups = _group_ids(batch)
-            block, block_velocity = rows_sgd.gather(groups.unique)
-            rows = ad.leaf(block, requires_grad=True)
-            nodes = store.nodes()
-            try:
-                # overflow is detected (and raised) by the primitives, so
-                # numpy's warnings would only duplicate the signal
-                with np.errstate(over="ignore", invalid="ignore"):
-                    batch_loss = _backward_batch(params, nodes, batch, config, rng,
-                                                 (groups, rows))
-            except ad.NonFiniteError as exc:
-                raise DivergenceError(epoch, batch_no, str(exc)) from exc
-            loss_sum += batch_loss
-            rows_sgd.step(groups.unique, block, block_velocity, rows.grad)
-            np.concatenate([nodes[name].grad for name in dense_names], axis=None, out=grad)
-            sgd_step(dense, grad, velocity, config.lr, config.momentum, config.weight_decay)
-
-        try:
-            # validation is the first to read the last batch's step, so an
-            # overflow there is that batch's divergence
+        try:  # the epoch's one divergence boundary (see the module docstring)
             with np.errstate(over="ignore", invalid="ignore"):
+                for batch_no, start in enumerate(range(0, len(order), config.batch)):
+                    batch = [docs[i] for i in order[start:start + config.batch]]
+                    groups = batch_groups(batch)  # shared by the gather, graph and step
+                    block, block_velocity = rows_sgd.gather(groups.unique)
+                    rows = ad.leaf(block, requires_grad=True)
+                    nodes = store.nodes()
+                    loss_sum += _backward_batch(params, nodes, batch, config, rng,
+                                                (groups, rows))
+                    rows_sgd.step(groups.unique, block, block_velocity, rows.grad)
+                    np.concatenate([nodes[n].grad for n in dense_names], axis=None, out=grad)
+                    sgd_step(dense, grad, velocity, *rows_sgd.hyper)
                 rows_sgd.catch_up(valid_rows)
                 valid_acc = evaluate(params, valid_set).accuracy
         except ad.NonFiniteError as exc:
@@ -534,8 +525,9 @@ def evaluate(params_or_checkpoint, dataset: Dataset) -> EvalMetrics:
     if any(doc.label >= C for doc in dataset.documents):
         raise LabelMismatchError(f"dataset has label ids >= {C}")
     confusion = np.zeros((C, C), dtype=np.int64)
-    for chunk, fw in forward_chunks(params, dataset.documents):
-        np.add.at(confusion, ([doc.label for doc in chunk], fw.predictions), 1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for chunk, fw in forward_chunks(params, dataset.documents):
+            np.add.at(confusion, ([doc.label for doc in chunk], fw.predictions), 1)
     correct = int(np.trace(confusion))
     precision = [
         float(confusion[k, k] / s) if (s := confusion[:, k].sum()) else 0.0

@@ -350,8 +350,9 @@ class TestPackedDocuments:
         # the general path, whose schedule is the plain scan order
         arrays = [gru.init_gru_arrays(4, 3, rng) for _ in range(2)]
         f, b = ([ad.leaf(a[name]) for name in gru.GATE_NAMES] for a in arrays)
-        np.testing.assert_array_equal(gru.bigru_encode(H, f, b, ad.runs([5])).value,
-                                      gru.bigru_encode(H, f, b).value)
+        groups = ad.group_ids(np.arange(5))
+        np.testing.assert_array_equal(gru.bigru_encode(H, f, b, ad.runs([5]), groups).value,
+                                      gru.bigru_encode(H, f, b, None, groups).value)
         a = ad.leaf(rng.standard_normal((3, 5)))
         np.testing.assert_array_equal(ad.segment_matmul(a, H, ad.runs([5])).value,
                                       ad.segment_matmul(a, H).value)

@@ -100,6 +100,8 @@ CORRUPTIONS = {
     "weights-nan": _write_weights("attn.W_w", np.nan),
     "weights-inf": _write_weights("W_e", np.inf),
     "config-not-json": _edit_file("config.json", lambda b: b"{not json"),
+    # deeper than the JSON decoder's recursion limit
+    "config-deeply-nested": _edit_file("config.json", lambda b: b"[" * 100_000),
     "config-unknown-key": _edit_config(lambda meta: meta["config"].update(frobnicate=1)),
     "config-no-labels": _edit_config(lambda meta: meta.pop("labels")),
     "config-float-dim": _edit_config(lambda meta: meta["config"].update(m=2.0)),
@@ -223,6 +225,20 @@ class TestTrain:
             code = run_cli("train", "--data", tmp_path / "train.tsv", "--valid",
                            tmp_path / "valid.tsv", "--out", tmp_path / "out", "--batch", "32",
                            "--lr", "1e30")
+        err = capsys.readouterr().err.strip().splitlines()
+        assert code == cli.EXIT_DIVERGED
+        assert len(err) == 1 and err[0].startswith("error: training diverged at epoch 1"), err
+
+    def test_overflowing_step_exits_5(self, tmp_path, capsys):
+        # lr = 1e39 overflows float32 in the first step; the next batch names it
+        write_tsv(keyword_pairs(64, seed=1), tmp_path / "train.tsv")
+        write_tsv(keyword_pairs(8, seed=10_001), tmp_path / "valid.tsv")
+        capsys.readouterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = run_cli("train", "--data", tmp_path / "train.tsv", "--valid",
+                           tmp_path / "valid.tsv", "--out", tmp_path / "out", "--batch", "32",
+                           "--lr", "1e39")
         err = capsys.readouterr().err.strip().splitlines()
         assert code == cli.EXIT_DIVERGED
         assert len(err) == 1 and err[0].startswith("error: training diverged at epoch 1"), err
@@ -687,6 +703,7 @@ OUT_OF_DOMAIN = {
     # a BiGRU model over model.MAX_PARAMS, refused the same way
     "bench-bigru-dim-huge": (["bench", "--kind", "bigru", "--dim", "32768"], cli.EXIT_USAGE),
     "topwords-array-record": (["topwords", "--data", "{jsonl}"], cli.EXIT_DATA),
+    "topwords-deeply-nested": (["topwords", "--data", "{nested}"], cli.EXIT_DATA),
     "topwords-non-utf8": (["topwords", "--data", "{non_utf8}"], cli.EXIT_DATA),
     "topwords-top-k-0": (["topwords", "--data", "{jsonl}", "--top-k", "0"], cli.EXIT_USAGE),
     "topwords-top-k-negative": (["topwords", "--data", "{jsonl}", "--top-k", "-1"],
@@ -704,7 +721,8 @@ def test_out_of_domain_input_exits_with_one_error_line(case, workspace, tmp_path
     files = {"train": workspace["train"], "valid": workspace["valid"]}
     for name, line in (("jsonl", '["not", "an", "object"]'),
                        ("nan_weight", '{"tokens": ["a", "b"], "A": [[NaN, 0.5]]}'),
-                       ("inf_weight", '{"tokens": ["a", "b"], "A": [[Infinity, 0.5]]}')):
+                       ("inf_weight", '{"tokens": ["a", "b"], "A": [[Infinity, 0.5]]}'),
+                       ("nested", "[" * 100_000)):
         files[name] = tmp_path / f"{name}.jsonl"
         files[name].write_text(line + "\n", encoding="utf-8")
     # a good record, then a line that starts with a UTF-16 byte-order mark

@@ -42,7 +42,7 @@ def encode(x, fwd_arrays, bwd_arrays, lengths=None):
     fwd = [ad.leaf(fwd_arrays[n]) for n in GATE_NAMES]
     bwd = [ad.leaf(bwd_arrays[n]) for n in GATE_NAMES]
     runs = None if lengths is None else ad.runs(lengths)
-    return bigru_encode(ad.leaf(x), fwd, bwd, runs).value
+    return bigru_encode(ad.leaf(x), fwd, bwd, runs, ad.group_ids(np.arange(len(x)))).value
 
 
 class TestBigruEncode:
@@ -170,7 +170,8 @@ class TestBigruEncode:
 
         def builder(leaves):
             return ad.frobenius_sq(ad.tanh(bigru_encode(leaves[0], leaves[1:10],
-                                                        leaves[10:], runs)))
+                                                        leaves[10:], runs,
+                                                        ad.group_ids(np.arange(L)))))
 
         params = [x] + [fa[n] for n in GATE_NAMES] + [ba[n] for n in GATE_NAMES]
         return grad_check(builder, params, step=1e-5, tolerance=1e-6)
@@ -205,7 +206,8 @@ class TestBigruEncode:
         x = rng.standard_normal((sum(lengths), d)) * 0.5
 
         def builder(leaves):
-            H = bigru_encode(leaves[0], leaves[1:10], leaves[10:], ad.runs(lengths))
+            H = bigru_encode(leaves[0], leaves[1:10], leaves[10:], ad.runs(lengths),
+                             ad.group_ids(np.arange(sum(lengths))))
             assert H.op == "gru_scan" and [p for p, _ in H.parents] == leaves
             return ad.frobenius_sq(ad.tanh(H))
 
@@ -334,7 +336,8 @@ class TestGroupedRows:
         weights = np.random.default_rng(42).standard_normal(
             (len(GROUPINGS[case]), 6)).astype(dtype)
         results = []
-        for x, grouping in ((rows, groups), (rows[groups.inverse], None)):
+        identity = ad.group_ids(np.arange(groups.inverse.size))
+        for x, grouping in ((rows, groups), (rows[groups.inverse], identity)):
             leaves = [ad.leaf(a.copy(), requires_grad=True) for a in [x] + gates]
             H = bigru_encode(leaves[0], leaves[1:10], leaves[10:], runs, grouping)
             ad.backward(ad.frobenius_sq(ad.hadamard(H, ad.constant(weights))))

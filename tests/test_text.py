@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from lama import synthetic, text
-from lama.text import (PAD_ID, PAD_TOKEN, UNK_ID, UNK_TOKEN, EmptyCorpusError,
+from lama.text import (PAD_ID, PAD_TOKEN, UNK_ID, UNK_TOKEN, Document, EmptyCorpusError,
                        MalformedLineError, build_vocab, encode, load_dataset,
                        read_pretrained, read_tsv, tokenize)
 from lama.synthetic import pairs_to_dataset, write_tsv
@@ -182,6 +182,13 @@ class TestEncode:
         b = encode(tokenize("The QUICK fox."), vocab, 8)
         np.testing.assert_array_equal(a[0], b[0])
         assert a[1] == b[1]
+
+
+class TestDocument:
+    @pytest.mark.parametrize("true_length", [0, -1, 5])
+    def test_true_length_out_of_range_rejected_when_made(self, true_length):
+        with pytest.raises(ValueError, match="true_length"):
+            Document(np.array([4, 5, 6, PAD_ID]), true_length, 0)
 
 
 @pytest.fixture

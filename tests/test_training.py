@@ -13,8 +13,8 @@ from lama import attention, classifier
 from lama import autodiff as ad
 from lama import training as tr
 from lama.classifier import REGULARIZERS
-from lama.model import (BLOCK, ForwardPass, batch_objective, doc_objective, forward_batch,
-                        forward_doc, init_model)
+from lama.model import (BLOCK, ForwardPass, batch_groups, batch_objective, doc_objective,
+                        forward_batch, forward_doc, init_model)
 from lama.synthetic import keyword_pairs, make_task, pairs_to_dataset
 from lama.text import PAD_ID, UNK_ID, Document, build_vocab, load_dataset, tokenize
 from lama.training import (Checkpoint, CheckpointError, DivergenceError, EvalMetrics,
@@ -435,6 +435,19 @@ class TestTrainLoop:
                                match=r"^training diverged at epoch 1, batch 0: gru_scan: "):
                 train(cfg, train_set, valid_set, vocab)
 
+    def test_overflowing_step_is_divergence_not_a_warning(self):
+        # lr = 1e39 overflows float32 in the first dense step's cast; the
+        # step is inside the epoch's boundary, so the next batch's read of
+        # the weights names it, not numpy's RuntimeWarning
+        train_set, valid_set, vocab = make_task("keyword", 64, 8, seed=1)
+        cfg = TrainConfig(d=16, h=8, m=2, max_len=32, batch=32, mlp_hidden=24, lr=1e39,
+                          max_epochs=3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DivergenceError,
+                               match=r"^training diverged at epoch 1, batch 1: "):
+                train(cfg, train_set, valid_set, vocab)
+
     def test_empty_validation_rejected(self, keyword_task):
         train_set, _, vocab = keyword_task
         empty = tr.Dataset([], train_set.label_names, "valid")
@@ -558,7 +571,7 @@ class TestBatchGraph:
             params.store.buffer[...] = rng.uniform(-0.6, 0.6, size=params.store.buffer.size)
             docs = ragged_docs(rng, [5, 9, 1, 7], 8, 3)
             labels = [doc.label for doc in docs]
-            groups = tr._group_ids(docs)
+            groups = batch_groups(docs)
             config = TrainConfig(regularizer=regularizer, lam=0.2)
 
             def leaves():
@@ -596,7 +609,7 @@ class TestBatchGraph:
         params = init_model(vocab_size=12, num_classes=3, rng=rng, d=6, h=3, m=2,
                             mlp_hidden=8, ctx=ctx, encoder=encoder)
         docs = ragged_docs(rng, [3, 1, 6], 12, 3)
-        groups = tr._group_ids(docs)
+        groups = batch_groups(docs)
         rows = ad.leaf(params.store["W_e"][groups.unique], requires_grad=True)
         graphs = []
 
@@ -817,6 +830,17 @@ class TestEvaluate:
         renamed = tr.Dataset(valid_set.documents, ["up", "down"], "valid")
         with pytest.raises(LabelMismatchError):
             evaluate(ckpt, renamed)
+
+    def test_overflowing_weights_raise_non_finite_error(self, keyword_task):
+        # finite float32 rows whose products overflow: the primitives name
+        # the op, with no numpy RuntimeWarning before them
+        train_set, valid_set, vocab = keyword_task
+        ckpt, _ = train(small_config(), train_set, valid_set, vocab)
+        ckpt.params.store["W_e"][2:] = 3e38
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ad.NonFiniteError):
+                evaluate(ckpt, valid_set)
 
 
 class TestCheckpointIO:
