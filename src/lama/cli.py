@@ -1,9 +1,12 @@
 """Command-line surface: train, eval, attend, topwords, params, bench,
 heads-sweep.
 
-Every command resolves its flags into a RunManifest (written before any
-long computation) and drops its artifacts under --out. Exit codes: 2 usage,
-3 io, 4 data, 5 divergence or a non-finite value in a forward pass.
+Every command writes its resolved flags to manifest.json before any long
+computation, the training ones under their ``TrainConfig`` field names as
+in a checkpoint's config.json, and drops its artifacts under --out.
+``EXIT_CODES`` maps each failure to its exit code (2 usage, 3 io, 4 data,
+5 divergence or a non-finite value in a forward pass), and ``main`` prints
+its one ``error:`` line. Numpy's error state is ``training``'s to set.
 
 The parser is built once per process, on the first ``main`` call, and every
 later call parses with it. Its defaults are shared by those calls, so they
@@ -24,7 +27,7 @@ import argparse
 import functools
 import json
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, fields
 
 import numpy as np
 
@@ -51,24 +54,6 @@ class CliError(Exception):
         self.code = code
 
 
-@dataclass
-class RunManifest:
-    command: str
-    config: dict
-    seed: int | None
-    inputs: list
-    outputs: list
-    version: str
-
-    def write(self, out_dir):
-        os.makedirs(out_dir, exist_ok=True)
-        path = os.path.join(out_dir, "manifest.json")
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(asdict(self), fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        return path
-
-
 def _int_list(text):
     try:
         return [int(x) for x in text.split(",") if x]
@@ -77,27 +62,26 @@ def _int_list(text):
 
 
 def _add_train_flags(p):
-    """The ``TrainConfig`` flags but ``--seed``, each defaulting to its field's
-    default."""
-    p.add_argument("--heads", "-m", type=int, default=TrainConfig.m, help="attention heads")
-    p.add_argument("--hidden", type=int, default=TrainConfig.h,
-                   help="GRU hidden size per direction")
-    p.add_argument("--embed-dim", type=int, default=TrainConfig.d)
-    p.add_argument("--max-len", type=int, default=TrainConfig.max_len,
-                   help=f"tokens kept per document, at most {MAX_LEN}")
-    p.add_argument("--epochs", type=int, default=TrainConfig.max_epochs)
-    p.add_argument("--lr", type=float, default=TrainConfig.lr)
-    p.add_argument("--momentum", type=float, default=TrainConfig.momentum)
-    p.add_argument("--weight-decay", type=float, default=TrainConfig.weight_decay)
-    p.add_argument("--batch", type=int, default=TrainConfig.batch)
-    p.add_argument("--patience", type=int, default=TrainConfig.patience)
-    p.add_argument("--dropout", type=float, default=TrainConfig.dropout)
-    p.add_argument("--mlp-hidden", type=int, default=TrainConfig.mlp_hidden)
-    p.add_argument("--lambda", dest="lam", type=float, default=TrainConfig.lam)
-    p.add_argument("--regularizer", choices=REGULARIZERS, default=TrainConfig.regularizer)
-    p.add_argument("--ctx", choices=[CTX_LEARNED, CTX_DOC_MEAN], default=TrainConfig.ctx)
-    p.add_argument("--encoder", choices=[ENCODER_BIGRU, ENCODER_LE],
-                   default=TrainConfig.encoder)
+    """A flag per ``TrainConfig`` field, stored under the field's name and
+    defaulting to the field's default."""
+    p.set_defaults(**asdict(TrainConfig()))
+    p.add_argument("--heads", "-m", dest="m", type=int, help="attention heads")
+    p.add_argument("--hidden", dest="h", type=int, help="GRU hidden size per direction")
+    p.add_argument("--embed-dim", dest="d", type=int)
+    p.add_argument("--max-len", type=int, help=f"tokens kept per document, at most {MAX_LEN}")
+    p.add_argument("--epochs", dest="max_epochs", type=int)
+    p.add_argument("--lr", type=float)
+    p.add_argument("--momentum", type=float)
+    p.add_argument("--weight-decay", type=float)
+    p.add_argument("--batch", type=int)
+    p.add_argument("--patience", type=int)
+    p.add_argument("--dropout", type=float)
+    p.add_argument("--mlp-hidden", type=int)
+    p.add_argument("--lambda", dest="lam", type=float)
+    p.add_argument("--regularizer", choices=REGULARIZERS)
+    p.add_argument("--ctx", choices=[CTX_LEARNED, CTX_DOC_MEAN])
+    p.add_argument("--encoder", choices=[ENCODER_BIGRU, ENCODER_LE])
+    p.add_argument("--seed", type=int)
     p.add_argument("--min-count", type=int, default=5, help="vocab frequency threshold")
     p.add_argument("--embeddings",
                    help="pretrained vectors (token v1 .. vd per line) that replace their "
@@ -118,7 +102,6 @@ def build_parser():
     _add_train_flags(p)
     p.add_argument("--snapshot", choices=["best", "final"], default="best",
                    help="which weights the checkpoint keeps")
-    p.add_argument("--seed", type=int, default=TrainConfig.seed)
     p.add_argument("--out", default=os.path.join("lama-out", "train"))
 
     p = sub.add_parser("eval", help="evaluate a checkpoint on a TSV corpus")
@@ -163,7 +146,6 @@ def build_parser():
     p.add_argument("--valid", required=True)
     p.add_argument("--grid", type=_int_list, default=(1, 2, 4, 8))
     _add_train_flags(p)
-    p.add_argument("--seed", type=int, default=TrainConfig.seed)
     p.add_argument("--out", default=os.path.join("lama-out", "heads-sweep"))
 
     return parser
@@ -171,23 +153,22 @@ def build_parser():
 
 def _config_from_args(args) -> TrainConfig:
     try:
-        return TrainConfig(
-            d=args.embed_dim, h=args.hidden, m=args.heads, max_len=args.max_len,
-            batch=args.batch, lr=args.lr, momentum=args.momentum,
-            weight_decay=args.weight_decay, dropout=args.dropout,
-            patience=args.patience, lam=args.lam, regularizer=args.regularizer,
-            ctx=args.ctx, encoder=args.encoder, mlp_hidden=args.mlp_hidden,
-            max_epochs=args.epochs, seed=args.seed)
+        return TrainConfig(**{f.name: getattr(args, f.name) for f in fields(TrainConfig)})
     except ValueError as exc:
         raise CliError(f"invalid training configuration: {exc}", EXIT_USAGE) from exc
 
 
-def _manifest(args, inputs, outputs) -> RunManifest:
-    config = {k: v for k, v in vars(args).items() if k != "command"}
-    return RunManifest(command=args.command, config=config,
-                       seed=getattr(args, "seed", None),
-                       inputs=[str(p) for p in inputs],
-                       outputs=[str(p) for p in outputs], version=__version__)
+def _write_manifest(args, inputs, outputs) -> None:
+    """manifest.json under --out: the command, its flags, its seed if it
+    takes one, and the paths it reads and writes."""
+    os.makedirs(args.out, exist_ok=True)
+    manifest = {"command": args.command, "seed": getattr(args, "seed", None),
+                "config": {k: v for k, v in vars(args).items() if k != "command"},
+                "inputs": [str(p) for p in inputs], "outputs": [str(p) for p in outputs],
+                "version": __version__}
+    with open(os.path.join(args.out, "manifest.json"), "w", encoding="utf-8") as fh:
+        json.dump(manifest, fh, indent=2, sort_keys=True)
+        fh.write("\n")
 
 
 def _check_model(vocab_size, num_classes, **dims):
@@ -210,8 +191,7 @@ def _load_inputs(args, config, m):
         raise CliError(f"--min-count {args.min_count} keeps no token of {args.data}, "
                        f"so every word would read as <unk>", EXIT_DATA)
     train_set = rows_to_dataset(rows, vocab, config.max_len, source=args.data)
-    _check_model(len(vocab), train_set.num_classes, d=config.d, h=config.h, m=m,
-                 ctx=config.ctx, encoder=config.encoder, mlp_hidden=config.mlp_hidden)
+    _check_model(len(vocab), train_set.num_classes, **{**config.model_dims(), "m": m})
     valid_set = load_dataset(args.valid, vocab, config.max_len,
                              label_names=train_set.label_names, split="valid")
     pretrained = None
@@ -224,7 +204,7 @@ def _load_inputs(args, config, m):
 def cmd_train(args):
     ckpt_dir = os.path.join(args.out, "checkpoint")
     history_csv = os.path.join(args.out, "history.csv")
-    _manifest(args, [args.data, args.valid], [ckpt_dir, history_csv]).write(args.out)
+    _write_manifest(args, [args.data, args.valid], [ckpt_dir, history_csv])
 
     config = _config_from_args(args)
     checkpoint_target(ckpt_dir)  # refused now, not after the last epoch
@@ -241,7 +221,7 @@ def cmd_train(args):
 
 def cmd_eval(args):
     metrics_path = os.path.join(args.out, "metrics.json")
-    _manifest(args, [args.checkpoint, args.data], [metrics_path]).write(args.out)
+    _write_manifest(args, [args.checkpoint, args.data], [metrics_path])
     checkpoint = Checkpoint.load(args.checkpoint)
     dataset = load_dataset(args.data, checkpoint.vocab, checkpoint.config.max_len,
                            label_names=checkpoint.label_names, split="eval")
@@ -255,7 +235,7 @@ def cmd_eval(args):
 
 def cmd_attend(args):
     jsonl_path = os.path.join(args.out, "attention.jsonl")
-    _manifest(args, [args.checkpoint, args.data], [jsonl_path]).write(args.out)
+    _write_manifest(args, [args.checkpoint, args.data], [jsonl_path])
     checkpoint = Checkpoint.load(args.checkpoint)
     rows = tokenize_rows(read_tsv(args.data))
     dataset = rows_to_dataset(rows, checkpoint.vocab, checkpoint.config.max_len,
@@ -310,7 +290,7 @@ def top_attended_words(jsonl_path, label=None, top_k=20, min_occurrences=3):
                 if not isinstance(tokens, list) or not all(isinstance(t, str) for t in tokens):
                     raise ValueError("tokens must be a list of strings")
                 A = np.asarray(record["A"], dtype=np.float64)
-            except (KeyError, TypeError, ValueError, RecursionError) as exc:
+            except (KeyError, TypeError, ValueError, OverflowError, RecursionError) as exc:
                 raise CliError(f"{jsonl_path}:{line_no}: bad record: {exc}", EXIT_DATA)
             if A.ndim != 2 or A.shape[1] != len(tokens):
                 raise CliError(f"{jsonl_path}:{line_no}: A shape {A.shape} does not "
@@ -333,7 +313,7 @@ def top_attended_words(jsonl_path, label=None, top_k=20, min_occurrences=3):
 
 def cmd_topwords(args):
     out_path = os.path.join(args.out, "topwords.tsv")
-    _manifest(args, [args.data], [out_path]).write(args.out)
+    _write_manifest(args, [args.data], [out_path])
     ranking = top_attended_words(args.data, args.label, args.top_k,
                                  args.min_occurrences)
     with open(out_path, "w", encoding="utf-8") as fh:
@@ -347,7 +327,7 @@ def cmd_topwords(args):
 
 def cmd_params(args):
     out_path = os.path.join(args.out, "params.csv")
-    _manifest(args, [], [out_path]).write(args.out)
+    _write_manifest(args, [], [out_path])
     if not args.heads or min(args.heads) < 1:
         raise CliError(f"--heads must list head counts >= 1, got {args.heads}", EXIT_USAGE)
     for name in ("d_ann", "embed_dim", "vocab_size", "classes", "mlp_hidden", "d_model"):
@@ -382,7 +362,7 @@ def cmd_params(args):
 
 def cmd_bench(args):
     out_path = os.path.join(args.out, f"bench_{args.kind}.csv")
-    _manifest(args, [], [out_path]).write(args.out)
+    _write_manifest(args, [], [out_path])
     result = baseline.bench_runtime(args.kind, args.lengths, trials=args.trials,
                                     d=args.dim, heads=args.heads,
                                     batch=args.batch, seed=args.seed, log=print)
@@ -393,7 +373,7 @@ def cmd_bench(args):
 
 def cmd_heads_sweep(args):
     out_path = os.path.join(args.out, "sweep.csv")
-    _manifest(args, [args.data, args.valid], [out_path]).write(args.out)
+    _write_manifest(args, [args.data, args.valid], [out_path])
     config = _config_from_args(args)
     if not args.grid or min(args.grid) < 1:
         raise CliError(f"--grid must list head counts >= 1, got {args.grid}", EXIT_USAGE)
@@ -417,31 +397,24 @@ HANDLERS = {
 }
 
 
+# the first match wins, so a subclass precedes its base; a CliError has its own code
+EXIT_CODES = (
+    ((DivergenceError, NonFiniteError), EXIT_DIVERGED),
+    ((CheckpointError, FileOpenError), EXIT_IO),
+    ((TrainingError, TextError), EXIT_DATA),
+    ((baseline.BaselineError,), EXIT_USAGE),
+    ((OSError,), EXIT_IO),
+)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        # the primitives raise on non-finite values; numpy's warnings repeat it
-        with np.errstate(over="ignore", invalid="ignore"):
-            return HANDLERS[args.command](args)
-    except CliError as exc:
+        return HANDLERS[args.command](args)
+    except (CliError, *(kind for kinds, _ in EXIT_CODES for kind in kinds)) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return exc.code
-    except (DivergenceError, NonFiniteError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DIVERGED
-    except (CheckpointError, FileOpenError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except (TrainingError, TextError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except baseline.BaselineError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
+        return exc.code if isinstance(exc, CliError) else next(
+            code for kinds, code in EXIT_CODES if isinstance(exc, kinds))
 
 
 if __name__ == "__main__":

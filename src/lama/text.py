@@ -247,8 +247,10 @@ def read_pretrained(path, vocab: Vocab, d: int) -> tuple[np.ndarray, np.ndarray]
     file lists, in file order, and their rows as a float32 len(ids) x d
     array.
 
-    A row without d values, a listed row that is not d finite numbers, or
-    a vocabulary token listed twice is a TextError naming ``path:line``.
+    A row without d values, a listed row that is not d numbers of at most
+    float32's largest magnitude, or a vocabulary token listed twice is a
+    TextError naming ``path:line``. A row is parsed in float64 and checked
+    before its one rounding to float32.
     Rows of tokens outside the vocabulary, and of ``<pad>`` and ``<unk>``,
     are not parsed: only their field count is checked."""
     if d < 1:
@@ -273,11 +275,12 @@ def read_pretrained(path, vocab: Vocab, d: int) -> tuple[np.ndarray, np.ndarray]
                 if idx in rows:
                     raise TextError(f"{path}:{line_no}: token {token!r} listed twice")
                 try:
-                    rows[idx] = np.asarray([float(v) for v in values], dtype=np.float32)
+                    row = np.array([float(v) for v in values])
                 except ValueError as exc:
                     raise TextError(f"{path}:{line_no}: {exc}") from exc
-                if not np.isfinite(rows[idx]).all():
-                    raise TextError(f"{path}:{line_no}: non-finite value")
+                if not (np.abs(row) <= np.finfo(np.float32).max).all():  # false for NaN too
+                    raise TextError(f"{path}:{line_no}: a value is not a finite float32")
+                rows[idx] = row.astype(np.float32)
         except UnicodeDecodeError as exc:
             raise EncodingError(f"{path}: invalid UTF-8: {exc}") from exc
     return (np.fromiter(rows, dtype=np.int64, count=len(rows)),

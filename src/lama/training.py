@@ -34,18 +34,22 @@ their step: the BiGRU spreads them over the positions, the embedding-only
 encoder over each document's distinct tokens, whose (document, token)
 pairs ``model`` derives from that same grouping. No embedding row is
 special: the PAD row starts at zero with zero velocity, and since the
-model reads no padding (see ``text.Document``) and no text encodes to
-``PAD_ID``, it is never gathered and stays zero. The best-epoch snapshot
-is one array the size of the buffer: the first improving epoch copies the
-buffer, each later one copies it into that array in place, and the end of
-the run copies it back.
+model reads no padding (see ``text.Document``), no text encodes to
+``PAD_ID`` and ``train`` refuses a document id outside [1, |V|) before
+its first batch, it is never gathered and stays zero. The best-epoch
+snapshot is one array the size of the buffer: the first improving epoch
+copies the buffer, each later one copies it into that array in place, and
+the end of the run copies it back.
 
-The primitives raise ``NonFiniteError``, so ``train`` and ``evaluate``
-silence numpy's overflow warnings. An epoch is one boundary: every
-batch's gather, graph, row step and ``sgd_step``, then validation; a
-``NonFiniteError`` in it is a ``DivergenceError`` naming the epoch and
-batch. A step that overflows is named at the next read of its weights,
-batch k + 1, or validation for the epoch's last batch.
+The primitives raise ``NonFiniteError``, so numpy's overflow and invalid
+warnings only repeat it. This module alone silences them, around the code
+that runs the primitives: each epoch of ``train``, and each chunk's graph
+in ``forward_chunks``, which yields outside the silenced block, so its
+caller's arithmetic keeps the caller's error state. An epoch is one
+boundary: every batch's gather, graph, row step and ``sgd_step``, then
+validation; a ``NonFiniteError`` in it is a ``DivergenceError`` naming the
+epoch and batch. A step that overflows is named at the next read of its
+weights, batch k + 1, or validation for the epoch's last batch.
 
 So a run holds the parameter buffer, ``W_e``'s velocity, the dense
 tail's velocity and gradient, one snapshot and, for its whole-table
@@ -139,7 +143,11 @@ class TrainConfig:
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, numbers.Real):
                 raise ValueError(f"{name} must be a real number, got {value!r}")
-            if not math.isfinite(value):
+            try:
+                finite = math.isfinite(value)
+            except OverflowError:  # an int past the largest float
+                finite = False
+            if not finite:
                 raise ValueError(f"{name} must be finite, got {value}")
         if not 0.0 <= self.dropout < 1.0:
             raise ValueError("dropout must be in [0, 1)")
@@ -151,6 +159,11 @@ class TrainConfig:
             raise ValueError(f"max_len must be <= {MAX_LEN}")
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
+
+    def model_dims(self) -> dict:
+        """The keywords ``model.param_shapes`` and ``init_model`` take."""
+        return dict(d=self.d, h=self.h, m=self.m, ctx=self.ctx, encoder=self.encoder,
+                    mlp_hidden=self.mlp_hidden)
 
 
 @dataclass
@@ -311,9 +324,7 @@ class Checkpoint:
                 raise ValueError(f"repeated label names in {labels}")
             # compared as read: a fractional or quoted number matches nothing
             entries = [(e["name"], tuple(e["shape"]), e["offset"]) for e in meta["tensors"]]
-            shapes = param_shapes(len(vocab), len(labels), d=config.d, h=config.h,
-                                  m=config.m, ctx=config.ctx, encoder=config.encoder,
-                                  mlp_hidden=config.mlp_hidden)
+            shapes = param_shapes(len(vocab), len(labels), **config.model_dims())
         except OSError as exc:
             raise CheckpointError(f"cannot read checkpoint {ckpt_dir}: {exc}") from exc
         except (ValueError, TypeError, KeyError, TextError, RecursionError) as exc:
@@ -372,9 +383,8 @@ def _remove(path) -> None:
 
 def _fresh_model(config: TrainConfig, vocab_size: int, num_classes: int,
                  rng, pretrained=None) -> ModelParams:
-    params = init_model(vocab_size, num_classes, rng, d=config.d, h=config.h,
-                        m=config.m, ctx=config.ctx, encoder=config.encoder,
-                        mlp_hidden=config.mlp_hidden, dropout=config.dropout)
+    params = init_model(vocab_size, num_classes, rng, **config.model_dims(),
+                        dropout=config.dropout)
     if pretrained is not None:
         ids, rows = pretrained
         params.store["W_e"][ids] = rows
@@ -422,6 +432,12 @@ def train(config: TrainConfig, train_set: Dataset, valid_set: Dataset,
                             f"training set has one class only: "
                             f"{train_set.label_names[classes[0]]!r}")
     _check_labels(valid_set, train_set.label_names)
+    for split, dataset in (("train", train_set), ("valid", valid_set)):
+        ids = np.concatenate([doc.valid_ids() for doc in dataset.documents])
+        outside = ids[(ids < 1) | (ids >= len(vocab))]
+        if outside.size:
+            raise TrainingError(f"{split} set holds id {outside[0]}, outside the "
+                                f"vocabulary's [1, {len(vocab)})")
     rng = np.random.Generator(np.random.PCG64(config.seed))
     params = _fresh_model(config, len(vocab), train_set.num_classes, rng, pretrained)
 
@@ -504,11 +520,14 @@ class EvalMetrics:
 
 def forward_chunks(params: ModelParams, docs):
     """(documents, ForwardPass) for each run of EVAL_CHUNK documents, in
-    order, each one forward-only graph with dropout off."""
+    order, each one forward-only graph with dropout off, built with numpy's
+    warnings silenced and yielded after (see the module docstring)."""
     nodes = params.store.nodes(requires_grad=False)
     for start in range(0, len(docs), EVAL_CHUNK):
         chunk = docs[start:start + EVAL_CHUNK]
-        yield chunk, forward_batch(params, nodes, chunk)
+        with np.errstate(over="ignore", invalid="ignore"):
+            fw = forward_batch(params, nodes, chunk)
+        yield chunk, fw
 
 
 def evaluate(params_or_checkpoint, dataset: Dataset) -> EvalMetrics:
@@ -525,9 +544,8 @@ def evaluate(params_or_checkpoint, dataset: Dataset) -> EvalMetrics:
     if any(doc.label >= C for doc in dataset.documents):
         raise LabelMismatchError(f"dataset has label ids >= {C}")
     confusion = np.zeros((C, C), dtype=np.int64)
-    with np.errstate(over="ignore", invalid="ignore"):
-        for chunk, fw in forward_chunks(params, dataset.documents):
-            np.add.at(confusion, ([doc.label for doc in chunk], fw.predictions), 1)
+    for chunk, fw in forward_chunks(params, dataset.documents):
+        np.add.at(confusion, ([doc.label for doc in chunk], fw.predictions), 1)
     correct = int(np.trace(confusion))
     precision = [
         float(confusion[k, k] / s) if (s := confusion[:, k].sum()) else 0.0

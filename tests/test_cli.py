@@ -1,5 +1,6 @@
 import contextlib
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -105,6 +106,8 @@ CORRUPTIONS = {
     "config-unknown-key": _edit_config(lambda meta: meta["config"].update(frobnicate=1)),
     "config-no-labels": _edit_config(lambda meta: meta.pop("labels")),
     "config-float-dim": _edit_config(lambda meta: meta["config"].update(m=2.0)),
+    # an int too large for a float, which math.isfinite cannot take
+    "config-huge-lr": _edit_config(lambda meta: meta["config"].update(lr=10**400)),
     "config-bool-dim": _edit_config(lambda meta: meta["config"].update(d=True)),
     "config-unknown-regularizer": _edit_config(
         lambda meta: meta["config"].update(regularizer="sideways")),
@@ -159,6 +162,10 @@ class TestTrain:
         assert manifest["config"]["encoder"] == "le"
         assert manifest["config"]["lr"] == 0.05
         assert str(workspace["train"]) in manifest["inputs"]
+        # every field under its own name, as the checkpoint's config.json has it
+        saved = json.loads((workspace["ckpt"] / "config.json").read_text())["config"]
+        assert set(saved) == {f.name for f in dataclasses.fields(tr.TrainConfig)}
+        assert {name: manifest["config"][name] for name in saved} == saved
 
     def test_each_document_is_tokenized_once(self, tmp_path, monkeypatch):
         write_tsv(marker_pairs(50, seed=2), tmp_path / "train.tsv")
@@ -704,6 +711,7 @@ OUT_OF_DOMAIN = {
     "bench-bigru-dim-huge": (["bench", "--kind", "bigru", "--dim", "32768"], cli.EXIT_USAGE),
     "topwords-array-record": (["topwords", "--data", "{jsonl}"], cli.EXIT_DATA),
     "topwords-deeply-nested": (["topwords", "--data", "{nested}"], cli.EXIT_DATA),
+    "topwords-huge-weight": (["topwords", "--data", "{huge_weight}"], cli.EXIT_DATA),
     "topwords-non-utf8": (["topwords", "--data", "{non_utf8}"], cli.EXIT_DATA),
     "topwords-top-k-0": (["topwords", "--data", "{jsonl}", "--top-k", "0"], cli.EXIT_USAGE),
     "topwords-top-k-negative": (["topwords", "--data", "{jsonl}", "--top-k", "-1"],
@@ -722,7 +730,8 @@ def test_out_of_domain_input_exits_with_one_error_line(case, workspace, tmp_path
     for name, line in (("jsonl", '["not", "an", "object"]'),
                        ("nan_weight", '{"tokens": ["a", "b"], "A": [[NaN, 0.5]]}'),
                        ("inf_weight", '{"tokens": ["a", "b"], "A": [[Infinity, 0.5]]}'),
-                       ("nested", "[" * 100_000)):
+                       ("nested", "[" * 100_000),
+                       ("huge_weight", '{"tokens": ["a"], "A": [[1%s]]}' % ("0" * 400))):
         files[name] = tmp_path / f"{name}.jsonl"
         files[name].write_text(line + "\n", encoding="utf-8")
     # a good record, then a line that starts with a UTF-16 byte-order mark
@@ -915,6 +924,15 @@ class TestHeadsSweep:
 
 
 class TestErrorSurface:
+    def test_unmapped_exception_propagates(self, tmp_path, monkeypatch):
+        # the exit-code table maps the documented failures only; anything
+        # else is a bug and keeps its traceback
+        def fail(args):
+            raise RuntimeError("not a documented failure")
+        monkeypatch.setitem(cli.HANDLERS, "params", fail)
+        with pytest.raises(RuntimeError, match="^not a documented failure$"):
+            run_cli("params", "--out", tmp_path)
+
     def test_unknown_flag_is_usage_error(self):
         with pytest.raises(SystemExit) as exc:
             run_cli("train", "--frobnicate")

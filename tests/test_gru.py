@@ -147,8 +147,9 @@ class TestBigruEncode:
         np.testing.assert_allclose(annot, reference_bigru(x, fa, ba), rtol=1e-10)
 
     def test_padding_extension_leaves_valid_rows_bit_identical(self):
-        # the encoder never sees padding: forward_doc trims it first, so the
-        # annotations, pinned here through S = A H, do not depend on it
+        # the encoder never sees padding: the model reads only a
+        # text.Document's valid ids, so the annotations, pinned here through
+        # S = A H, do not depend on it
         rng = np.random.default_rng(8)
         params = mdl.init_model(15, 2, rng, d=4, h=3, m=2, mlp_hidden=8,
                                 dtype=np.float64)

@@ -125,8 +125,9 @@ class TestForward:
         assert fw.attn.A_valid.shape == (2, 4)
 
     def test_padding_is_ignored_bit_exactly(self):
-        # forward_doc is the only place that trims padding; the annotations
-        # reach the output through S = A H, so S pins them bit for bit
+        # padding is decided in text.Document, and the model reads only its
+        # valid ids; the annotations reach the output through S = A H, so S
+        # pins them bit for bit
         for encoder in ("bigru", "le"):
             params = tiny_model(encoder=encoder)
             nodes = params.store.nodes()

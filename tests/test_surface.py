@@ -1,6 +1,7 @@
 """``src/lama`` holds what the CLI and the trainer run: every public
 module-level function and class is referenced by the package's own code,
-outside its own definition. Test oracles live in ``tests/oracles.py``."""
+outside its own definition. Test oracles live in ``tests/oracles.py``.
+Numpy's error state is set only where the primitives run, in ``training``."""
 
 import ast
 from pathlib import Path
@@ -59,3 +60,30 @@ def test_a_definition_used_only_by_itself_is_caught(tmp_path):
     (tmp_path / "extra.py").write_text(
         "def countdown(n):\n    return 0 if n == 0 else countdown(n - 1)\n")
     assert unreferenced_public_names(tmp_path) == {"countdown": "extra"}
+
+
+def error_state_sites(src: Path = SRC) -> list:
+    """(module, top-level definition) of each ``errstate`` or ``seterr``
+    call in the package, one entry per call."""
+    sites = []
+    for path in sorted(src.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for stmt in tree.body:
+            sites += [(path.stem, getattr(stmt, "name", None)) for sub in ast.walk(stmt)
+                      if isinstance(sub, ast.Call) and isinstance(sub.func, ast.Attribute)
+                      and sub.func.attr in ("errstate", "seterr")]
+    return sites
+
+
+def test_only_training_sets_numpys_error_state():
+    # the primitives raise NonFiniteError, so numpy's warnings are silenced
+    # around the code that runs them and nowhere else
+    assert sorted(error_state_sites()) == [("training", "forward_chunks"),
+                                           ("training", "train")]
+
+
+def test_an_error_state_call_is_found_in_its_definition(tmp_path):
+    (tmp_path / "extra.py").write_text(
+        "import numpy as np\n\n\ndef quiet(x):\n"
+        "    with np.errstate(over='ignore'):\n        return x * x\n")
+    assert error_state_sites(tmp_path) == [("extra", "quiet")]

@@ -1,4 +1,5 @@
 import unicodedata
+import warnings
 from collections import Counter
 
 import numpy as np
@@ -324,6 +325,24 @@ class TestInitEmbeddings:
         p.write_text("good 1.0 2.0\n", encoding="utf-8")
         with pytest.raises(text.TextError, match="expected 4 floats"):
             read_pretrained(p, tiny_vocab, 4)
+
+    def test_value_beyond_float32_is_error_not_a_cast_warning(self, tmp_path, tiny_vocab):
+        p = tmp_path / "vecs.txt"
+        p.write_text("good 1 2 3 1e39\n", encoding="utf-8")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(text.TextError, match=":1: "):
+                read_pretrained(p, tiny_vocab, 4)
+
+    def test_values_round_once_to_float32(self, tmp_path, tiny_vocab):
+        # float32's largest magnitude is in range; each value is the float32
+        # cast of the double it reads as
+        values = ["3.4028234663852886e38", "-3.4028234663852886e38", "0.1", "1e-50"]
+        p = tmp_path / "vecs.txt"
+        p.write_text("good " + " ".join(values) + "\n", encoding="utf-8")
+        _, rows = read_pretrained(p, tiny_vocab, 4)
+        expected = np.array([float(v) for v in values]).astype(np.float32)
+        assert rows.tobytes() == expected[None].tobytes()
 
     def test_out_of_vocab_rows_are_only_counted(self, tmp_path, tiny_vocab):
         # rows of tokens outside the vocabulary are not parsed, so a bad

@@ -209,6 +209,12 @@ class TestTrainConfig:
     def test_real_fields_take_ints_and_numpy_floats(self, value):
         assert small_config(dropout=value, lam=value).lam == value
 
+    @pytest.mark.parametrize("name", ["lr", "momentum", "weight_decay", "dropout", "lam"])
+    def test_real_fields_reject_an_int_too_large_for_a_float(self, name):
+        # math.isfinite(10**400) raises OverflowError, not the field's ValueError
+        with pytest.raises(ValueError, match=f"^{name} must be finite, got 1000"):
+            small_config(**{name: 10**400})
+
     def test_config_validation(self):
         # the objective's settings are checked here and nowhere else
         with pytest.raises(ValueError):
@@ -447,6 +453,24 @@ class TestTrainLoop:
             with pytest.raises(DivergenceError,
                                match=r"^training diverged at epoch 1, batch 1: "):
                 train(cfg, train_set, valid_set, vocab)
+
+    @pytest.mark.parametrize("split", ["train", "valid"])
+    @pytest.mark.parametrize("where", ["last-row", "pad-row", "past-the-end"])
+    def test_ids_outside_the_vocabulary_rejected(self, keyword_task, split, where):
+        # documents built through the API: -1 would step W_e's last row, 0
+        # the PAD row, and len(vocab) would end in an IndexError
+        train_set, valid_set, vocab = keyword_task
+        bad_id = {"last-row": -1, "pad-row": PAD_ID, "past-the-end": len(vocab)}[where]
+        sets = {"train": train_set, "valid": valid_set}
+        doc = sets[split].documents[-1]
+        ids = doc.ids.copy()
+        ids[doc.true_length - 1] = bad_id
+        sets[split] = tr.Dataset(sets[split].documents[:-1]
+                                 + [Document(ids, doc.true_length, doc.label)],
+                                 train_set.label_names, split)
+        with pytest.raises(tr.TrainingError,
+                           match=f"^{split} set holds id {bad_id}, outside the vocabulary"):
+            train(small_config(), sets["train"], sets["valid"], vocab)
 
     def test_empty_validation_rejected(self, keyword_task):
         train_set, _, vocab = keyword_task
@@ -841,6 +865,30 @@ class TestEvaluate:
             warnings.simplefilter("error")
             with pytest.raises(ad.NonFiniteError):
                 evaluate(ckpt, valid_set)
+
+
+    def test_forward_chunks_on_overflowing_weights_raise_non_finite_error(self, keyword_task):
+        # the loop lama attend runs: each chunk's graph is built with
+        # numpy's warnings silenced, so the primitives name the op
+        _, valid_set, vocab = keyword_task
+        params = init_model(len(vocab), valid_set.num_classes, np.random.default_rng(0),
+                            d=16, h=8, m=2, mlp_hidden=24)
+        params.store["W_e"][2:] = 3e38
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ad.NonFiniteError):
+                for _ in tr.forward_chunks(params, valid_set.documents):
+                    pass
+
+    def test_forward_chunks_yields_in_the_callers_error_state(self, keyword_task):
+        _, valid_set, vocab = keyword_task
+        params = init_model(len(vocab), valid_set.num_classes, np.random.default_rng(0),
+                            d=16, h=8, m=2, mlp_hidden=24)
+        with np.errstate(over="raise", invalid="raise"):
+            chunks = tr.forward_chunks(params, valid_set.documents)
+            next(chunks)
+            assert np.geterr()["over"] == np.geterr()["invalid"] == "raise"
+            chunks.close()
 
 
 class TestCheckpointIO:
